@@ -27,7 +27,6 @@ from .blowup import (
 )
 from .initial import field_from_csv, gaussian_bump, steep_bump
 from .pde import (
-    EnergySample,
     PdeParams,
     SlopeSample,
     energy,

@@ -31,15 +31,18 @@ as the data steepen.
 from __future__ import annotations
 
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .fileio import write_csv
 from .pde import PdeParams, SlopeSample, energy
-from .spectral import Field, Grid
+from .spectral import Field
 from .timestep import SimulationResult, SolverConfig, simulate
 
 _SQRT8 = 4.0 * math.sqrt(2.0)
@@ -221,10 +224,11 @@ def run_member(family_id: int, alpha: float, u0: Field, params: PdeParams,
                     censored=censored)
 
 
-def _member_row_packed(args) -> SweepRow:
-    family_id, alpha, values, half_width, n_points, params, config = args
-    u0 = Field(Grid(half_width, n_points), values)
-    return run_member(family_id, alpha, u0, params, config)
+def _failed_row(family_id: int, alpha: float) -> SweepRow:
+    nan = math.nan
+    return SweepRow(family_id=family_id, alpha=alpha, e0=nan, m0=nan,
+                    gamma_case="error", bracket=nan, t_lower=nan, t_star=nan,
+                    ratio=nan, censored=True)
 
 
 def sharpness_experiment(members: Sequence[tuple[float, Field]], params: PdeParams,
@@ -232,21 +236,36 @@ def sharpness_experiment(members: Sequence[tuple[float, Field]], params: PdePara
     """Run every family member and tabulate observed vs guaranteed times.
 
     Members that reach t_end without breaking are censored rows, not
-    failures. Rows are merged in member order regardless of worker count.
+    failures. A member that raises becomes a gamma_case = "error" row and the
+    others still run. Each failure, and each ratio below 0.98, is reported
+    with a RuntimeWarning. Rows are merged in member order regardless of
+    worker count; workers > 1 runs the members in a process pool.
     """
     if params.gamma == 0.0:
         raise ValueError("sharpness experiment requires gamma != 0")
     if not members:
         raise ValueError("family has no members")
-    if workers > 1:
-        packed = [
-            (i, alpha, u0.values, u0.grid.half_width, u0.grid.n_points, params, config)
-            for i, (alpha, u0) in enumerate(members)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_member_row_packed, packed))
-    return [run_member(i, alpha, u0, params, config)
-            for i, (alpha, u0) in enumerate(members)]
+    jobs = [(i, alpha, u0, params, config) for i, (alpha, u0) in enumerate(members)]
+    rows = []
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        if pool is None:
+            calls = [partial(run_member, *job) for job in jobs]
+        else:
+            calls = [pool.submit(run_member, *job).result for job in jobs]
+        for (i, alpha, *_), call in zip(jobs, calls):
+            try:
+                row = call()
+            except Exception as err:  # per-member failure: record and continue
+                warnings.warn(f"member {i} (alpha = {alpha:g}) failed: {err}",
+                              RuntimeWarning, stacklevel=2)
+                row = _failed_row(i, alpha)
+            # censored and error rows have ratio = nan, which never compares below
+            if row.ratio < 0.98:
+                warnings.warn(f"member {i}: observed breaking time ratio {row.ratio:.4f} "
+                              "undercuts the proved bound; solver bug suspected",
+                              RuntimeWarning, stacklevel=2)
+            rows.append(row)
+    return rows
 
 
 def write_comparison_csv(rows: Sequence[SweepRow], path) -> None:

@@ -11,19 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .blowup import (
-    SweepRow,
     blowup_condition,
     existence_bound,
     extrapolate_blowup_time,
-    run_member,
+    sharpness_experiment,
     write_comparison_csv,
 )
 from .config import (
@@ -36,6 +33,7 @@ from .config import (
     load_sweep_config,
 )
 from .fileio import fmt, jsonable, write_csv, write_json
+from .initial import field_from_csv
 from .pde import PdeParams
 from .solitary import (
     AdmissibilityError,
@@ -72,21 +70,25 @@ def _write_checkpoints(result: SimulationResult, directory: Path) -> list[float]
     return times
 
 
+def _bound_fields(u0: Field, params: PdeParams) -> dict:
+    bound = existence_bound(u0, params)
+    return {
+        "E0": bound.e0,
+        "m0": bound.m0,
+        "gamma_case": bound.gamma_case,
+        "K": bound.bracket,
+        "T_lower": bound.t_lower,
+    }
+
+
 def _summary_payload(rc: RunConfig, u0: Field, result: SimulationResult) -> dict:
-    bound = existence_bound(u0, rc.params)
     payload: dict = {
         "stop_reason": result.stop_reason,
         "t_stop": result.t_stop,
         "energy_initial": result.samples[0].energy,
         "energy_final": result.samples[-1].energy,
         "energy_drift": result.energy_drift,
-        "existence_bound": {
-            "E0": bound.e0,
-            "m0": bound.m0,
-            "gamma_case": bound.gamma_case,
-            "K": bound.bracket,
-            "T_lower": bound.t_lower,
-        },
+        "existence_bound": _bound_fields(u0, rc.params),
         "warnings": list(result.warnings),
         "config": config_dict(rc),
     }
@@ -107,9 +109,8 @@ def _summary_payload(rc: RunConfig, u0: Field, result: SimulationResult) -> dict
     else:
         payload["t_star"] = None
     if rc.initial["kind"] == "soliton":
-        profile = build_profile(SolitonParams(rc.initial["c"], rc.params), rc.grid,
-                                tail_tol=max(rc.solver.decay_tolerance, 1e-10))
-        payload["shape_error"] = shape_error(profile, result.final_state, result.t_stop)
+        payload["shape_error"] = shape_error(u0, rc.initial["c"], result.final_state,
+                                             result.t_stop)
     return payload
 
 
@@ -162,14 +163,7 @@ def _cmd_soliton(args) -> int:
 
 
 def _bound_payload(u0: Field, params: PdeParams) -> dict:
-    bound = existence_bound(u0, params)
-    payload = {
-        "E0": bound.e0,
-        "m0": bound.m0,
-        "gamma_case": bound.gamma_case,
-        "K": bound.bracket,
-        "T_lower": bound.t_lower,
-    }
+    payload = _bound_fields(u0, params)
     if params.gamma == 0.0:
         payload["note"] = _GLOBAL_NOTE
     else:
@@ -179,22 +173,6 @@ def _bound_payload(u0: Field, params: PdeParams) -> dict:
         if verdict.witness_x0 is not None:
             payload["witness_x0"] = verdict.witness_x0
     return payload
-
-
-def _field_from_data_file(path: Path) -> Field:
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if rows.ndim != 2 or rows.shape[1] != 2 or rows.shape[0] < 16:
-        raise ConfigError(f"{path}: expected at least 16 rows of x,u")
-    x, u = rows[:, 0], rows[:, 1]
-    n = len(x)
-    if n % 2 != 0:
-        raise ConfigError(f"{path}: grid size must be even, got {n}")
-    h = x[1] - x[0]
-    half_width = 0.5 * n * h
-    grid = Grid(half_width, n)
-    if not np.allclose(x, grid.x, rtol=0.0, atol=1e-9 * h):
-        raise ConfigError(f"{path}: x column is not the uniform grid [-L, L)")
-    return Field(grid, u)
 
 
 def _cmd_bound(args) -> int:
@@ -207,7 +185,7 @@ def _cmd_bound(args) -> int:
             if args.gamma is None:
                 return _fail("--data requires --gamma (and optionally --omega)")
             params = PdeParams(gamma=args.gamma, omega=args.omega)
-            u0 = _field_from_data_file(Path(args.data))
+            u0 = field_from_csv(None, args.data)
     except (ConfigError, ValueError, OSError) as err:
         return _fail(str(err))
     payload = _bound_payload(u0, params)
@@ -232,42 +210,10 @@ def _cmd_sweep(args) -> int:
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def collect(fetch) -> tuple[list[SweepRow], int]:
-        rows, failures = [], 0
-        for i, (alpha, _) in enumerate(members):
-            try:
-                rows.append(fetch(i))
-            except Exception as err:  # per-member failure: record and continue
-                failures += 1
-                print(f"member {i} (alpha = {alpha:g}) failed: {err}", file=sys.stderr)
-                rows.append(_failed_row(i, alpha))
-        return rows, failures
-
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = [
-                pool.submit(run_member, i, alpha, u0, sc.params, sc.solver)
-                for i, (alpha, u0) in enumerate(members)
-            ]
-            rows, failures = collect(lambda i: futures[i].result())
-    else:
-        rows, failures = collect(
-            lambda i: run_member(i, members[i][0], members[i][1], sc.params, sc.solver))
-    for row in rows:
-        if not row.censored and not math.isnan(row.ratio) and row.ratio < 0.98:
-            print(f"member {row.family_id}: observed breaking time ratio "
-                  f"{row.ratio:.4f} undercuts the proved bound; solver bug suspected",
-                  file=sys.stderr)
+    rows = sharpness_experiment(members, sc.params, sc.solver, workers=args.workers)
     write_comparison_csv(rows, out_dir / "comparison.csv")
     print(f"wrote {len(rows)} rows to {out_dir / 'comparison.csv'}")
-    return 0 if failures < len(members) else 1
-
-
-def _failed_row(family_id: int, alpha: float) -> SweepRow:
-    nan = math.nan
-    return SweepRow(family_id=family_id, alpha=alpha, e0=nan, m0=nan,
-                    gamma_case="error", bracket=nan, t_lower=nan, t_star=nan,
-                    ratio=nan, censored=True)
+    return 1 if all(row.gamma_case == "error" for row in rows) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

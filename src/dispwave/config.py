@@ -160,13 +160,13 @@ class RunConfig:
     solver: SolverConfig
     initial: dict
     outputs: OutputOptions
-    seed: int = 0
 
 
 def parse_run_config(data, base_dir: Path) -> RunConfig:
     if isinstance(data, dict) and "config" in data and "stop_reason" in data:
         # a summary artifact embeds its resolved config; allow re-running from it
         data = data["config"]
+    # older configs and summaries carry a "seed"; nothing is random, so it is ignored
     _check_keys(data, "config", ("params", "grid", "solver", "initial"),
                 ("outputs", "seed"))
     return RunConfig(
@@ -175,7 +175,6 @@ def parse_run_config(data, base_dir: Path) -> RunConfig:
         solver=_parse_solver(data["solver"]),
         initial=_parse_initial(data["initial"], base_dir),
         outputs=_parse_outputs(data.get("outputs", {})),
-        seed=_integer(data, "seed", "config") if "seed" in data else 0,
     )
 
 
@@ -215,7 +214,6 @@ def config_dict(rc: RunConfig) -> dict:
             "write_trace": rc.outputs.write_trace,
             "write_checkpoints": rc.outputs.write_checkpoints,
         },
-        "seed": rc.seed,
     }
 
 
@@ -251,12 +249,11 @@ class SweepConfig:
     solver: SolverConfig
     family: dict
     outputs: OutputOptions
-    seed: int = 0
 
 
 def parse_sweep_config(data, base_dir: Path) -> SweepConfig:
     _check_keys(data, "config", ("params", "grid", "solver", "family"),
-                ("outputs", "seed"))
+                ("outputs", "seed"))  # "seed" is ignored, as in parse_run_config
     fam = data["family"]
     if not isinstance(fam, dict) or "kind" not in fam:
         raise ConfigError("family: expected an object with a 'kind' key")
@@ -285,7 +282,6 @@ def parse_sweep_config(data, base_dir: Path) -> SweepConfig:
         solver=_parse_solver(data["solver"]),
         family=resolved,
         outputs=_parse_outputs(data.get("outputs", {})),
-        seed=_integer(data, "seed", "config") if "seed" in data else 0,
     )
 
 
@@ -303,6 +299,6 @@ def build_family(sc: SweepConfig) -> list[tuple[float, Field]]:
             for s in fam["steepnesses"]
         ]
     base_rc = RunConfig(params=sc.params, grid=sc.grid, solver=sc.solver,
-                        initial=fam["base"], outputs=sc.outputs, seed=sc.seed)
+                        initial=fam["base"], outputs=sc.outputs)
     base = build_initial_field(base_rc)
     return [(a, Field(sc.grid, a * base.values)) for a in fam["alphas"]]

@@ -36,10 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, Grid, dealias, helmholtz_inverse
-
-_rfft = np.fft.rfft
-_irfft = np.fft.irfft
+from .spectral import Field, Grid, dealias, irfft, rfft
 
 
 @dataclass(frozen=True)
@@ -54,14 +51,6 @@ class PdeParams:
             raise ValueError(f"gamma must be finite, got {self.gamma}")
         if not (np.isfinite(self.omega) and self.omega >= 0):
             raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
-
-
-@dataclass(frozen=True)
-class EnergySample:
-    """Energy integral E = int(u^2 + u_x^2) dx at one instant."""
-
-    t: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -80,23 +69,23 @@ class SlopeSample:
 
 def _project(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Dealias a physical-space product (2/3 rule round trip)."""
-    return _irfft(dealias(_rfft(values), grid), n=grid.n_points)
+    return irfft(dealias(rfft(values), grid), n=grid.n_points)
 
 
 def _rhs_values(values: np.ndarray, grid: Grid, params: PdeParams) -> np.ndarray:
     """u_t of the nonlocal form, raw-array hot path (6 transforms)."""
     gamma, omega = params.gamma, params.omega
     ik = grid.derivative_multiplier
-    u_hat = _rfft(values)
-    ux = _irfft(u_hat * ik, n=grid.n_points)
+    u_hat = rfft(values)
+    ux = irfft(u_hat * ik, n=grid.n_points)
 
-    bracket_hat = 0.5 * (3.0 - gamma) * dealias(_rfft(values * values), grid)
-    bracket_hat += 0.5 * gamma * dealias(_rfft(ux * ux), grid)
+    bracket_hat = 0.5 * (3.0 - gamma) * dealias(rfft(values * values), grid)
+    bracket_hat += 0.5 * gamma * dealias(rfft(ux * ux), grid)
     bracket_hat += 2.0 * omega * u_hat
 
-    ut_hat = -gamma * dealias(_rfft(values * ux), grid)
+    ut_hat = -gamma * dealias(rfft(values * ux), grid)
     ut_hat -= ik * grid.helmholtz_multiplier * bracket_hat
-    return _irfft(ut_hat, n=grid.n_points)
+    return irfft(ut_hat, n=grid.n_points)
 
 
 def rhs_nonlocal(u: Field, params: PdeParams) -> Field:
@@ -124,15 +113,15 @@ def rhs_momentum(u: Field, params: PdeParams) -> Field:
     u_hat = u.spectrum
     y_hat = (1.0 + k2) * u_hat
     uvals = u.values
-    ux = _irfft(u_hat * ik, n=grid.n_points)
-    y = _irfft(y_hat, n=grid.n_points)
-    yx = _irfft(y_hat * ik, n=grid.n_points)
+    ux = irfft(u_hat * ik, n=grid.n_points)
+    y = irfft(y_hat, n=grid.n_points)
+    yx = irfft(y_hat * ik, n=grid.n_points)
 
-    yt_hat = -gamma * dealias(_rfft(yx * uvals), grid)
-    yt_hat -= 2.0 * gamma * dealias(_rfft(y * ux), grid)
-    yt_hat -= 3.0 * (1.0 - gamma) * dealias(_rfft(uvals * ux), grid)
+    yt_hat = -gamma * dealias(rfft(yx * uvals), grid)
+    yt_hat -= 2.0 * gamma * dealias(rfft(y * ux), grid)
+    yt_hat -= 3.0 * (1.0 - gamma) * dealias(rfft(uvals * ux), grid)
     yt_hat -= 2.0 * omega * ik * u_hat
-    return Field(grid, _irfft(grid.helmholtz_multiplier * yt_hat, n=grid.n_points))
+    return Field(grid, irfft(grid.helmholtz_multiplier * yt_hat, n=grid.n_points))
 
 
 def pde_residual(u: Field, u_t: Field, params: PdeParams) -> float:
@@ -148,11 +137,11 @@ def pde_residual(u: Field, u_t: Field, params: PdeParams) -> float:
     k2 = grid.wavenumbers_half**2
 
     u_hat = u.spectrum
-    ux = _irfft(u_hat * ik, n=grid.n_points)
-    uxx = _irfft(-k2 * u_hat, n=grid.n_points)
-    uxxx = _irfft(-k2 * ik * u_hat, n=grid.n_points)
+    ux = irfft(u_hat * ik, n=grid.n_points)
+    uxx = irfft(-k2 * u_hat, n=grid.n_points)
+    uxxx = irfft(-k2 * ik * u_hat, n=grid.n_points)
     ut_hat = u_t.spectrum
-    utxx = _irfft(-k2 * ut_hat, n=grid.n_points)
+    utxx = irfft(-k2 * ut_hat, n=grid.n_points)
 
     residual = u_t.values - utxx + 2.0 * omega * ux
     residual += 3.0 * _project(u.values * ux, grid)
@@ -166,7 +155,7 @@ def energy(u: Field) -> float:
     On the periodic grid the trapezoid rule is the plain h-weighted sum and
     coincides with hs_norm(u, 1)^2 by Parseval.
     """
-    ux = _irfft(u.spectrum * u.grid.derivative_multiplier, n=u.grid.n_points)
+    ux = u.derivative
     return float(u.grid.spacing * np.sum(u.values**2 + ux * ux))
 
 
@@ -174,10 +163,10 @@ def _convolution_bracket(values: np.ndarray, ux: np.ndarray, grid: Grid,
                          params: PdeParams) -> np.ndarray:
     """gamma * helmholtz_inverse((3-g)/2 u^2 + g/2 u_x^2 + 2w u), dealiased."""
     gamma, omega = params.gamma, params.omega
-    bracket_hat = 0.5 * (3.0 - gamma) * dealias(_rfft(values * values), grid)
-    bracket_hat += 0.5 * gamma * dealias(_rfft(ux * ux), grid)
-    bracket_hat += 2.0 * omega * _rfft(values)
-    return gamma * _irfft(grid.helmholtz_multiplier * bracket_hat, n=grid.n_points)
+    bracket_hat = 0.5 * (3.0 - gamma) * dealias(rfft(values * values), grid)
+    bracket_hat += 0.5 * gamma * dealias(rfft(ux * ux), grid)
+    bracket_hat += 2.0 * omega * rfft(values)
+    return gamma * irfft(grid.helmholtz_multiplier * bracket_hat, n=grid.n_points)
 
 
 def slope_sample(u: Field, params: PdeParams, t: float = 0.0) -> SlopeSample:
@@ -215,8 +204,8 @@ def gamma_utx_field(u: Field, params: PdeParams) -> Field:
     grid = u.grid
     omega = params.omega
     u_hat = u.spectrum
-    ux = _irfft(u_hat * grid.derivative_multiplier, n=grid.n_points)
-    uxx = _irfft(-grid.wavenumbers_half**2 * u_hat, n=grid.n_points)
+    ux = irfft(u_hat * grid.derivative_multiplier, n=grid.n_points)
+    uxx = irfft(-grid.wavenumbers_half**2 * u_hat, n=grid.n_points)
     conv = _convolution_bracket(u.values, ux, grid, params)
     out = -0.5 * gamma * gamma * _project(ux * ux, grid)
     out -= gamma * gamma * _project(u.values * uxx, grid)
@@ -228,7 +217,6 @@ def gamma_utx_field(u: Field, params: PdeParams) -> Field:
 
 __all__ = [
     "PdeParams",
-    "EnergySample",
     "SlopeSample",
     "rhs_nonlocal",
     "rhs_momentum",

@@ -34,7 +34,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .fileio import fmt, write_csv
 from .pde import PdeParams
-from .spectral import Field, Grid
+from .spectral import Field, Grid, irfft
 from .timestep import SimulationResult, SolverConfig, simulate
 
 _TAIL_FLOOR_FRACTION = 1e-14  # below this fraction of the peak the profile is exact zero
@@ -193,8 +193,7 @@ def profile_equation_residual(profile: SolitonProfile) -> np.ndarray:
     f = profile.as_field()
     phi = profile.values
     phi_x = f.derivative
-    phi_xx = np.fft.irfft(-profile.grid.wavenumbers_half**2 * f.spectrum,
-                          n=profile.grid.n_points)
+    phi_xx = irfft(-profile.grid.wavenumbers_half**2 * f.spectrum, n=profile.grid.n_points)
     return ((2.0 * omega - c) * phi + c * phi_xx + 1.5 * phi**2
             - 0.5 * gamma * phi_x**2 - gamma * phi * phi_xx)
 
@@ -234,19 +233,18 @@ class TravelReport:
         return float(np.max(self.linf_errors))
 
 
-def _shifted_profile(profile: SolitonProfile, shift: float) -> np.ndarray:
-    spec = profile.as_field().spectrum.copy()
+def _shifted(u0: Field, shift: float) -> np.ndarray:
+    spec = u0.spectrum.copy()
     spec[-1] = 0.0  # the unpaired Nyquist mode has no well-defined shift
-    spec *= np.exp(-1j * profile.grid.wavenumbers_half * shift)
-    return np.fft.irfft(spec, n=profile.grid.n_points)
+    spec *= np.exp(-1j * u0.grid.wavenumbers_half * shift)
+    return irfft(spec, n=u0.grid.n_points)
 
 
-def shape_error(profile: SolitonProfile, state: Field, t: float) -> float:
-    """Relative L2 distance between a state and the profile translated by c*t."""
-    expected = _shifted_profile(profile, profile.params.speed * t)
-    h = profile.grid.spacing
-    norm = math.sqrt(h * float(np.sum(profile.values**2)))
-    return math.sqrt(h * float(np.sum((state.values - expected) ** 2))) / norm
+def shape_error(u0: Field, c: float, state: Field, t: float) -> float:
+    """Relative L2 distance between a state at time t and u0 translated by c*t."""
+    h = u0.grid.spacing
+    norm = math.sqrt(h * float(np.sum(u0.values**2)))
+    return math.sqrt(h * float(np.sum((state.values - _shifted(u0, c * t)) ** 2))) / norm
 
 
 def _peak_position(values: np.ndarray, grid: Grid) -> float:
@@ -284,6 +282,7 @@ def verify_traveling(profile: SolitonProfile, t_end: float,
     if profile.amplitude <= 0 or np.max(profile.values) <= 0:
         raise ValueError("degenerate profile: nontrivial positive peak required")
     grid = profile.grid
+    u0 = profile.as_field()
     if config is None:
         edge = max(abs(float(profile.values[0])), abs(float(profile.values[-1])))
         config = SolverConfig(
@@ -292,7 +291,7 @@ def verify_traveling(profile: SolitonProfile, t_end: float,
             checkpoint_interval=t_end / 10.0,
             decay_tolerance=max(1e-10, 4.0 * edge),
         )
-    result: SimulationResult = simulate(profile.as_field(), profile.params.params, config)
+    result: SimulationResult = simulate(u0, profile.params.params, config)
     if result.stop_reason != "reached_t_end":
         raise RuntimeError(
             f"solitary-wave run stopped early ({result.stop_reason} at t = {result.t_stop:g}); "
@@ -302,15 +301,12 @@ def verify_traveling(profile: SolitonProfile, t_end: float,
         raise ValueError("config must record at least 3 checkpoints for the shape test")
 
     c = profile.params.speed
-    h = grid.spacing
-    norm = math.sqrt(h * float(np.sum(profile.values**2)))
     times, l2_errs, linf_errs = [], [], []
     for t, snap in result.checkpoints:
-        expected = _shifted_profile(profile, c * t)
-        diff = snap.values - expected
         times.append(t)
-        l2_errs.append(math.sqrt(h * float(np.sum(diff**2))) / norm)
-        linf_errs.append(float(np.max(np.abs(diff))) / profile.amplitude)
+        l2_errs.append(shape_error(u0, c, snap, t))
+        linf_errs.append(float(np.max(np.abs(snap.values - _shifted(u0, c * t))))
+                         / profile.amplitude)
     speed = track_speed(result.checkpoints, grid)
     return TravelReport(
         times=np.array(times),

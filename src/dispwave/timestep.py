@@ -23,11 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pde import EnergySample, PdeParams, SlopeSample, _rhs_values, energy, slope_sample
-from .spectral import Field, Grid, hs_norm
-
-_irfft = np.fft.irfft
-_rfft = np.fft.rfft
+from .pde import PdeParams, SlopeSample, _rhs_values, energy, slope_sample
+from .spectral import Field, Grid, hs_norm, irfft, rfft
 
 
 class BoundaryDecayError(ValueError):
@@ -99,10 +96,6 @@ class SimulationResult:
     t_stop: float
     final_state: Field
     warnings: list[str] = field(default_factory=list)
-
-    @property
-    def energy_trace(self) -> list[EnergySample]:
-        return [EnergySample(r.t, r.energy) for r in self.samples]
 
     @property
     def slope_trace(self) -> list[SlopeSample]:
@@ -188,7 +181,7 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
 
     last_dt = config.dt_init
     while True:
-        ux = _irfft(_rfft(values) * ik, n=grid.n_points)
+        ux = irfft(rfft(values) * ik, n=grid.n_points)
         m = 0.0 if params.gamma == 0.0 else float(np.min(params.gamma * ux))
         max_u = float(np.max(np.abs(values)))
 

@@ -16,6 +16,7 @@ from dispwave import (
     existence_time_lower_bound,
     extrapolate_blowup_time,
     gamma_regime,
+    gaussian_bump,
     riccati_bracket,
     sharpness_experiment,
     slope_minimum,
@@ -275,6 +276,24 @@ class TestSharpnessExperiment:
         par = sharpness_experiment(members, p, cfg, workers=2)
         assert all(not r.censored for r in seq)
         assert seq == par
+
+    def test_failing_member_becomes_error_row(self, tmp_path):
+        # the base reaches 1.4e-4 at the box edge, so alpha = 10 fails the boundary gate
+        g = Grid(6.0, 256)
+        cfg = SolverConfig(t_end=0.05, sample_interval=0.01, decay_tolerance=1e-3)
+        base = gaussian_bump(g, 1.0, 2.0)
+        members = [(a, Field(g, a * base.values)) for a in (1.0, 10.0, 2.0)]
+        tables = []
+        for workers in (1, 2):
+            with pytest.warns(RuntimeWarning, match=r"member 1 \(alpha = 10\) failed"):
+                rows = sharpness_experiment(members, PdeParams(1.0, 0.0), cfg, workers=workers)
+            assert [(r.family_id, r.gamma_case) for r in rows] == [
+                (0, "low"), (1, "error"), (2, "low")]
+            assert math.isfinite(rows[0].t_lower) and math.isnan(rows[1].t_lower)
+            # nan fields break row equality, so the two runs are compared as written tables
+            write_comparison_csv(rows, tmp_path / f"workers{workers}.csv")
+            tables.append((tmp_path / f"workers{workers}.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_comparison_csv_layout(self, small_family_rows, tmp_path):
         path = tmp_path / "comparison.csv"

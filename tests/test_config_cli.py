@@ -39,7 +39,11 @@ class TestRunConfigParsing:
         assert rc.initial == {"kind": "gaussian", "amplitude": 0.1, "width": 2.0,
                               "center": 0.0}
         assert rc.outputs.write_trace and not rc.outputs.write_checkpoints
-        assert rc.seed == 0
+
+    def test_legacy_seed_key_accepted_and_dropped(self, tmp_path):
+        rc = load_run_config(write_config(tmp_path / "c.json", seed=0))
+        assert rc == load_run_config(write_config(tmp_path / "plain.json"))
+        assert "seed" not in config_dict(rc)
 
     @pytest.mark.parametrize("section,bad", [
         ("params", {"gamma": 1.0, "omega": 0.5, "mystery": 1}),
@@ -323,6 +327,23 @@ class TestBoundCommand:
         assert main(["bound", "--data", str(data)]) == 2
         assert "--gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["nonuniform", "odd_rows", "few_rows", "three_columns"])
+    def test_malformed_data_file_names_it(self, tmp_path, capsys, case):
+        x = -20.0 + 0.25 * np.arange(160)
+        columns = [x, np.zeros_like(x)]
+        if case == "nonuniform":
+            x[80] += 0.1
+        elif case == "odd_rows":
+            columns = [c[:159] for c in columns]
+        elif case == "few_rows":
+            columns = [c[:8] for c in columns]
+        else:
+            columns.append(np.zeros_like(x))
+        data = tmp_path / f"{case}.csv"
+        write_csv(data, ("x", "u", "v")[:len(columns)], zip(*columns))
+        assert main(["bound", "--data", str(data), "--gamma", "1"]) == 2
+        assert str(data) in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_two_member_family(self, tmp_path, capsys):
@@ -360,6 +381,32 @@ class TestSweepCommand:
         rows = (out / "comparison.csv").read_text().splitlines()[1:]
         t_lower = [float(r.split(",")[6]) for r in rows]
         assert t_lower[0] > t_lower[1] > t_lower[2]
+
+    @staticmethod
+    def _gaussian_family(path, alphas):
+        # the base reaches 1.4e-4 at the box edge, so alpha >= 10 fails the boundary gate
+        path.write_text(json.dumps({
+            "params": {"gamma": 1.0, "omega": 0.0},
+            "grid": {"L": 6.0, "N": 256},
+            "solver": {"t_end": 0.05, "sample_interval": 0.01, "decay_tolerance": 1e-3},
+            "family": {"kind": "amplitude",
+                       "base": {"kind": "gaussian", "amplitude": 1.0, "width": 2.0},
+                       "alphas": alphas},
+        }))
+        return path
+
+    def test_failing_member_becomes_error_row(self, tmp_path):
+        cfg = self._gaussian_family(tmp_path / "sweep.json", [1.0, 10.0])
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match=r"member 1 \(alpha = 10\) failed"):
+            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "comparison.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[4] for r in rows] == ["low", "error"]
+
+    def test_every_member_failing_exits_one(self, tmp_path):
+        cfg = self._gaussian_family(tmp_path / "sweep.json", [10.0, 20.0])
+        with pytest.warns(RuntimeWarning, match="failed"):
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
     def test_empty_family_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
