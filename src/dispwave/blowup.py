@@ -239,12 +239,17 @@ def sharpness_experiment(members: Sequence[tuple[float, Field]], params: PdePara
     failures. A member that raises becomes a gamma_case = "error" row and the
     others still run. Each failure, and each ratio below 0.98, is reported
     with a RuntimeWarning. Rows are merged in member order regardless of
-    worker count; workers > 1 runs the members in a process pool.
+    worker count. workers > 1 runs the members in a process pool of at most
+    one process per member.
     """
     if params.gamma == 0.0:
         raise ValueError("sharpness experiment requires gamma != 0")
     if not members:
         raise ValueError("family has no members")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    # a fork-started pool creates all its processes at the first submit
+    workers = min(workers, len(members))
     jobs = [(i, alpha, u0, params, config) for i, (alpha, u0) in enumerate(members)]
     rows = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:

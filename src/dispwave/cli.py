@@ -197,6 +197,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.workers < 1:
+        return _fail(f"--workers must be >= 1, got {args.workers}")
     try:
         sc = load_sweep_config(args.config)
         members = build_family(sc)

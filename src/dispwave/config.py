@@ -9,7 +9,7 @@ in) is what gets embedded into summary artifacts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .initial import field_from_csv, gaussian_bump, steep_bump
@@ -78,20 +78,11 @@ def _parse_grid(data: dict) -> Grid:
         raise ConfigError(f"grid: {err}") from err
 
 
-_SOLVER_OPTIONAL = ("dt_init", "dt_min", "cfl_fraction", "blowup_m_threshold",
-                    "energy_drift_tol", "sample_interval", "decay_tolerance",
-                    "checkpoint_interval")
-
-
 def _parse_solver(data: dict) -> SolverConfig:
-    _check_keys(data, "solver", ("t_end",), _SOLVER_OPTIONAL)
-    kwargs = {"t_end": _number(data, "t_end", "solver")}
-    for key in _SOLVER_OPTIONAL:
-        if key == "checkpoint_interval":
-            if data.get(key) is not None and key in data:
-                kwargs[key] = _number(data, key, "solver")
-        elif key in data:
-            kwargs[key] = _number(data, key, "solver")
+    _check_keys(data, "solver", ("t_end",), tuple(f.name for f in fields(SolverConfig)))
+    # null is accepted only where the default is None (checkpoint_interval)
+    kwargs = {f.name: _number(data, f.name, "solver") for f in fields(SolverConfig)
+              if f.name in data and not (data[f.name] is None and f.default is None)}
     try:
         return SolverConfig(**kwargs)
     except ValueError as err:
@@ -135,7 +126,7 @@ def _parse_initial(init, base_dir: Path, path: str = "initial") -> dict:
 
 
 def _parse_outputs(data) -> OutputOptions:
-    _check_keys(data, "outputs", (), ("directory", "write_trace", "write_checkpoints"))
+    _check_keys(data, "outputs", (), tuple(f.name for f in fields(OutputOptions)))
     directory = data.get("directory")
     if directory is not None and not isinstance(directory, str):
         raise ConfigError(f"outputs.directory: expected a string, got {directory!r}")
@@ -197,23 +188,9 @@ def config_dict(rc: RunConfig) -> dict:
     return {
         "params": {"gamma": rc.params.gamma, "omega": rc.params.omega},
         "grid": {"L": rc.grid.half_width, "N": rc.grid.n_points},
-        "solver": {
-            "t_end": rc.solver.t_end,
-            "dt_init": rc.solver.dt_init,
-            "dt_min": rc.solver.dt_min,
-            "cfl_fraction": rc.solver.cfl_fraction,
-            "blowup_m_threshold": rc.solver.blowup_m_threshold,
-            "energy_drift_tol": rc.solver.energy_drift_tol,
-            "sample_interval": rc.solver.sample_interval,
-            "decay_tolerance": rc.solver.decay_tolerance,
-            "checkpoint_interval": rc.solver.checkpoint_interval,
-        },
+        "solver": asdict(rc.solver),
         "initial": dict(rc.initial),
-        "outputs": {
-            "directory": rc.outputs.directory,
-            "write_trace": rc.outputs.write_trace,
-            "write_checkpoints": rc.outputs.write_checkpoints,
-        },
+        "outputs": asdict(rc.outputs),
     }
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, Grid, dealias, irfft, rfft
+from .spectral import Field, Grid, dealias, differentiate, irfft, rfft
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def rhs_momentum(u: Field, params: PdeParams) -> Field:
     u_hat = u.spectrum
     y_hat = (1.0 + k2) * u_hat
     uvals = u.values
-    ux = irfft(u_hat * ik, n=grid.n_points)
+    ux = u.derivative
     y = irfft(y_hat, n=grid.n_points)
     yx = irfft(y_hat * ik, n=grid.n_points)
 
@@ -133,15 +133,10 @@ def pde_residual(u: Field, u_t: Field, params: PdeParams) -> float:
     """
     gamma, omega = params.gamma, params.omega
     grid = u.grid
-    ik = grid.derivative_multiplier
-    k2 = grid.wavenumbers_half**2
-
-    u_hat = u.spectrum
-    ux = irfft(u_hat * ik, n=grid.n_points)
-    uxx = irfft(-k2 * u_hat, n=grid.n_points)
-    uxxx = irfft(-k2 * ik * u_hat, n=grid.n_points)
-    ut_hat = u_t.spectrum
-    utxx = irfft(-k2 * ut_hat, n=grid.n_points)
+    ux = u.derivative
+    uxx = differentiate(u, 2).values
+    uxxx = differentiate(u, 3).values
+    utxx = differentiate(u_t, 2).values
 
     residual = u_t.values - utxx + 2.0 * omega * ux
     residual += 3.0 * _project(u.values * ux, grid)
@@ -203,9 +198,8 @@ def gamma_utx_field(u: Field, params: PdeParams) -> Field:
     gamma = params.gamma
     grid = u.grid
     omega = params.omega
-    u_hat = u.spectrum
-    ux = irfft(u_hat * grid.derivative_multiplier, n=grid.n_points)
-    uxx = irfft(-grid.wavenumbers_half**2 * u_hat, n=grid.n_points)
+    ux = u.derivative
+    uxx = differentiate(u, 2).values
     conv = _convolution_bracket(u.values, ux, grid, params)
     out = -0.5 * gamma * gamma * _project(ux * ux, grid)
     out -= gamma * gamma * _project(u.values * uxx, grid)

@@ -30,11 +30,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .fileio import fmt, write_csv
 from .pde import PdeParams
-from .spectral import Field, Grid, irfft
+from .spectral import Field, Grid, differentiate, irfft
 from .timestep import SimulationResult, SolverConfig, simulate
 
 _TAIL_FLOOR_FRACTION = 1e-14  # below this fraction of the peak the profile is exact zero
@@ -112,6 +111,23 @@ def _cumulative_gauss(fun, t0: float, t1: float, n_panels: int,
     return edges, np.concatenate(([0.0], np.cumsum(increments)))
 
 
+def _hermite(xk: np.ndarray, yk: np.ndarray, dk: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cubic Hermite interpolant through (xk, yk) with slopes dk, evaluated at x.
+
+    xk must increase strictly; points outside it extend the end pieces. The
+    coefficients and their evaluation order are those of scipy's
+    CubicHermiteSpline, so the values agree with it bit for bit.
+    """
+    h = np.diff(xk)
+    slope = np.diff(yk) / h
+    t = (dk[:-1] + dk[1:] - 2.0 * slope) / h
+    c0, c1 = t / h, (slope - dk[:-1]) / h - t
+    i = np.clip(np.searchsorted(xk, x, side="right") - 1, 0, len(xk) - 2)
+    s = x - xk[i]
+    s2 = s * s
+    return ((yk[i] + dk[i] * s) + c1[i] * s2) + c0[i] * (s2 * s)
+
+
 def build_profile(p: SolitonParams, grid: Grid, tail_tol: float = 1e-8,
                   n_panels: int = 16384) -> SolitonProfile:
     """Construct phi on the grid by quadrature of the first-integral ODE.
@@ -142,7 +158,6 @@ def build_profile(p: SolitonParams, grid: Grid, tail_tol: float = 1e-8,
         return 2.0 * np.sqrt(c - gamma * phi) / phi
 
     sigma_knots, x_peak = _cumulative_gauss(dx_dsigma, 0.0, s_mid, n_panels // 2)
-    sigma_of_x = CubicHermiteSpline(x_peak, sigma_knots, 1.0 / dx_dsigma(sigma_knots))
 
     # tail piece in tau = -log(phi): dx/dtau = sqrt((c - gamma*phi)/(a - phi))
     phi_floor = _TAIL_FLOOR_FRACTION * a
@@ -154,15 +169,15 @@ def build_profile(p: SolitonParams, grid: Grid, tail_tol: float = 1e-8,
     tau_knots, x_tail = _cumulative_gauss(
         dx_dtau, -math.log(0.5 * a), -math.log(phi_floor), n_panels)
     x_tail += x_peak[-1]
-    tau_of_x = CubicHermiteSpline(x_tail, tau_knots, 1.0 / dx_dtau(tau_knots))
 
     xs = np.abs(grid.x)
     phi = np.zeros(grid.n_points)
     peak_region = xs <= x_peak[-1]
-    sig = sigma_of_x(xs[peak_region])
+    sig = _hermite(x_peak, sigma_knots, 1.0 / dx_dsigma(sigma_knots), xs[peak_region])
     phi[peak_region] = a - sig * sig
     tail_region = (~peak_region) & (xs <= x_tail[-1])
-    phi[tail_region] = np.exp(-tau_of_x(xs[tail_region]))
+    tau = _hermite(x_tail, tau_knots, 1.0 / dx_dtau(tau_knots), xs[tail_region])
+    phi[tail_region] = np.exp(-tau)
 
     slope = -np.sign(grid.x) * phi * np.sqrt(
         np.maximum(a - phi, 0.0) / (c - gamma * phi))
@@ -193,7 +208,7 @@ def profile_equation_residual(profile: SolitonProfile) -> np.ndarray:
     f = profile.as_field()
     phi = profile.values
     phi_x = f.derivative
-    phi_xx = irfft(-profile.grid.wavenumbers_half**2 * f.spectrum, n=profile.grid.n_points)
+    phi_xx = differentiate(f, 2).values
     return ((2.0 * omega - c) * phi + c * phi_xx + 1.5 * phi**2
             - 0.5 * gamma * phi_x**2 - gamma * phi * phi_xx)
 

@@ -1,8 +1,10 @@
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import dispwave.blowup as blowup
 from dispwave import (
     Field,
     Grid,
@@ -276,6 +278,46 @@ class TestSharpnessExperiment:
         par = sharpness_experiment(members, p, cfg, workers=2)
         assert all(not r.censored for r in seq)
         assert seq == par
+
+    def test_pool_size_capped_at_family_size(self, monkeypatch, grid_small):
+        sizes = []
+
+        class InlinePool:
+            """Stands in for the process pool: records its size, runs calls inline."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(blowup, "ProcessPoolExecutor", InlinePool)
+        cfg = SolverConfig(t_end=0.02, sample_interval=0.01)
+        u = gaussian_bump(grid_small, 0.1, 2.0)
+        members = [(a, Field(grid_small, a * u.values)) for a in (1.0, 2.0, 3.0)]
+        for workers, expected in ((8, [3]), (3, [3]), (2, [2]), (1, [])):
+            sizes.clear()
+            rows = sharpness_experiment(members, PdeParams(1.0, 0.0), cfg, workers=workers)
+            assert sizes == expected
+            assert [r.family_id for r in rows] == [0, 1, 2]
+        sizes.clear()
+        sharpness_experiment(members[:1], PdeParams(1.0, 0.0), cfg, workers=4)
+        assert sizes == []
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_nonpositive_workers_rejected(self, grid_small, workers):
+        u = gaussian_bump(grid_small, 0.1, 2.0)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            sharpness_experiment([(1.0, u)], PdeParams(1.0, 0.0),
+                                 SolverConfig(t_end=1.0), workers=workers)
 
     def test_failing_member_becomes_error_row(self, tmp_path):
         # the base reaches 1.4e-4 at the box edge, so alpha = 10 fails the boundary gate

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dispwave
 from dispwave import Field, Grid, PdeParams, energy, existence_bound, field_from_csv, gaussian_bump, steep_bump
 from dispwave.cli import main
 from dispwave.config import (
@@ -427,6 +432,25 @@ class TestSweepCommand:
             "family": {"kind": "steepness", "amplitude": 1.0, "steepnesses": [3.0]},
         }))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_is_exit_2(self, tmp_path, capsys, workers):
+        cfg = self._gaussian_family(tmp_path / "sweep.json", [1.0])
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) == 2
+        assert "error: --workers" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_import_loads_numpy_only():
+    # scipy is a test-only dependency: the package and its CLI must not import it
+    src = Path(dispwave.__file__).parents[1]
+    probe = ("import sys, dispwave, dispwave.cli; "
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestNumericFormatting:

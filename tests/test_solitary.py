@@ -21,6 +21,7 @@ from dispwave import (
     verify_traveling,
     write_profile_csv,
 )
+from dispwave.solitary import _hermite
 
 CANONICAL = SolitonParams(2.0, PdeParams(1.0, 0.5))
 
@@ -142,6 +143,23 @@ class TestBuildProfile:
         assert np.max(np.abs(first_integral_residual(profile))) <= 1e-8 * residual_scale(p)
         assert np.max(np.abs(profile_equation_residual(profile))) <= 1e-7
         assert measure_decay_rate(profile) == pytest.approx(math.sqrt(a / c), rel=0.01)
+
+
+class TestHermite:
+    def test_matches_scipy_cubic_hermite_spline(self):
+        from scipy.interpolate import CubicHermiteSpline
+
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 50, 1000):
+            xk = np.cumsum(rng.uniform(1e-3, 1.0, n)) - 0.5
+            yk = rng.normal(size=n)
+            dk = rng.normal(size=n)
+            inside = rng.uniform(xk[0], xk[-1], 500)
+            x = np.concatenate([xk, inside])  # every knot, both ends included
+            expected = CubicHermiteSpline(xk, yk, dk)(x)
+            np.testing.assert_allclose(_hermite(xk, yk, dk, x), expected, rtol=1e-14, atol=0)
+            # every knot but the last starts its own piece, so it is hit exactly
+            np.testing.assert_array_equal(_hermite(xk, yk, dk, xk[:-1]), yk[:-1])
 
 
 class TestTraveling:
