@@ -15,7 +15,8 @@ law,
     u_t + gamma*u*u_x
         + d/dx (1 - d2/dx2)^{-1} [ (3-gamma)/2*u^2 + gamma/2*u_x^2 + 2*omega*u ] = 0,
 
-which is what `rhs_nonlocal` evaluates. `rhs_momentum` evaluates the same
+which `SpectralRhs` evaluates on the solver's band-limited spectra and
+`rhs_nonlocal` on a Field. `rhs_momentum` evaluates the same
 dynamics through the momentum variable y = u - u_xx and serves as an
 independent cross-check; `pde_residual` measures how well a candidate u_t
 satisfies the original third-derivative form.
@@ -72,29 +73,72 @@ def _project(values: np.ndarray, grid: Grid) -> np.ndarray:
     return irfft(dealias(rfft(values), grid), n=grid.n_points)
 
 
-def _rhs_values(values: np.ndarray, grid: Grid, params: PdeParams) -> np.ndarray:
-    """u_t of the nonlocal form, raw-array hot path (6 transforms)."""
-    gamma, omega = params.gamma, params.omega
-    ik = grid.derivative_multiplier
-    u_hat = rfft(values)
-    ux = irfft(u_hat * ik, n=grid.n_points)
+class SpectralRhs:
+    """u_t of the nonlocal form as a map on 2/3-band rfft coefficients.
 
-    bracket_hat = 0.5 * (3.0 - gamma) * dealias(rfft(values * values), grid)
-    bracket_hat += 0.5 * gamma * dealias(rfft(ux * ux), grid)
-    bracket_hat += 2.0 * omega * u_hat
+    On a state confined to the retained band the dealiased product u*u_x
+    equals (u^2)_x/2 exactly, so -gamma*u*u_x joins the Helmholtz bracket
+    in one rfft(u^2):
 
-    ut_hat = -gamma * dealias(rfft(values * ux), grid)
-    ut_hat -= ik * grid.helmholtz_multiplier * bracket_hat
-    return irfft(ut_hat, n=grid.n_points)
+        u_t_hat = A*rfft(u^2) + B*rfft(u_x^2) + C*u_hat,
+
+    where A, B and C hold the dealias mask, -ik, 1/(1 + k^2) and (gamma,
+    omega) and are built once. A call costs 4 transforms and writes only
+    into arrays made once: `physical` fills `u` and `ux` from u_hat (2
+    transforms), and `finish` forms u_t_hat from them (2 more). For u_hat in the band the
+    result lies in the band too, so RK4 stages never leave it.
+    """
+
+    def __init__(self, grid: Grid, params: PdeParams) -> None:
+        gamma, omega = params.gamma, params.omega
+        keep = grid.dealias_keep
+        self.grid = grid
+        self._ik = grid.derivative_multiplier
+        ikh = self._ik * grid.helmholtz_multiplier
+        self._mult_uu = -(0.5 * gamma * self._ik + 0.5 * (3.0 - gamma) * ikh) * keep
+        self._mult_xx = -(0.5 * gamma * ikh) * keep
+        self._mult_u = -2.0 * omega * ikh
+        n = grid.n_points
+        self.u = np.empty(n)
+        self.ux = np.empty(n)
+        self._square = np.empty(n)
+        self._spec = np.empty(n // 2 + 1, dtype=complex)
+
+    def physical(self, u_hat: np.ndarray) -> None:
+        """Fill `u` and `ux` with the grid values of u_hat and its derivative."""
+        n = self.grid.n_points
+        irfft(u_hat, n=n, out=self.u)
+        np.multiply(u_hat, self._ik, out=self._spec)
+        irfft(self._spec, n=n, out=self.ux)
+
+    def finish(self, u_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write u_t_hat into out; `u` and `ux` must hold u_hat's values."""
+        np.multiply(self.u, self.u, out=self._square)
+        np.multiply(rfft(self._square, out=self._spec), self._mult_uu, out=out)
+        np.multiply(self.ux, self.ux, out=self._square)
+        out += np.multiply(rfft(self._square, out=self._spec), self._mult_xx, out=self._spec)
+        out += np.multiply(u_hat, self._mult_u, out=self._spec)
+        return out
+
+    def __call__(self, u_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        self.physical(u_hat)
+        return self.finish(u_hat, out)
 
 
 def rhs_nonlocal(u: Field, params: PdeParams) -> Field:
     """Time derivative u_t from the nonlocal (convolution) formulation.
 
-    All quadratic products are formed pointwise and dealiased before they
-    re-enter spectral operations.
+    Evaluates `SpectralRhs`, the solver's kernel, on the full spectrum of u
+    (6 transforms). On u in the 2/3 band, as every state the solver steps
+    is, it equals the formula that dealiases u*u_x as a product of its own.
+    u is not projected: for u with content above the band, -gamma*u*u_x
+    is taken as the dealiased (u^2)_x/2, and `pde_residual(u, rhs_nonlocal(u))`
+    still measures u itself.
     """
-    return Field(u.grid, _rhs_values(u.values, u.grid, params))
+    grid = u.grid
+    u_hat = rfft(u.values)
+    ut_hat = SpectralRhs(grid, params)(u_hat, np.empty_like(u_hat))
+    return Field(grid, irfft(ut_hat, n=grid.n_points))
 
 
 def rhs_momentum(u: Field, params: PdeParams) -> Field:

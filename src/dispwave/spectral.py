@@ -80,9 +80,13 @@ class Grid:
 
     @cached_property
     def dealias_keep(self) -> np.ndarray:
-        """Boolean 2/3-rule mask on the real-FFT layout: keep |j| <= N//3."""
+        """Boolean 2/3-rule mask on the real-FFT layout: keep |j| < N/3.
+
+        The product of two kept modes then aliases only onto dropped modes,
+        also when 3 divides N.
+        """
         j = np.arange(self.n_points // 2 + 1)
-        mask = j <= self.n_points // 3
+        mask = 3 * j < self.n_points
         mask.flags.writeable = False
         return mask
 

@@ -5,7 +5,10 @@ stiff-free first-order ODE in time (the nonlocal form has no third
 derivative); classical RK4 with a CFL-style step bound is accurate and keeps
 the breaking mechanism undamped. Steps are additionally shortened near
 breaking so the Riccati collapse of the slope minimum, which happens on the
-timescale 1/|m|, stays temporally resolved.
+timescale 1/|m|, stays temporally resolved. The state is held as the rfft
+coefficients of u, projected once onto the 2/3 band, where the right-hand
+side needs 4 transforms; grid values are formed only for samples,
+checkpoints and the final state.
 
 A run terminates for exactly one of four reasons:
 
@@ -23,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pde import PdeParams, SlopeSample, _rhs_values, energy, slope_sample
-from .spectral import Field, Grid, hs_norm, irfft, rfft
+from .pde import PdeParams, SlopeSample, SpectralRhs, energy, slope_sample
+from .spectral import Field, Grid, dealias, hs_norm, irfft, rfft
 
 
 class BoundaryDecayError(ValueError):
@@ -110,19 +113,50 @@ class SimulationResult:
         return max(abs(r.energy - e0) / e0 for r in self.samples)
 
 
-def _rk4_values(values: np.ndarray, grid: Grid, params: PdeParams, dt: float) -> np.ndarray:
-    k1 = _rhs_values(values, grid, params)
-    k2 = _rhs_values(values + 0.5 * dt * k1, grid, params)
-    k3 = _rhs_values(values + 0.5 * dt * k2, grid, params)
-    k4 = _rhs_values(values + dt * k3, grid, params)
-    return values + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+class _Rk4:
+    """Classical RK4 on 2/3-band rfft coefficients in work arrays made once.
+
+    A step costs 16 transforms. Its first two (the k1 stage's u and u_x) are
+    `rhs.physical(u_hat)`, which the caller runs first so step control can
+    read `rhs.u` and `rhs.ux`; `step` then makes the other 14.
+    """
+
+    def __init__(self, grid: Grid, params: PdeParams) -> None:
+        self.rhs = SpectralRhs(grid, params)
+        self._stage = np.empty(grid.n_points // 2 + 1, dtype=complex)
+        self._k = np.empty_like(self._stage)
+
+    def step(self, u_hat: np.ndarray, dt: float, out: np.ndarray) -> None:
+        """Write the state one step of dt after u_hat into out.
+
+        `rhs.physical(u_hat)` must have run since `rhs` last saw another state.
+        """
+        stage, k = self._stage, self._k
+        self.rhs.finish(u_hat, k)
+        np.multiply(k, dt / 6.0, out=out)
+        out += u_hat
+        for stage_frac, weight in ((0.5, 1.0 / 3.0), (0.5, 1.0 / 3.0), (1.0, 1.0 / 6.0)):
+            np.multiply(k, stage_frac * dt, out=stage)
+            stage += u_hat
+            self.rhs(stage, k)
+            out += np.multiply(k, weight * dt, out=stage)
 
 
 def rk4_step(u: Field, dt: float, params: PdeParams) -> Field:
-    """One classical four-stage Runge-Kutta step of the nonlocal form."""
+    """One classical four-stage Runge-Kutta step of the nonlocal form.
+
+    Steps the 2/3-band projection of u, as `simulate` does (18 transforms:
+    the projection, the step, the return to grid values).
+    """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return Field(u.grid, _rk4_values(u.values, u.grid, params, dt))
+    grid = u.grid
+    rk4 = _Rk4(grid, params)
+    u_hat = dealias(rfft(u.values), grid)
+    out = np.empty_like(u_hat)
+    rk4.rhs.physical(u_hat)
+    rk4.step(u_hat, dt, out)
+    return Field(grid, irfft(out, n=grid.n_points))
 
 
 def _controlled_dt(config: SolverConfig, grid: Grid, params: PdeParams,
@@ -150,29 +184,32 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
             f"found {boundary0:g}"
         )
 
-    ik = grid.derivative_multiplier
-    values = u0.values.copy()
+    rk4 = _Rk4(grid, params)
+    # the one-time projection: from here on the state is its 2/3-band spectrum
+    u_hat = dealias(rfft(u0.values), grid)
+    new_hat = np.empty_like(u_hat)
     t = 0.0
     samples: list[TraceRow] = []
     checkpoints: list[tuple[float, Field]] = []
     warnings: list[str] = []
     boundary_warned = False
 
+    def state() -> Field:
+        return Field(grid, irfft(u_hat, n=grid.n_points))
+
     next_sample = config.sample_interval
     next_checkpoint = config.checkpoint_interval if config.checkpoint_interval else math.inf
     if config.checkpoint_interval:
-        checkpoints.append((0.0, Field(grid, values)))
+        checkpoints.append((0.0, state()))
 
-    def record(t_now: float, vals: np.ndarray, dt_now: float) -> None:
+    def record(t_now: float, f: Field, dt_now: float) -> None:
         nonlocal boundary_warned
-        f = Field(grid, vals)
         sample = slope_sample(f, params, t=t_now)
-        ux = f.derivative
         samples.append(TraceRow(
             t=t_now, energy=energy(f), m=sample.m, xi=sample.xi, m_rhs=sample.m_rhs,
-            max_u=f.max_abs(), min_ux=float(np.min(ux)), dt=dt_now,
+            max_u=f.max_abs(), min_ux=float(np.min(f.derivative)), dt=dt_now,
         ))
-        edge = max(abs(float(vals[0])), abs(float(vals[-1])))
+        edge = max(abs(float(f.values[0])), abs(float(f.values[-1])))
         if not boundary_warned and edge > 1e-6 * max(f.max_abs(), 1e-300):
             warnings.append(
                 f"boundary contamination at t = {t_now:g}: |u| = {edge:g} at |x| = L"
@@ -181,14 +218,19 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
 
     last_dt = config.dt_init
     while True:
-        ux = irfft(rfft(values) * ik, n=grid.n_points)
-        m = 0.0 if params.gamma == 0.0 else float(np.min(params.gamma * ux))
-        max_u = float(np.max(np.abs(values)))
+        rk4.rhs.physical(u_hat)
+        u, ux = rk4.rhs.u, rk4.rhs.ux
+        # extremes taken without the temporaries gamma*ux and abs(u) would allocate
+        if params.gamma == 0.0:
+            m = 0.0
+        else:
+            m = params.gamma * float(np.min(ux) if params.gamma > 0.0 else np.max(ux))
+        max_u = max(float(np.max(u)), -float(np.min(u)))
 
         dt_ctrl = _controlled_dt(config, grid, params, max_u, m)
         if not samples:
             last_dt = dt_ctrl
-            record(0.0, values, dt_ctrl)
+            record(0.0, state(), dt_ctrl)
 
         if m <= -config.blowup_m_threshold:
             stop_reason = "blowup_slope"
@@ -207,29 +249,33 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
 
         with np.errstate(over="ignore", invalid="ignore"):
             # overflow/NaN here is a detected outcome, not a numerical bug
-            new_values = _rk4_values(values, grid, params, dt)
+            rk4.step(u_hat, dt, new_hat)
         t_new = t_event if dt >= t_event - t else t + dt
-        if not np.all(np.isfinite(new_values)):
+        if not np.all(np.isfinite(new_hat)):
             stop_reason = "blowup_nonfinite"
             t = t_new
             break
-        values = new_values
+        u_hat, new_hat = new_hat, u_hat
         t = t_new
         last_dt = dt
 
-        if t >= next_sample - 1e-14:
+        sample_due = t >= next_sample - 1e-14
+        checkpoint_due = t >= next_checkpoint - 1e-14
+        if sample_due or checkpoint_due:
+            now = state()
+        if sample_due:
             if t < config.t_end - 1e-14 * config.t_end:
-                record(t, values, dt)
+                record(t, now, dt)
             while next_sample <= t + 1e-14:
                 next_sample += config.sample_interval
-        if t >= next_checkpoint - 1e-14:
-            checkpoints.append((t, Field(grid, values)))
+        if checkpoint_due:
+            checkpoints.append((t, now))
             while next_checkpoint <= t + 1e-14:
                 next_checkpoint += config.checkpoint_interval
 
-    final = Field(grid, values)
+    final = state()
     if stop_reason != "blowup_nonfinite" and (not samples or samples[-1].t < t):
-        record(t, values, last_dt)
+        record(t, final, last_dt)
     result = SimulationResult(
         samples=samples,
         checkpoints=checkpoints,

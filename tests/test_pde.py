@@ -18,6 +18,7 @@ from dispwave import (
     rhs_nonlocal,
     simulate,
     slope_sample,
+    steep_bump,
 )
 
 from conftest import band_limited_field
@@ -72,7 +73,34 @@ def _refined_slope_history():
     return ts, ms, rates
 
 
+def _six_transform_rhs(u, p):
+    """Reference u_t with every product dealiased on its own, u*u_x included."""
+    g = u.grid
+    n, keep, ik = g.n_points, g.dealias_keep, g.derivative_multiplier
+    u_hat = np.fft.rfft(u.values)
+    ux = np.fft.irfft(u_hat * ik, n=n)
+    bracket_hat = 0.5 * (3.0 - p.gamma) * keep * np.fft.rfft(u.values * u.values)
+    bracket_hat += 0.5 * p.gamma * keep * np.fft.rfft(ux * ux)
+    bracket_hat += 2.0 * p.omega * u_hat
+    ut_hat = -p.gamma * keep * np.fft.rfft(u.values * ux)
+    ut_hat -= ik * g.helmholtz_multiplier * bracket_hat
+    return np.fft.irfft(ut_hat, n=n)
+
+
 class TestRhsNonlocal:
+    @pytest.mark.parametrize("gamma,omega", PARAM_PAIRS)
+    def test_folded_product_matches_six_transform_formula(self, grid_medium, gamma, omega):
+        # on band-limited data u*u_x = (u^2)_x/2 holds exactly, mode by mode
+        p = PdeParams(gamma, omega)
+        g = Grid(6.0, 16384)
+        steep = steep_bump(g, 1.0, 3.0)
+        projected = Field(g, np.fft.irfft(g.dealias_keep * steep.spectrum, n=g.n_points))
+        fields = [band_limited_field(grid_medium, seed=seed) for seed in range(4)]
+        for u in fields + [projected]:
+            ref = _six_transform_rhs(u, p)
+            got = rhs_nonlocal(u, p).values
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_zero_is_fixed_point(self, grid_small):
         p = PdeParams(1.3, 0.4)
         assert np.all(rhs_nonlocal(zero_field(grid_small), p).values == 0.0)

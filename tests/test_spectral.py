@@ -158,6 +158,13 @@ class TestDealias:
         keep = grid_small.dealias_keep
         assert keep[n // 3] and not keep[n // 3 + 1]
 
+    @pytest.mark.parametrize("n", [48, 256])
+    def test_kept_products_alias_onto_dropped_modes(self, n):
+        # modes j1, j2 <= top multiply into j1 + j2, seen on the grid as
+        # j1 + j2 - N when above N/2; that must lie below -top
+        top = int(np.flatnonzero(Grid(20.0, n).dealias_keep)[-1])
+        assert 2 * top - n < -top
+
 
 class TestHsNorm:
     def test_zero_field(self, grid_small):

@@ -27,6 +27,23 @@ def zero_field(grid):
     return Field(grid, np.zeros(grid.n_points))
 
 
+@pytest.fixture
+def transform_count(monkeypatch):
+    """Running count of the rfft/irfft calls made through dispwave's bindings."""
+    import dispwave.pde
+    import dispwave.spectral
+    import dispwave.timestep
+
+    count = [0]
+    for module in (dispwave.spectral, dispwave.pde, dispwave.timestep):
+        for name in ("rfft", "irfft"):
+            def counted(*args, _transform=getattr(module, name), **kwargs):
+                count[0] += 1
+                return _transform(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return count
+
+
 class TestSolverConfig:
     def test_rejects_inverted_dt_bounds(self):
         with pytest.raises(ValueError):
@@ -81,6 +98,12 @@ class TestRk4Step:
         e_coarse = np.max(np.abs(advance(horizon / 8, 8) - ref))
         e_fine = np.max(np.abs(advance(horizon / 16, 16) - ref))
         assert e_coarse / e_fine == pytest.approx(16.0, rel=0.2)
+
+    def test_transform_budget(self, grid_small, transform_count):
+        # one rfft into the band, 4 stages of 4 transforms, one irfft out
+        u = gaussian_bump(grid_small, 0.2, 2.0)
+        rk4_step(u, 1e-3, PdeParams(1.0, 0.5))
+        assert transform_count[0] == 18
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_stage_is_loud(self, grid_small):
@@ -162,6 +185,38 @@ class TestSimulate:
         res = simulate(u0, PdeParams(1.0, 0.0), cfg)
         assert res.stop_reason == "blowup_nonfinite"
         assert np.all(np.isfinite(res.final_state.values))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_keeps_last_finite_state(self, grid_small):
+        # u^2 overflows in the first step, so the last finite state is the
+        # initial data's band projection and the run never records past t = 0
+        u0 = gaussian_bump(grid_small, 1e160, 1.0)
+        cfg = SolverConfig(t_end=1.0, dt_min=1e-300, sample_interval=0.5,
+                           blowup_m_threshold=1e300)
+        res = simulate(u0, PdeParams(1.0, 0.0), cfg)
+        assert res.stop_reason == "blowup_nonfinite" and res.t_stop > 0.0
+        assert [r.t for r in res.samples] == [0.0]
+        assert np.max(np.abs(res.final_state.values - u0.values)) <= 1e-12 * 1e160
+
+    def test_transform_budget(self, grid_small, transform_count):
+        # dt_init is far below the CFL and Riccati caps, so a run to
+        # t_end = steps * dt_init takes exactly that many steps
+        u0 = gaussian_bump(grid_small, 0.1, 2.0)
+        p = PdeParams(1.0, 0.5)
+        dt = 2.0**-10
+
+        def transforms(steps, samples_per_run):
+            cfg = SolverConfig(t_end=steps * dt, dt_init=dt,
+                               sample_interval=steps * dt / samples_per_run)
+            before = transform_count[0]
+            res = simulate(u0, p, cfg)
+            assert len(res.samples) == samples_per_run + 1
+            assert all(r.dt == dt for r in res.samples)
+            return transform_count[0] - before
+
+        assert transforms(8, 1) - transforms(4, 1) == 16 * 4
+        per_sample = transforms(8, 2) - transforms(8, 1)
+        assert transforms(8, 4) - transforms(8, 2) == 2 * per_sample
 
 
 @pytest.fixture(scope="module")
