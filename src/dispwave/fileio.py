@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -20,13 +21,31 @@ def fmt(x: float) -> str:
 
 def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence],
               preamble: str | None = None) -> None:
-    lines = []
-    if preamble is not None:
-        lines.append(preamble)
+    """Write rows under a header line (and an optional preamble line).
+
+    The first row fixes each column's format: `%s` where its cell is a
+    `str`, otherwise `%.17g`, which writes what `fmt` does. The whole table
+    is then formatted with one `%`. A row of another length raises
+    ValueError; a cell whose type differs from its column's raises TypeError.
+    """
+    rows = list(rows)
+    lines = [] if preamble is None else [preamble]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else fmt(cell) for cell in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    if rows:
+        first = rows[0]
+        width = len(first)
+        if any(len(row) != width for row in rows):
+            raise ValueError(f"every row must have the first row's {width} cells")
+        cells = tuple(chain.from_iterable(rows))
+        for i, cell in enumerate(first):
+            # a number in a str column would format as %s; a str in a number
+            # column already makes % raise
+            if isinstance(cell, str) and not all(isinstance(c, str) for c in cells[i::width]):
+                raise TypeError(f"column {i} mixes str and non-str cells")
+        row_template = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in first)
+        text += (row_template + "\n") * len(rows) % cells
+    Path(path).write_text(text)
 
 
 def jsonable(obj):

@@ -83,10 +83,13 @@ class SpectralRhs:
         u_t_hat = A*rfft(u^2) + B*rfft(u_x^2) + C*u_hat,
 
     where A, B and C hold the dealias mask, -ik, 1/(1 + k^2) and (gamma,
-    omega) and are built once. A call costs 4 transforms and writes only
-    into arrays made once: `physical` fills `u` and `ux` from u_hat (2
-    transforms), and `finish` forms u_t_hat from them (2 more). For u_hat in the band the
-    result lies in the band too, so RK4 stages never leave it.
+    omega) and are built once. A call costs 4 transforms in 2 FFT calls and
+    writes only into arrays made once. The pairs travel as the two rows of
+    one array, so each FFT call transforms both: `physical` fills `u` and
+    `ux` from u_hat (one 2-row irfft), and `finish` forms u_t_hat from them
+    (one 2-row rfft). Each row comes out bit-identical to a single-row
+    transform. For u_hat in the band the result lies in the band too, so
+    RK4 stages never leave it.
     """
 
     def __init__(self, grid: Grid, params: PdeParams) -> None:
@@ -99,25 +102,30 @@ class SpectralRhs:
         self._mult_xx = -(0.5 * gamma * ikh) * keep
         self._mult_u = -2.0 * omega * ikh
         n = grid.n_points
-        self.u = np.empty(n)
-        self.ux = np.empty(n)
-        self._square = np.empty(n)
-        self._spec = np.empty(n // 2 + 1, dtype=complex)
+        # rows (u_hat, ik*u_hat) going in; rows (F(u^2), F(u_x^2)) coming back
+        self._pair = np.empty((2, n // 2 + 1), dtype=complex)
+        self._fields = np.empty((2, n))
+        self.u, self.ux = self._fields  # row views, still readable after `finish`
+        self._squares = np.empty((2, n))
 
     def physical(self, u_hat: np.ndarray) -> None:
-        """Fill `u` and `ux` with the grid values of u_hat and its derivative."""
-        n = self.grid.n_points
-        irfft(u_hat, n=n, out=self.u)
-        np.multiply(u_hat, self._ik, out=self._spec)
-        irfft(self._spec, n=n, out=self.ux)
+        """Fill `u` and `ux` (rows 0 and 1 of one array) with the grid values
+        of u_hat and its derivative, in one 2-row irfft."""
+        self._pair[0] = u_hat
+        np.multiply(u_hat, self._ik, out=self._pair[1])
+        irfft(self._pair, n=self.grid.n_points, out=self._fields)
 
     def finish(self, u_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write u_t_hat into out; `u` and `ux` must hold u_hat's values."""
-        np.multiply(self.u, self.u, out=self._square)
-        np.multiply(rfft(self._square, out=self._spec), self._mult_uu, out=out)
-        np.multiply(self.ux, self.ux, out=self._square)
-        out += np.multiply(rfft(self._square, out=self._spec), self._mult_xx, out=self._spec)
-        out += np.multiply(u_hat, self._mult_u, out=self._spec)
+        """Write u_t_hat into out; `u` and `ux` must hold u_hat's values.
+
+        Squares both rows at once and makes one 2-row rfft of the squares;
+        `u` and `ux` are left as they were.
+        """
+        np.multiply(self._fields, self._fields, out=self._squares)
+        spec_uu, spec_xx = rfft(self._squares, out=self._pair)
+        np.multiply(spec_uu, self._mult_uu, out=out)
+        out += np.multiply(spec_xx, self._mult_xx, out=spec_xx)
+        out += np.multiply(u_hat, self._mult_u, out=spec_xx)
         return out
 
     def __call__(self, u_hat: np.ndarray, out: np.ndarray) -> np.ndarray:

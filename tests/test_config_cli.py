@@ -457,3 +457,31 @@ class TestNumericFormatting:
     def test_fmt_round_trips(self):
         for x in (0.1, 1.0 / 3.0, math.pi, 1e-300, 6.02e23, -0.0):
             assert float(fmt(x)) == x
+
+    def test_write_csv_matches_per_cell_fmt(self, tmp_path):
+        # one % over the whole table writes what fmt per cell would
+        rows = [
+            ("a", 0.1, -0.0, 3, np.float64(1.0 / 3.0), "true", np.int64(-7)),
+            ("b,c", math.nan, math.inf, 2**60 + 1, np.float64(-math.inf), "false", True),
+            ("", 1e-300, 6.02e23, 0, np.float64(-1e-310), "%s", np.float32(0.1)),
+        ]
+        header = ("s", "x", "y", "n", "z", "flag", "k")
+        path = tmp_path / "t.csv"
+        write_csv(path, header, rows, preamble="# note")
+        lines = ["# note", ",".join(header)]
+        lines += [",".join(c if isinstance(c, str) else fmt(c) for c in row) for row in rows]
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+    def test_write_csv_without_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ("x", "u"), iter(()))
+        assert path.read_text() == "x,u\n"
+
+    @pytest.mark.parametrize("rows,error", [
+        ([("a", 1.0), (2.0, 1.0)], TypeError),  # number in a str column
+        ([(1.0, 1.0), ("a", 1.0)], TypeError),  # str in a number column
+        ([(1.0, 2.0), (1.0,), (1.0, 2.0, 3.0)], ValueError),
+    ])
+    def test_write_csv_rejects_rows_unlike_the_first(self, tmp_path, rows, error):
+        with pytest.raises(error):
+            write_csv(tmp_path / "t.csv", ("p", "q"), rows)

@@ -21,6 +21,8 @@ from dispwave import (
     steep_bump,
 )
 
+from dispwave.pde import SpectralRhs
+
 from conftest import band_limited_field
 
 PARAM_PAIRS = [(0.0, 0.5), (1.0, 0.0), (2.0, 0.3), (3.0, 1.0), (-1.0, 0.7)]
@@ -162,6 +164,42 @@ class TestRhsNonlocal:
         lin_part = ra - quad_part
         rc = rhs_nonlocal(Field(grid_medium, 3.0 * u.values), p).values
         assert np.max(np.abs(rc - (9.0 * quad_part + 3.0 * lin_part))) <= 1e-9
+
+
+def _single_row_rhs(u_hat, grid, p):
+    """SpectralRhs's arithmetic, in its order, with one FFT call per transform."""
+    n, keep, ik = grid.n_points, grid.dealias_keep, grid.derivative_multiplier
+    ikh = ik * grid.helmholtz_multiplier
+    mult_uu = -(0.5 * p.gamma * ik + 0.5 * (3.0 - p.gamma) * ikh) * keep
+    mult_xx = -(0.5 * p.gamma * ikh) * keep
+    mult_u = -2.0 * p.omega * ikh
+    u = np.fft.irfft(u_hat, n=n)
+    ux = np.fft.irfft(u_hat * ik, n=n)
+    ut_hat = np.fft.rfft(u * u) * mult_uu
+    ut_hat += np.fft.rfft(ux * ux) * mult_xx
+    ut_hat += u_hat * mult_u
+    return u, ux, ut_hat
+
+
+class TestSpectralRhs:
+    @pytest.mark.parametrize("n", [48, 1024, 16384])
+    @pytest.mark.parametrize("gamma,omega", PARAM_PAIRS)
+    def test_paired_transforms_bit_identical_to_single_rows(self, n, gamma, omega):
+        # the kernel runs its transforms as 2-row FFT calls; each row must
+        # round exactly as a single-row call does, or artifacts would change
+        p = PdeParams(gamma, omega)
+        g = Grid(6.0, n)  # 3 divides 48
+        fields = [band_limited_field(g, seed=seed, modes=min(24, n // 3 - 1))
+                  for seed in range(2)]
+        fields.append(steep_bump(g, 1.0, 3.0))
+        rhs = SpectralRhs(g, p)
+        for f in fields:
+            u_hat = g.dealias_keep * np.fft.rfft(f.values)
+            u, ux, ref = _single_row_rhs(u_hat, g, p)
+            got = rhs(u_hat, np.empty_like(u_hat))
+            assert np.array_equal(got, ref)
+            # step control reads u and u_x after the RHS has been formed
+            assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
 
 
 class TestFormulationEquivalence:

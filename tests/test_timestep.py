@@ -29,17 +29,22 @@ def zero_field(grid):
 
 @pytest.fixture
 def transform_count(monkeypatch):
-    """Running count of the rfft/irfft calls made through dispwave's bindings."""
+    """Running counts of the rfft/irfft work done through dispwave's bindings.
+
+    "calls" counts FFT calls; "transforms" counts 1-D transforms, so a call
+    on a (2, n) array adds 2.
+    """
     import dispwave.pde
     import dispwave.spectral
     import dispwave.timestep
 
-    count = [0]
+    count = {"transforms": 0, "calls": 0}
     for module in (dispwave.spectral, dispwave.pde, dispwave.timestep):
         for name in ("rfft", "irfft"):
-            def counted(*args, _transform=getattr(module, name), **kwargs):
-                count[0] += 1
-                return _transform(*args, **kwargs)
+            def counted(a, *args, _transform=getattr(module, name), **kwargs):
+                count["transforms"] += math.prod(np.shape(a)[:-1])
+                count["calls"] += 1
+                return _transform(a, *args, **kwargs)
             monkeypatch.setattr(module, name, counted)
     return count
 
@@ -100,10 +105,12 @@ class TestRk4Step:
         assert e_coarse / e_fine == pytest.approx(16.0, rel=0.2)
 
     def test_transform_budget(self, grid_small, transform_count):
-        # one rfft into the band, 4 stages of 4 transforms, one irfft out
+        # one rfft into the band, 4 stages of 4 transforms, one irfft out;
+        # each stage pairs its transforms into one 2-row irfft and one 2-row rfft
         u = gaussian_bump(grid_small, 0.2, 2.0)
         rk4_step(u, 1e-3, PdeParams(1.0, 0.5))
-        assert transform_count[0] == 18
+        assert transform_count["transforms"] == 18
+        assert transform_count["calls"] == 10
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_stage_is_loud(self, grid_small):
@@ -205,18 +212,20 @@ class TestSimulate:
         p = PdeParams(1.0, 0.5)
         dt = 2.0**-10
 
-        def transforms(steps, samples_per_run):
+        def counts(steps, samples_per_run):
             cfg = SolverConfig(t_end=steps * dt, dt_init=dt,
                                sample_interval=steps * dt / samples_per_run)
-            before = transform_count[0]
+            before = dict(transform_count)
             res = simulate(u0, p, cfg)
             assert len(res.samples) == samples_per_run + 1
             assert all(r.dt == dt for r in res.samples)
-            return transform_count[0] - before
+            return np.array([transform_count[key] - before[key]
+                             for key in ("transforms", "calls")])
 
-        assert transforms(8, 1) - transforms(4, 1) == 16 * 4
-        per_sample = transforms(8, 2) - transforms(8, 1)
-        assert transforms(8, 4) - transforms(8, 2) == 2 * per_sample
+        # 16 transforms per step, in 8 FFT calls
+        assert list(counts(8, 1) - counts(4, 1)) == [16 * 4, 8 * 4]
+        per_sample = counts(8, 2) - counts(8, 1)
+        assert list(counts(8, 4) - counts(8, 2)) == list(2 * per_sample)
 
 
 @pytest.fixture(scope="module")
