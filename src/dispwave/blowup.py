@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .fileio import write_csv
-from .pde import PdeParams, SlopeSample, energy
+from .pde import PdeParams, SlopeSample, energy, slope_argmin
 from .spectral import Field
 from .timestep import SimulationResult, SolverConfig, simulate
 
@@ -105,17 +105,14 @@ class BlowupVerdict:
 
 def slope_minimum(u0: Field, params: PdeParams) -> float:
     """m(0) = min over the grid of gamma * u0'."""
-    if params.gamma == 0.0:
-        return 0.0
-    return float(np.min(params.gamma * u0.derivative))
+    return slope_argmin(u0.derivative, params.gamma)[1]
 
 
 def blowup_condition(u0: Field, params: PdeParams) -> BlowupVerdict:
     """Scan gamma*u0' for a point below the guaranteed-breaking threshold."""
     threshold = breaking_threshold(energy(u0), params)
-    g_ux = params.gamma * u0.derivative
-    i = int(np.argmin(g_ux))
-    if g_ux[i] < threshold:
+    i, m0 = slope_argmin(u0.derivative, params.gamma)
+    if m0 < threshold:
         return BlowupVerdict(threshold=threshold, witness_x0=float(u0.grid.x[i]),
                              triggered=True)
     return BlowupVerdict(threshold=threshold, witness_x0=None, triggered=False)

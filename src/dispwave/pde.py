@@ -27,8 +27,9 @@ which obeys a Riccati-type equation
     m' = -m^2/2 + (3-gamma)*gamma/2*u^2 + 2*omega*gamma*u - conv   (at the argmin)
 
 where conv is the Helmholtz convolution of the same quadratic bracket.
-`slope_sample` evaluates both sides, `gamma_utx_field` the whole-field
-version (which retains the gamma^2*u*u_xx term that vanishes at the argmin).
+`slope_sample` evaluates both sides (via `slope_argmin`, `riccati_rate`),
+`gamma_utx_field` the whole-field version (which retains the gamma^2*u*u_xx
+term that vanishes at the argmin).
 """
 
 from __future__ import annotations
@@ -102,6 +103,7 @@ class SpectralRhs:
         self._mult_xx = -(0.5 * gamma * ikh) * keep
         self._mult_u = -2.0 * omega * ikh
         n = grid.n_points
+        self._band = int(np.count_nonzero(keep))
         # rows (u_hat, ik*u_hat) going in; rows (F(u^2), F(u_x^2)) coming back
         self._pair = np.empty((2, n // 2 + 1), dtype=complex)
         self._fields = np.empty((2, n))
@@ -110,10 +112,14 @@ class SpectralRhs:
 
     def physical(self, u_hat: np.ndarray) -> None:
         """Fill `u` and `ux` (rows 0 and 1 of one array) with the grid values
-        of u_hat and its derivative, in one 2-row irfft."""
-        self._pair[0] = u_hat
-        np.multiply(u_hat, self._ik, out=self._pair[1])
-        irfft(self._pair, n=self.grid.n_points, out=self._fields)
+        of u_hat and its derivative, in one 2-row irfft of the band's modes
+        (modes above it are not read). Given fewer than N/2 + 1 modes, numpy
+        zero-fills each row instead of allocating scratch for a 2-row pass."""
+        band = self._band
+        pair = self._pair[:, :band]
+        pair[0] = u_hat[:band]
+        np.multiply(u_hat[:band], self._ik[:band], out=pair[1])
+        irfft(pair, n=self.grid.n_points, out=self._fields)
 
     def finish(self, u_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write u_t_hat into out; `u` and `ux` must hold u_hat's values.
@@ -145,8 +151,10 @@ def rhs_nonlocal(u: Field, params: PdeParams) -> Field:
     """
     grid = u.grid
     u_hat = rfft(u.values)
-    ut_hat = SpectralRhs(grid, params)(u_hat, np.empty_like(u_hat))
-    return Field(grid, irfft(ut_hat, n=grid.n_points))
+    rhs = SpectralRhs(grid, params)
+    # u and u_x from every mode: `physical` would read only the band's
+    irfft(np.stack((u_hat, u_hat * grid.derivative_multiplier)), n=grid.n_points, out=rhs._fields)
+    return Field(grid, irfft(rhs.finish(u_hat, np.empty_like(u_hat)), n=grid.n_points))
 
 
 def rhs_momentum(u: Field, params: PdeParams) -> Field:
@@ -202,18 +210,48 @@ def energy(u: Field) -> float:
     On the periodic grid the trapezoid rule is the plain h-weighted sum and
     coincides with hs_norm(u, 1)^2 by Parseval.
     """
-    ux = u.derivative
-    return float(u.grid.spacing * np.sum(u.values**2 + ux * ux))
+    return energy_sum(u.values, u.derivative, u.grid)
 
 
-def _convolution_bracket(values: np.ndarray, ux: np.ndarray, grid: Grid,
+def energy_sum(u: np.ndarray, ux: np.ndarray, grid: Grid) -> float:
+    """`energy` from the grid values of u and u_x."""
+    return float(grid.spacing * np.sum(u**2 + ux * ux))
+
+
+def slope_argmin(ux: np.ndarray, gamma: float) -> tuple[int, float]:
+    """Grid index and value of the minimum of gamma*u_x; (0, 0.0) for gamma = 0.
+
+    Scaling by gamma is monotone in floating point, so this is gamma times the
+    extreme of u_x (smallest index on ties), found without forming gamma*u_x.
+    """
+    if gamma == 0.0:
+        return 0, 0.0
+    i = int(np.argmin(ux) if gamma > 0.0 else np.argmax(ux))
+    return i, gamma * float(ux[i])
+
+
+def _convolution_bracket(u_hat: np.ndarray, u: np.ndarray, ux: np.ndarray, grid: Grid,
                          params: PdeParams) -> np.ndarray:
     """gamma * helmholtz_inverse((3-g)/2 u^2 + g/2 u_x^2 + 2w u), dealiased."""
     gamma, omega = params.gamma, params.omega
-    bracket_hat = 0.5 * (3.0 - gamma) * dealias(rfft(values * values), grid)
+    bracket_hat = 0.5 * (3.0 - gamma) * dealias(rfft(u * u), grid)
     bracket_hat += 0.5 * gamma * dealias(rfft(ux * ux), grid)
-    bracket_hat += 2.0 * omega * rfft(values)
+    bracket_hat += 2.0 * omega * u_hat
     return gamma * irfft(grid.helmholtz_multiplier * bracket_hat, n=grid.n_points)
+
+
+def riccati_rate(u_hat: np.ndarray, u: np.ndarray, ux: np.ndarray, i: int, m: float,
+                 grid: Grid, params: PdeParams) -> float:
+    """The Riccati rate m' at grid point i, where gamma*u_x = m; u_hat = rfft(u)."""
+    gamma, omega = params.gamma, params.omega
+    if gamma == 0.0:
+        return 0.0
+    conv = _convolution_bracket(u_hat, u, ux, grid, params)
+    ui = float(u[i])
+    return (-0.5 * m * m
+            + 0.5 * (3.0 - gamma) * gamma * ui * ui
+            + 2.0 * omega * gamma * ui
+            - float(conv[i]))
 
 
 def slope_sample(u: Field, params: PdeParams, t: float = 0.0) -> SlopeSample:
@@ -223,21 +261,10 @@ def slope_sample(u: Field, params: PdeParams, t: float = 0.0) -> SlopeSample:
     identically zero; by convention the sample reports m = 0 at the first
     grid point.
     """
-    grid = u.grid
-    if params.gamma == 0.0:
-        return SlopeSample(t=t, m=0.0, xi=float(grid.x[0]), m_rhs=0.0)
-    gamma, omega = params.gamma, params.omega
     ux = u.derivative
-    g_ux = gamma * ux
-    i = int(np.argmin(g_ux))  # argmin takes the smallest index on ties
-    m = float(g_ux[i])
-    conv = _convolution_bracket(u.values, ux, grid, params)
-    ui = float(u.values[i])
-    m_rhs = (-0.5 * m * m
-             + 0.5 * (3.0 - gamma) * gamma * ui * ui
-             + 2.0 * omega * gamma * ui
-             - float(conv[i]))
-    return SlopeSample(t=t, m=m, xi=float(grid.x[i]), m_rhs=m_rhs)
+    i, m = slope_argmin(ux, params.gamma)
+    m_rhs = riccati_rate(u.spectrum, u.values, ux, i, m, u.grid, params)
+    return SlopeSample(t=t, m=m, xi=float(u.grid.x[i]), m_rhs=m_rhs)
 
 
 def gamma_utx_field(u: Field, params: PdeParams) -> Field:
@@ -252,7 +279,7 @@ def gamma_utx_field(u: Field, params: PdeParams) -> Field:
     omega = params.omega
     ux = u.derivative
     uxx = differentiate(u, 2).values
-    conv = _convolution_bracket(u.values, ux, grid, params)
+    conv = _convolution_bracket(u.spectrum, u.values, ux, grid, params)
     out = -0.5 * gamma * gamma * _project(ux * ux, grid)
     out -= gamma * gamma * _project(u.values * uxx, grid)
     out += 0.5 * (3.0 - gamma) * gamma * _project(u.values * u.values, grid)

@@ -62,16 +62,6 @@ class Grid:
         return pts
 
     @cached_property
-    def wavenumbers(self) -> np.ndarray:
-        """Full FFT-ordered wavenumbers pi*j/L, j = 0..N/2-1, -N/2..-1.
-
-        Closed under negation except for the lone Nyquist mode at -N/2.
-        """
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
-        k.flags.writeable = False
-        return k
-
-    @cached_property
     def wavenumbers_half(self) -> np.ndarray:
         """Real-FFT wavenumbers pi*j/L for j = 0..N/2 (Nyquist last)."""
         k = 2.0 * np.pi * np.fft.rfftfreq(self.n_points, d=self.spacing)

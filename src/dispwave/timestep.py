@@ -7,8 +7,8 @@ the breaking mechanism undamped. Steps are additionally shortened near
 breaking so the Riccati collapse of the slope minimum, which happens on the
 timescale 1/|m|, stays temporally resolved. The state is held as the rfft
 coefficients of u, projected once onto the 2/3 band, where the right-hand
-side needs 4 transforms; grid values are formed only for samples,
-checkpoints and the final state.
+side needs 4 transforms; step control, trace rows, checkpoints and the final
+state all read the kernel's grid values u and u_x of the state.
 
 A run terminates for exactly one of four reasons:
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pde import PdeParams, SlopeSample, SpectralRhs, energy, slope_sample
+from .pde import PdeParams, SlopeSample, SpectralRhs, energy_sum, riccati_rate, slope_argmin
 from .spectral import Field, Grid, dealias, hs_norm, irfft, rfft
 
 
@@ -186,6 +186,7 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
         )
 
     rk4 = _Rk4(grid, params)
+    u, ux = rk4.rhs.u, rk4.rhs.ux  # u_hat's grid values after each rk4.rhs.physical
     # the one-time projection: from here on the state is its 2/3-band spectrum
     u_hat = dealias(rfft(u0.values), grid)
     new_hat = np.empty_like(u_hat)
@@ -194,54 +195,45 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
     checkpoints: list[tuple[float, Field]] = []
     warnings: list[str] = []
     boundary_warned = False
-
-    def state() -> Field:
-        return Field(grid, irfft(u_hat, n=grid.n_points))
+    stop_reason = None
 
     next_sample = config.sample_interval
     next_checkpoint = config.checkpoint_interval if config.checkpoint_interval else math.inf
-    if config.checkpoint_interval:
-        checkpoints.append((0.0, state()))
-
-    def record(t_now: float, f: Field, dt_now: float) -> None:
-        nonlocal boundary_warned
-        sample = slope_sample(f, params, t=t_now)
-        samples.append(TraceRow(
-            t=t_now, energy=energy(f), m=sample.m, xi=sample.xi, m_rhs=sample.m_rhs,
-            max_u=f.max_abs(), min_ux=float(np.min(f.derivative)), dt=dt_now,
-        ))
-        edge = max(abs(float(f.values[0])), abs(float(f.values[-1])))
-        if not boundary_warned and edge > 1e-6 * max(f.max_abs(), 1e-300):
-            warnings.append(
-                f"boundary contamination at t = {t_now:g}: |u| = {edge:g} at |x| = L"
-            )
-            boundary_warned = True
-
-    last_dt = config.dt_init
+    sample_due, checkpoint_due = True, bool(config.checkpoint_interval)
     while True:
         rk4.rhs.physical(u_hat)
-        u, ux = rk4.rhs.u, rk4.rhs.ux
-        # extremes taken without the temporaries gamma*ux and abs(u) would allocate
-        if params.gamma == 0.0:
-            m = 0.0
-        else:
-            m = params.gamma * float(np.min(ux) if params.gamma > 0.0 else np.max(ux))
+        i, m = slope_argmin(ux, params.gamma)
+        # max |u| taken without the temporary abs(u) would allocate
         max_u = max(float(np.max(u)), -float(np.min(u)))
-
         dt_ctrl = _controlled_dt(config, grid, params, max_u, m)
         if not samples:
             last_dt = dt_ctrl
-            record(0.0, state(), dt_ctrl)
+        if checkpoint_due:
+            checkpoints.append((t, Field(grid, u)))
 
         if m <= -config.blowup_m_threshold:
             stop_reason = "blowup_slope"
-            break
-        if t >= config.t_end - 1e-14 * config.t_end:
+        elif t >= config.t_end - 1e-14 * config.t_end:
             t = config.t_end
             stop_reason = "reached_t_end"
-            break
-        if dt_ctrl < config.dt_min:
+        elif dt_ctrl < config.dt_min:
             stop_reason = "dt_underflow"
+
+        # the initial row, every due sample, and the final row
+        if sample_due or (stop_reason and samples[-1].t < t):
+            samples.append(TraceRow(
+                t=t, energy=energy_sum(u, ux, grid), m=m, xi=float(grid.x[i]),
+                m_rhs=riccati_rate(u_hat, u, ux, i, m, grid, params),
+                max_u=max_u, min_ux=float(np.min(ux)), dt=last_dt,
+            ))
+            edge = max(abs(float(u[0])), abs(float(u[-1])))
+            if not boundary_warned and edge > 1e-6 * max(max_u, 1e-300):
+                warnings.append(
+                    f"boundary contamination at t = {t:g}: |u| = {edge:g} at |x| = L"
+                )
+                boundary_warned = True
+        if stop_reason:
+            final = Field(grid, u)
             break
 
         # land exactly on the next event time
@@ -255,28 +247,21 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
         if not np.all(np.isfinite(new_hat)):
             stop_reason = "blowup_nonfinite"
             t = t_new
+            # the stages overwrote u, so the last finite state needs a transform
+            final = Field(grid, irfft(u_hat, n=grid.n_points))
             break
         u_hat, new_hat = new_hat, u_hat
         t = t_new
         last_dt = dt
 
+        # a due sample is recorded by the next pass, once its state is on the grid
         sample_due = t >= next_sample - 1e-14
         checkpoint_due = t >= next_checkpoint - 1e-14
-        if sample_due or checkpoint_due:
-            now = state()
-        if sample_due:
-            if t < config.t_end - 1e-14 * config.t_end:
-                record(t, now, dt)
-            while next_sample <= t + 1e-14:
-                next_sample += config.sample_interval
-        if checkpoint_due:
-            checkpoints.append((t, now))
-            while next_checkpoint <= t + 1e-14:
-                next_checkpoint += config.checkpoint_interval
+        while next_sample <= t + 1e-14:
+            next_sample += config.sample_interval
+        while next_checkpoint <= t + 1e-14:
+            next_checkpoint += config.checkpoint_interval
 
-    final = state()
-    if stop_reason != "blowup_nonfinite" and (not samples or samples[-1].t < t):
-        record(t, final, last_dt)
     result = SimulationResult(
         samples=samples,
         checkpoints=checkpoints,

@@ -9,6 +9,7 @@ from dispwave import (
     SolitonParams,
     SolverConfig,
     build_profile,
+    dealias,
     differentiate,
     energy,
     gamma_utx_field,
@@ -50,7 +51,7 @@ def _refined_minimum_sample(field, p):
         return (arr[(i - 1) % n] * (d * (d - 1) / 2) + arr[i] * (1 - d * d)
                 + arr[(i + 1) % n] * (d * (d + 1) / 2))
 
-    conv = _convolution_bracket(field.values, ux, g, p)
+    conv = _convolution_bracket(field.spectrum, field.values, ux, g, p)
     uval = interp(field.values)
     rate = (-0.5 * m * m + 0.5 * (3.0 - p.gamma) * p.gamma * uval * uval
             + 2.0 * p.omega * p.gamma * uval - interp(conv))
@@ -201,6 +202,15 @@ class TestSpectralRhs:
             # step control reads u and u_x after the RHS has been formed
             assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
 
+    def test_physical_reads_only_the_band(self):
+        g = Grid(6.0, 1024)
+        rhs = SpectralRhs(g, PdeParams(1.0, 0.5))
+        u_hat = g.dealias_keep * np.fft.rfft(steep_bump(g, 1.0, 3.0).values)
+        rhs.physical(u_hat)
+        u, ux = rhs.u.copy(), rhs.ux.copy()
+        rhs.physical(u_hat + ~g.dealias_keep)  # unit modes above the band
+        assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
+
 
 class TestFormulationEquivalence:
     @pytest.mark.parametrize("gamma,omega", PARAM_PAIRS)
@@ -316,6 +326,33 @@ class TestSlopeSample:
             assert fd == pytest.approx(rates[k], rel=0.05)
             checked += 1
         assert checked >= 40
+
+
+class TestSolverSamples:
+    @pytest.mark.parametrize("gamma,omega", PARAM_PAIRS)
+    def test_initial_row_matches_field_oracles(self, grid_medium, gamma, omega):
+        # simulate records its rows from the kernel's u and u_x; the Field
+        # functions differentiate the same state through its own spectrum,
+        # so the rows agree with them to rounding (rtol 1e-12 of each
+        # quantity's scale) and exactly where no derivative enters
+        rtol = 1e-12
+        p = PdeParams(gamma, omega)
+        steep = steep_bump(Grid(6.0, 16384), 1.0, 3.0)
+        fields = [band_limited_field(grid_medium, seed=seed) for seed in range(4)] + [steep]
+        for f in fields:
+            g = f.grid
+            u0 = Field(g, np.fft.irfft(dealias(f.spectrum, g), n=g.n_points))
+            cfg = SolverConfig(t_end=1e-4, sample_interval=1.0, decay_tolerance=1.0)
+            row = simulate(u0, p, cfg).samples[0]
+            state = Field(g, np.fft.irfft(dealias(u0.spectrum, g), n=g.n_points))
+            s = slope_sample(state, p)
+            ux_scale = np.max(np.abs(state.derivative))
+            assert row.t == 0.0 and row.max_u == state.max_abs()
+            assert row.xi == s.xi
+            assert abs(row.energy - energy(state)) <= rtol * energy(state)
+            assert abs(row.m - s.m) <= rtol * abs(gamma) * ux_scale
+            assert abs(row.m_rhs - s.m_rhs) <= rtol * (s.m * s.m + abs(s.m_rhs))
+            assert abs(row.min_ux - np.min(state.derivative)) <= rtol * ux_scale
 
 
 class TestGammaUtxField:

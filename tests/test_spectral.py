@@ -22,18 +22,6 @@ class TestGrid:
         assert np.all(np.diff(g.x) > 0)
         assert g.x[128] == 0.0
 
-    def test_wavenumbers_closed_under_negation_except_nyquist(self):
-        g = Grid(15.0, 64)
-        k = g.wavenumbers
-        assert k[0] == 0.0
-        nyquist = -np.pi * 32 / 15.0
-        assert np.min(k) == pytest.approx(nyquist)
-        nonzero = sorted(abs(v) for v in k if v != 0.0)
-        # every magnitude except the Nyquist appears exactly twice
-        assert nonzero[-1] == pytest.approx(abs(nyquist))
-        paired = nonzero[:-1]
-        assert all(paired[2 * i] == paired[2 * i + 1] for i in range(len(paired) // 2))
-
     @pytest.mark.parametrize("n", [15, 14, 0, 17])
     def test_rejects_bad_sizes(self, n):
         with pytest.raises(ValueError):

@@ -224,7 +224,10 @@ class TestSimulate:
 
         # 16 transforms per step, in 8 FFT calls
         assert list(counts(8, 1) - counts(4, 1)) == [16 * 4, 8 * 4]
+        # a sample reads the kernel's u and u_x; only the Riccati rate's
+        # bracket transforms (2 rfft, 1 irfft)
         per_sample = counts(8, 2) - counts(8, 1)
+        assert list(per_sample) == [3, 3]
         assert list(counts(8, 4) - counts(8, 2)) == list(2 * per_sample)
 
 
