@@ -13,11 +13,42 @@ kept alias-free with the standard 2/3 rule.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from time import perf_counter
 
 import numpy as np
 from numpy.fft import irfft, rfft  # the package's one FFT import point
+
+_PLAN_ROUNDS = 15  # odd, so the median is one sample
+_plans: dict[tuple[str, int], int] = {}
+
+
+def fastest(key: tuple[str, int], candidates: Sequence[Callable[[], object]]) -> int:
+    """Index of the fastest of `candidates`, zero-argument calls that do the same work.
+
+    Timed once per key and process, as FFTW's planner does: over
+    `_PLAN_ROUNDS` rounds each candidate runs twice and its second call is
+    timed, so it meets the heap as that call shape leaves it when run back
+    to back (numpy scratch that glibc hands back to the OS faults in again
+    on every call). The smallest median wins, the first on ties. Callers
+    offer only call shapes with bit-identical results, so the pick never
+    changes a number.
+    """
+    best = _plans.get(key)
+    if best is None:
+        times = np.empty((_PLAN_ROUNDS, len(candidates)))
+        for row in times:
+            for j, call in enumerate(candidates):
+                call()
+                start = perf_counter()
+                call()
+                row[j] = perf_counter() - start
+        # the middle row after sorting is the median (rounds are odd); np.median
+        # would import numpy.ma
+        best = _plans[key] = int(np.argmin(np.sort(times, axis=0)[_PLAN_ROUNDS // 2]))
+    return best
 
 
 class NonFiniteFieldError(ValueError):

@@ -116,10 +116,11 @@ class SimulationResult:
 class _Rk4:
     """Classical RK4 on 2/3-band rfft coefficients in work arrays made once.
 
-    A step costs 16 transforms in 8 FFT calls. Its first two (the k1 stage's
-    u and u_x, one call) are `rhs.physical(u_hat)`, which the caller runs
-    first so step control can read `rhs.u` and `rhs.ux`; `step` then makes
-    the other 14 in 7 calls.
+    A step costs 16 transforms in 8 FFT calls, or 12 where the kernel's
+    forward transforms run as 1-row calls. Its first two (the k1 stage's u
+    and u_x, one call) are `rhs.physical(u_hat)`, which the caller runs first
+    so step control can read `rhs.u` and `rhs.ux`; `step` then makes the
+    other 14.
     """
 
     def __init__(self, grid: Grid, params: PdeParams) -> None:

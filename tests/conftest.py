@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,46 @@ def grid_small() -> Grid:
 @pytest.fixture
 def grid_medium() -> Grid:
     return Grid(30.0, 1024)
+
+
+# The (inverse, forward) call shapes `SpectralRhs` can run, as indices into
+# its candidates. Inverse: 0 transforms all N/2 + 1 modes (zero-padded) in
+# numpy's 2-row pass, 1 the band's modes only. Forward: 0 is one 2-row rfft,
+# 1 two 1-row ones.
+PLANS = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@pytest.fixture
+def force_plan(monkeypatch):
+    """force_plan(inverse, forward) pins the call shapes of kernels built after it.
+
+    No candidate is timed, so a forced kernel makes no trial FFT calls.
+    """
+    import dispwave.pde
+
+    def force(inverse: int, forward: int) -> None:
+        picks = {"irfft": inverse, "rfft": forward}
+        monkeypatch.setattr(dispwave.pde, "fastest", lambda key, candidates: picks[key[0]])
+    return force
+
+
+@pytest.fixture
+def transform_count(monkeypatch):
+    """Running counts of the rfft/irfft work done through dispwave's bindings.
+
+    "calls" counts FFT calls; "transforms" counts 1-D transforms, so a call
+    on a (2, n) array adds 2.
+    """
+    import dispwave.pde
+    import dispwave.spectral
+    import dispwave.timestep
+
+    count = {"transforms": 0, "calls": 0}
+    for module in (dispwave.spectral, dispwave.pde, dispwave.timestep):
+        for name in ("rfft", "irfft"):
+            def counted(a, *args, _transform=getattr(module, name), **kwargs):
+                count["transforms"] += math.prod(np.shape(a)[:-1])
+                count["calls"] += 1
+                return _transform(a, *args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return count

@@ -24,7 +24,7 @@ from dispwave import (
 
 from dispwave.pde import SpectralRhs
 
-from conftest import band_limited_field
+from conftest import PLANS, band_limited_field
 
 PARAM_PAIRS = [(0.0, 0.5), (1.0, 0.0), (2.0, 0.3), (3.0, 1.0), (-1.0, 0.7)]
 
@@ -185,31 +185,64 @@ def _single_row_rhs(u_hat, grid, p):
 class TestSpectralRhs:
     @pytest.mark.parametrize("n", [48, 1024, 16384])
     @pytest.mark.parametrize("gamma,omega", PARAM_PAIRS)
-    def test_paired_transforms_bit_identical_to_single_rows(self, n, gamma, omega):
-        # the kernel runs its transforms as 2-row FFT calls; each row must
-        # round exactly as a single-row call does, or artifacts would change
+    def test_paired_transforms_bit_identical_to_single_rows(self, n, gamma, omega,
+                                                            force_plan):
+        # the kernel runs its transforms as 2-row or 1-row FFT calls, whichever
+        # is faster at n; under every plan each row must round exactly as a
+        # single-row call does, or artifacts would change
         p = PdeParams(gamma, omega)
         g = Grid(6.0, n)  # 3 divides 48
         fields = [band_limited_field(g, seed=seed, modes=min(24, n // 3 - 1))
                   for seed in range(2)]
         fields.append(steep_bump(g, 1.0, 3.0))
-        rhs = SpectralRhs(g, p)
-        for f in fields:
-            u_hat = g.dealias_keep * np.fft.rfft(f.values)
-            u, ux, ref = _single_row_rhs(u_hat, g, p)
-            got = rhs(u_hat, np.empty_like(u_hat))
-            assert np.array_equal(got, ref)
-            # step control reads u and u_x after the RHS has been formed
+        for plan in PLANS:
+            force_plan(*plan)
+            rhs = SpectralRhs(g, p)
+            for f in fields:
+                u_hat = g.dealias_keep * np.fft.rfft(f.values)
+                u, ux, ref = _single_row_rhs(u_hat, g, p)
+                got = rhs(u_hat, np.empty_like(u_hat))
+                assert np.array_equal(got, ref)
+                # step control reads u and u_x after the RHS has been formed
+                assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
+
+    def test_physical_reads_only_the_band(self, force_plan):
+        g = Grid(6.0, 1024)
+        u_hat = g.dealias_keep * np.fft.rfft(steep_bump(g, 1.0, 3.0).values)
+        for plan in PLANS:
+            force_plan(*plan)
+            rhs = SpectralRhs(g, PdeParams(1.0, 0.5))
+            rhs.physical(u_hat)
+            u, ux = rhs.u.copy(), rhs.ux.copy()
+            rhs(u_hat + ~g.dealias_keep, np.empty_like(u_hat))  # unit modes above the band
+            rhs.physical(u_hat)
+            assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
+            rhs.physical(u_hat + ~g.dealias_keep)
             assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
 
-    def test_physical_reads_only_the_band(self):
-        g = Grid(6.0, 1024)
+    def test_call_shapes_planned_once_per_direction_and_size(self, monkeypatch,
+                                                             transform_count):
+        import dispwave.spectral
+
+        monkeypatch.setattr(dispwave.spectral, "_plans", {})
+        calls = []
+        for n, gamma in ((64, 1.0), (64, 2.0), (128, 1.0), (64, 1.0), (128, 0.0)):
+            before = transform_count["calls"]
+            SpectralRhs(Grid(6.0, n), PdeParams(gamma, 0.5))
+            calls.append(transform_count["calls"] - before)
+        # each round calls each candidate twice: 2 + 2 inverse calls and 1 + 2
+        # forward calls, the split forward being two 1-row calls
+        assert calls == [10 * dispwave.spectral._PLAN_ROUNDS, 0,
+                         10 * dispwave.spectral._PLAN_ROUNDS, 0, 0]
+        assert sorted(dispwave.spectral._plans) == [("irfft", 64), ("irfft", 128),
+                                                    ("rfft", 64), ("rfft", 128)]
+        # a planned kernel makes only its own calls: 2 per RHS, 3 with the split forward
+        g = Grid(6.0, 64)
         rhs = SpectralRhs(g, PdeParams(1.0, 0.5))
         u_hat = g.dealias_keep * np.fft.rfft(steep_bump(g, 1.0, 3.0).values)
-        rhs.physical(u_hat)
-        u, ux = rhs.u.copy(), rhs.ux.copy()
-        rhs.physical(u_hat + ~g.dealias_keep)  # unit modes above the band
-        assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
+        before = transform_count["calls"]
+        rhs(u_hat, np.empty_like(u_hat))
+        assert transform_count["calls"] - before == 2 + dispwave.spectral._plans[("rfft", 64)]
 
 
 class TestFormulationEquivalence:

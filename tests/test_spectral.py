@@ -179,3 +179,28 @@ class TestHsNorm:
         f = band_limited_field(grid_small, seed=4)
         with pytest.raises(ValueError):
             hs_norm(f, -0.5)
+
+
+class TestFastest:
+    def test_picks_the_faster_call_once_per_key(self, monkeypatch):
+        import time
+
+        import dispwave.spectral
+
+        monkeypatch.setattr(dispwave.spectral, "_plans", {})
+        calls = [0, 0]
+
+        def slow():
+            calls[0] += 1
+            time.sleep(1e-3)
+
+        def quick():
+            calls[1] += 1
+
+        rounds = dispwave.spectral._PLAN_ROUNDS
+        assert dispwave.spectral.fastest(("x", 1), [slow, quick]) == 1
+        assert calls == [2 * rounds, 2 * rounds]  # a warm-up and a timed call per round
+        assert dispwave.spectral.fastest(("x", 1), [slow, quick]) == 1
+        assert calls == [2 * rounds, 2 * rounds]  # cached: nothing runs again
+        assert dispwave.spectral.fastest(("x", 2), [quick, slow]) == 0
+        assert calls == [4 * rounds, 4 * rounds]

@@ -20,33 +20,11 @@ from dispwave import (
     steep_bump,
 )
 
-from conftest import band_limited_field
+from conftest import PLANS, band_limited_field
 
 
 def zero_field(grid):
     return Field(grid, np.zeros(grid.n_points))
-
-
-@pytest.fixture
-def transform_count(monkeypatch):
-    """Running counts of the rfft/irfft work done through dispwave's bindings.
-
-    "calls" counts FFT calls; "transforms" counts 1-D transforms, so a call
-    on a (2, n) array adds 2.
-    """
-    import dispwave.pde
-    import dispwave.spectral
-    import dispwave.timestep
-
-    count = {"transforms": 0, "calls": 0}
-    for module in (dispwave.spectral, dispwave.pde, dispwave.timestep):
-        for name in ("rfft", "irfft"):
-            def counted(a, *args, _transform=getattr(module, name), **kwargs):
-                count["transforms"] += math.prod(np.shape(a)[:-1])
-                count["calls"] += 1
-                return _transform(a, *args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
-    return count
 
 
 class TestSolverConfig:
@@ -104,13 +82,17 @@ class TestRk4Step:
         e_fine = np.max(np.abs(advance(horizon / 16, 16) - ref))
         assert e_coarse / e_fine == pytest.approx(16.0, rel=0.2)
 
-    def test_transform_budget(self, grid_small, transform_count):
+    def test_transform_budget(self, grid_small, transform_count, force_plan):
         # one rfft into the band, 4 stages of 4 transforms, one irfft out;
-        # each stage pairs its transforms into one 2-row irfft and one 2-row rfft
+        # each stage makes one 2-row irfft and one 2-row rfft, or two 1-row
+        # rffts under the split forward plan
         u = gaussian_bump(grid_small, 0.2, 2.0)
-        rk4_step(u, 1e-3, PdeParams(1.0, 0.5))
-        assert transform_count["transforms"] == 18
-        assert transform_count["calls"] == 10
+        for inverse, forward in PLANS:
+            force_plan(inverse, forward)
+            before = dict(transform_count)
+            rk4_step(u, 1e-3, PdeParams(1.0, 0.5))
+            assert transform_count["transforms"] - before["transforms"] == 18
+            assert transform_count["calls"] - before["calls"] == (10, 14)[forward]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_stage_is_loud(self, grid_small):
@@ -205,7 +187,7 @@ class TestSimulate:
         assert [r.t for r in res.samples] == [0.0]
         assert np.max(np.abs(res.final_state.values - u0.values)) <= 1e-12 * 1e160
 
-    def test_transform_budget(self, grid_small, transform_count):
+    def test_transform_budget(self, grid_small, transform_count, force_plan):
         # dt_init is far below the CFL and Riccati caps, so a run to
         # t_end = steps * dt_init takes exactly that many steps
         u0 = gaussian_bump(grid_small, 0.1, 2.0)
@@ -222,13 +204,15 @@ class TestSimulate:
             return np.array([transform_count[key] - before[key]
                              for key in ("transforms", "calls")])
 
-        # 16 transforms per step, in 8 FFT calls
-        assert list(counts(8, 1) - counts(4, 1)) == [16 * 4, 8 * 4]
-        # a sample reads the kernel's u and u_x; only the Riccati rate's
-        # bracket transforms (2 rfft, 1 irfft)
-        per_sample = counts(8, 2) - counts(8, 1)
-        assert list(per_sample) == [3, 3]
-        assert list(counts(8, 4) - counts(8, 2)) == list(2 * per_sample)
+        for inverse, forward in PLANS:
+            force_plan(inverse, forward)
+            # 16 transforms per step, in 8 FFT calls, or 12 with the split forward
+            assert list(counts(8, 1) - counts(4, 1)) == [16 * 4, (8, 12)[forward] * 4]
+            # a sample reads the kernel's u and u_x; only the Riccati rate's
+            # bracket transforms (2 rfft, 1 irfft)
+            per_sample = counts(8, 2) - counts(8, 1)
+            assert list(per_sample) == [3, 3]
+            assert list(counts(8, 4) - counts(8, 2)) == list(2 * per_sample)
 
 
 @pytest.fixture(scope="module")
