@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, Grid, dealias, differentiate, fastest, irfft, rfft
+from .spectral import Fastest, Field, Grid, dealias, differentiate, irfft, rfft
 
 
 @dataclass(frozen=True)
@@ -84,14 +84,16 @@ class SpectralRhs:
         u_t_hat = A*rfft(u^2) + B*rfft(u_x^2) + C*u_hat,
 
     where A, B and C hold the dealias mask, -ik, 1/(1 + k^2) and (gamma,
-    omega) and are built once. A call costs 4 transforms and writes only
-    into arrays made once. The pairs travel as the two rows of one array:
-    `physical` fills `u` and `ux` from u_hat (one 2-row irfft), and `finish`
-    forms u_t_hat from them (one 2-row rfft or two 1-row ones, so 2 or 3 FFT
-    calls per RHS). Which call shapes run is picked per N by timing them
-    once (`spectral.fastest`): numpy allocates scratch for some shapes at
-    some N, and which is faster depends on the host. Every shape gives each
-    row bit-identical to a single-row transform, so the pick never changes a
+    omega) and are built once. A call costs 4 transforms in 2 or 3 FFT calls
+    and writes only into arrays made once. The pairs travel as the two rows
+    of one array: `physical` fills `u` and `ux` from u_hat (one 2-row
+    irfft), and `finish` forms u_t_hat from them (one 2-row rfft or two
+    1-row ones). Each kernel times its call shapes in its first RHS calls
+    and keeps the faster per direction (`spectral.Fastest`): numpy's
+    vectorized 2-row passes are the faster ones unless their per-call
+    scratch page-faults, as it does at N=16384 when glibc hands it back to
+    the OS after each call. Every row comes out bit-identical to a
+    single-row transform whichever shape runs, so the pick never changes a
     result. For u_hat in the band the result lies in the band too, so RK4
     stages never leave it.
     """
@@ -107,43 +109,42 @@ class SpectralRhs:
         self._mult_u = -2.0 * omega * ikh
         n = grid.n_points
         self._band = band = int(np.count_nonzero(keep))
-        # zeroed, so the candidates below are timed on finite data;
         # rows (u_hat, ik*u_hat) going in, zero-padded: modes from `band` up stay 0
         self._padded = np.zeros((2, n // 2 + 1), dtype=complex)
         # rows (F(u^2), F(u_x^2)) coming back
-        self._pair = np.zeros_like(self._padded)
-        self._fields = np.zeros((2, n))
+        self._pair = np.empty_like(self._padded)
+        self._fields = np.empty((2, n))
         self.u, self.ux = self._fields  # row views, still readable after `finish`
-        self._squares = np.zeros_like(self._fields)
-        padded, fields, pair, squares = self._padded, self._fields, self._pair, self._squares
-        # call shapes with bit-identical rows; the faster of each pair is kept per N
-        inverse = (lambda: irfft(padded, n=n, out=fields),  # numpy's 2-row pass
-                   lambda: irfft(padded[:, :band], n=n, out=fields))  # zero-fills each row
-        forward = (lambda: rfft(squares, out=pair),
-                   lambda: (rfft(squares[0], out=pair[0]), rfft(squares[1], out=pair[1])))
-        self._inverse = inverse[fastest(("irfft", n), inverse)]
-        self._forward = forward[fastest(("rfft", n), forward)]
+        self._squares = np.empty_like(self._fields)
+        padded, fields, squares, pair = self._padded, self._fields, self._squares, self._pair
+        # call shapes with bit-identical rows; the faster of each pair is kept
+        self._inverse = Fastest(("irfft", n), {
+            "2-row": lambda: irfft(padded, n=n, out=fields),  # numpy's vectorized pass
+            "band": lambda: irfft(padded[:, :band], n=n, out=fields)})  # zero-fills each row
+        self._forward = Fastest(("rfft", n), {
+            "2-row": lambda: rfft(squares, out=pair),
+            "1-row": lambda: (rfft(squares[0], out=pair[0]), rfft(squares[1], out=pair[1]))})
 
     def physical(self, u_hat: np.ndarray) -> None:
         """Fill `u` and `ux` (rows 0 and 1 of one array) with the grid values
         of u_hat and its derivative, from the band's modes (modes above it are
         not read). The 2-row irfft runs on all N/2 + 1 modes or on the band's
-        only, whichever call shape was faster at this N."""
+        only, whichever call shape is faster at this N; both give the same rows."""
         band = self._band
         rows = self._padded[:, :band]
         rows[0] = u_hat[:band]
         np.multiply(u_hat[:band], self._ik[:band], out=rows[1])
-        self._inverse()
+        self._inverse.call()
 
     def finish(self, u_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write u_t_hat into out; `u` and `ux` must hold u_hat's values.
 
         Squares both rows at once and transforms the squares, in one 2-row
-        rfft or two 1-row ones, whichever was faster at this N; `u` and `ux`
+        rfft or two 1-row ones, whichever is faster at this N; `u` and `ux`
         are left as they were.
         """
         np.multiply(self._fields, self._fields, out=self._squares)
-        self._forward()
+        self._forward.call()
         spec_uu, spec_xx = self._pair
         np.multiply(spec_uu, self._mult_uu, out=out)
         out += np.multiply(spec_xx, self._mult_xx, out=spec_xx)

@@ -13,7 +13,7 @@ kept alias-free with the standard 2/3 rule.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from time import perf_counter
@@ -22,33 +22,56 @@ import numpy as np
 from numpy.fft import irfft, rfft  # the package's one FFT import point
 
 _PLAN_ROUNDS = 15  # odd, so the median is one sample
-_plans: dict[tuple[str, int], int] = {}
+_plans: dict[tuple[str, int], str] = {}
 
 
-def fastest(key: tuple[str, int], candidates: Sequence[Callable[[], object]]) -> int:
-    """Index of the fastest of `candidates`, zero-argument calls that do the same work.
+def plans() -> dict[tuple[str, int], str]:
+    """The name of the candidate each `Fastest` key picked last in this process."""
+    return dict(_plans)
 
-    Timed once per key and process, as FFTW's planner does: over
-    `_PLAN_ROUNDS` rounds each candidate runs twice and its second call is
-    timed, so it meets the heap as that call shape leaves it when run back
-    to back (numpy scratch that glibc hands back to the OS faults in again
-    on every call). The smallest median wins, the first on ties. Callers
-    offer only call shapes with bit-identical results, so the pick never
-    changes a number.
+
+class Fastest:
+    """The fastest of interchangeable zero-argument calls, learnt from using them.
+
+    `call()` runs one of `candidates` (name -> call), calls with the same
+    effect: callers offer only call shapes with bit-identical results, so
+    which one runs never changes a number. The first calls time them, in
+    `_PLAN_ROUNDS` rounds in which each candidate runs twice in a row and
+    its second run is timed. So the timing happens in the caller's own loop
+    and makes no call of its own, and each shape meets the heap as it leaves
+    it when run back to back (numpy scratch that glibc hands back to the OS
+    faults in again on every call). Then the smallest median wins, the
+    first on ties, and `call` is that candidate. Each instance times for
+    itself, so what a run calls does not depend on what ran before it in
+    the process; `plans()` lists the latest pick per key.
     """
-    best = _plans.get(key)
-    if best is None:
-        times = np.empty((_PLAN_ROUNDS, len(candidates)))
-        for row in times:
-            for j, call in enumerate(candidates):
-                call()
-                start = perf_counter()
-                call()
-                row[j] = perf_counter() - start
-        # the middle row after sorting is the median (rounds are odd); np.median
-        # would import numpy.ma
-        best = _plans[key] = int(np.argmin(np.sort(times, axis=0)[_PLAN_ROUNDS // 2]))
-    return best
+
+    def __init__(self, key: tuple[str, int],
+                 candidates: Mapping[str, Callable[[], object]]) -> None:
+        self._key = key
+        self._names = list(candidates)
+        self._calls = list(candidates.values())
+        self._times = np.empty((_PLAN_ROUNDS, len(self._calls)))
+        self._runs = 0
+        self.call = self._timed
+
+    def _timed(self) -> None:
+        run = self._runs
+        self._runs += 1
+        row, slot = divmod(run, 2 * len(self._calls))
+        call = self._calls[slot // 2]
+        if slot % 2 == 0:
+            call()
+            return
+        start = perf_counter()
+        call()
+        self._times[row, slot // 2] = perf_counter() - start
+        if self._runs == 2 * self._times.size:
+            # the middle row after sorting is the median (rounds are odd); np.median
+            # would import numpy.ma
+            best = int(np.argmin(np.sort(self._times, axis=0)[_PLAN_ROUNDS // 2]))
+            _plans[self._key] = self._names[best]
+            self.call = self._calls[best]
 
 
 class NonFiniteFieldError(ValueError):

@@ -188,15 +188,16 @@ class TestSpectralRhs:
     def test_paired_transforms_bit_identical_to_single_rows(self, n, gamma, omega,
                                                             force_plan):
         # the kernel runs its transforms as 2-row or 1-row FFT calls, whichever
-        # is faster at n; under every plan each row must round exactly as a
-        # single-row call does, or artifacts would change
+        # is faster at n; under every plan, and while the shapes are being
+        # timed, each row must round exactly as a single-row call does, or
+        # artifacts would change
         p = PdeParams(gamma, omega)
         g = Grid(6.0, n)  # 3 divides 48
         fields = [band_limited_field(g, seed=seed, modes=min(24, n // 3 - 1))
                   for seed in range(2)]
         fields.append(steep_bump(g, 1.0, 3.0))
         for plan in PLANS:
-            force_plan(*plan)
+            force_plan(plan)
             rhs = SpectralRhs(g, p)
             for f in fields:
                 u_hat = g.dealias_keep * np.fft.rfft(f.values)
@@ -210,7 +211,7 @@ class TestSpectralRhs:
         g = Grid(6.0, 1024)
         u_hat = g.dealias_keep * np.fft.rfft(steep_bump(g, 1.0, 3.0).values)
         for plan in PLANS:
-            force_plan(*plan)
+            force_plan(plan)
             rhs = SpectralRhs(g, PdeParams(1.0, 0.5))
             rhs.physical(u_hat)
             u, ux = rhs.u.copy(), rhs.ux.copy()
@@ -220,29 +221,29 @@ class TestSpectralRhs:
             rhs.physical(u_hat + ~g.dealias_keep)
             assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
 
-    def test_call_shapes_planned_once_per_direction_and_size(self, monkeypatch,
-                                                             transform_count):
+    def test_call_shapes_timed_in_use_by_each_kernel(self, force_plan, transform_count):
         import dispwave.spectral
+        from dispwave.spectral import plans
 
-        monkeypatch.setattr(dispwave.spectral, "_plans", {})
-        calls = []
-        for n, gamma in ((64, 1.0), (64, 2.0), (128, 1.0), (64, 1.0), (128, 0.0)):
-            before = transform_count["calls"]
-            SpectralRhs(Grid(6.0, n), PdeParams(gamma, 0.5))
-            calls.append(transform_count["calls"] - before)
-        # each round calls each candidate twice: 2 + 2 inverse calls and 1 + 2
-        # forward calls, the split forward being two 1-row calls
-        assert calls == [10 * dispwave.spectral._PLAN_ROUNDS, 0,
-                         10 * dispwave.spectral._PLAN_ROUNDS, 0, 0]
-        assert sorted(dispwave.spectral._plans) == [("irfft", 64), ("irfft", 128),
-                                                    ("rfft", 64), ("rfft", 128)]
-        # a planned kernel makes only its own calls: 2 per RHS, 3 with the split forward
+        force_plan(None)
         g = Grid(6.0, 64)
-        rhs = SpectralRhs(g, PdeParams(1.0, 0.5))
         u_hat = g.dealias_keep * np.fft.rfft(steep_bump(g, 1.0, 3.0).values)
-        before = transform_count["calls"]
-        rhs(u_hat, np.empty_like(u_hat))
-        assert transform_count["calls"] - before == 2 + dispwave.spectral._plans[("rfft", 64)]
+        rounds = dispwave.spectral._PLAN_ROUNDS
+        for gamma in (1.0, 2.0):  # a second kernel at the same N times again
+            rhs = SpectralRhs(g, PdeParams(gamma, 0.5))
+            calls = []
+            for _ in range(4 * rounds + 4):
+                before = transform_count["calls"]
+                rhs(u_hat, np.empty_like(u_hat))
+                calls.append(transform_count["calls"] - before)
+                if gamma == 1.0 and len(calls) == 4 * rounds - 1:
+                    assert plans() == {}
+            # timing makes no call of its own: each round runs each shape twice
+            # in a row, one irfft and then a 2-row rfft or two 1-row ones
+            assert calls[:4 * rounds] == [2, 2, 3, 3] * rounds
+            picked = plans()
+            assert picked[("irfft", 64)] in ("2-row", "band")
+            assert calls[4 * rounds:] == [{"2-row": 2, "1-row": 3}[picked[("rfft", 64)]]] * 4
 
 
 class TestFormulationEquivalence:

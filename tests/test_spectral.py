@@ -182,10 +182,11 @@ class TestHsNorm:
 
 
 class TestFastest:
-    def test_picks_the_faster_call_once_per_key(self, monkeypatch):
+    def test_times_the_calls_in_use_and_keeps_the_faster(self, monkeypatch):
         import time
 
         import dispwave.spectral
+        from dispwave.spectral import Fastest, plans
 
         monkeypatch.setattr(dispwave.spectral, "_plans", {})
         calls = [0, 0]
@@ -198,9 +199,17 @@ class TestFastest:
             calls[1] += 1
 
         rounds = dispwave.spectral._PLAN_ROUNDS
-        assert dispwave.spectral.fastest(("x", 1), [slow, quick]) == 1
-        assert calls == [2 * rounds, 2 * rounds]  # a warm-up and a timed call per round
-        assert dispwave.spectral.fastest(("x", 1), [slow, quick]) == 1
-        assert calls == [2 * rounds, 2 * rounds]  # cached: nothing runs again
-        assert dispwave.spectral.fastest(("x", 2), [quick, slow]) == 0
+        first = Fastest(("x", 1), {"slow": slow, "quick": quick})
+        for _ in range(4 * rounds - 1):
+            first.call()
+        # each round runs each candidate twice in a row; no call is extra
+        assert calls == [2 * rounds, 2 * rounds - 1] and plans() == {}
+        first.call()
+        assert plans() == {("x", 1): "quick"} and first.call is quick
+        # each instance times for itself
+        second = Fastest(("x", 1), {"quick": quick, "slow": slow})
+        assert second.call is not quick
+        for _ in range(4 * rounds):
+            second.call()
         assert calls == [4 * rounds, 4 * rounds]
+        assert plans() == {("x", 1): "quick"} and second.call is quick

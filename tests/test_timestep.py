@@ -84,15 +84,16 @@ class TestRk4Step:
 
     def test_transform_budget(self, grid_small, transform_count, force_plan):
         # one rfft into the band, 4 stages of 4 transforms, one irfft out;
-        # each stage makes one 2-row irfft and one 2-row rfft, or two 1-row
-        # rffts under the split forward plan
+        # each stage makes one 2-row irfft and one 2-row rfft or two 1-row
+        # ones; while a kernel times its shapes, 2 stages run each forward
         u = gaussian_bump(grid_small, 0.2, 2.0)
-        for inverse, forward in PLANS:
-            force_plan(inverse, forward)
+        for plan in PLANS:
+            force_plan(plan)
             before = dict(transform_count)
             rk4_step(u, 1e-3, PdeParams(1.0, 0.5))
             assert transform_count["transforms"] - before["transforms"] == 18
-            assert transform_count["calls"] - before["calls"] == (10, 14)[forward]
+            assert transform_count["calls"] - before["calls"] == {
+                (0, 0): 10, (1, 0): 10, (0, 1): 14, (1, 1): 14, None: 12}[plan]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_stage_is_loud(self, grid_small):
@@ -204,10 +205,12 @@ class TestSimulate:
             return np.array([transform_count[key] - before[key]
                              for key in ("transforms", "calls")])
 
-        for inverse, forward in PLANS:
-            force_plan(inverse, forward)
-            # 16 transforms per step, in 8 FFT calls, or 12 with the split forward
-            assert list(counts(8, 1) - counts(4, 1)) == [16 * 4, (8, 12)[forward] * 4]
+        for plan in PLANS:
+            force_plan(plan)
+            # 16 transforms per step, in 8 FFT calls, or 12 with 1-row forward
+            # calls; 10 while the kernel times its shapes (a step is one round)
+            per_step = {(0, 0): 8, (1, 0): 8, (0, 1): 12, (1, 1): 12, None: 10}[plan]
+            assert list(counts(8, 1) - counts(4, 1)) == [16 * 4, per_step * 4]
             # a sample reads the kernel's u and u_x; only the Riccati rate's
             # bracket transforms (2 rfft, 1 irfft)
             per_sample = counts(8, 2) - counts(8, 1)
