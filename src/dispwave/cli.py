@@ -10,7 +10,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -24,7 +23,6 @@ from .blowup import (
     write_comparison_csv,
 )
 from .config import (
-    ConfigError,
     RunConfig,
     build_family,
     build_initial_field,
@@ -32,11 +30,10 @@ from .config import (
     load_run_config,
     load_sweep_config,
 )
-from .fileio import fmt, jsonable, write_csv, write_json
+from .fileio import fmt, json_text, write_csv, write_json
 from .initial import field_from_csv
 from .pde import PdeParams
 from .solitary import (
-    AdmissibilityError,
     SolitonParams,
     build_profile,
     check_admissible,
@@ -45,7 +42,7 @@ from .solitary import (
     write_profile_csv,
 )
 from .spectral import Field, Grid
-from .timestep import BoundaryDecayError, SimulationResult, simulate
+from .timestep import SimulationResult, simulate
 
 _GLOBAL_NOTE = "gamma = 0: all solutions are global"
 
@@ -117,7 +114,7 @@ def _summary_payload(rc: RunConfig, u0: Field, result: SimulationResult) -> dict
 def _cmd_simulate(args) -> int:
     try:
         rc = load_run_config(args.config)
-    except ConfigError as err:
+    except ValueError as err:
         return _fail(str(err))
     out = args.out if args.out is not None else rc.outputs.directory
     if out is None:
@@ -127,7 +124,7 @@ def _cmd_simulate(args) -> int:
     try:
         u0 = build_initial_field(rc)
         result = simulate(u0, rc.params, rc.solver)
-    except (AdmissibilityError, BoundaryDecayError, ValueError) as err:
+    except ValueError as err:
         return _fail(str(err))
 
     payload = _summary_payload(rc, u0, result)
@@ -186,10 +183,10 @@ def _cmd_bound(args) -> int:
                 return _fail("--data requires --gamma (and optionally --omega)")
             params = PdeParams(gamma=args.gamma, omega=args.omega)
             u0 = field_from_csv(None, args.data)
-    except (ConfigError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         return _fail(str(err))
     payload = _bound_payload(u0, params)
-    text = json.dumps(jsonable(payload), indent=2, sort_keys=True)
+    text = json_text(payload)
     print(text)
     if args.out is not None:
         Path(args.out).write_text(text + "\n")
@@ -202,7 +199,7 @@ def _cmd_sweep(args) -> int:
     try:
         sc = load_sweep_config(args.config)
         members = build_family(sc)
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:
         return _fail(str(err))
     if sc.params.gamma == 0.0:
         return _fail(f"sweep requires gamma != 0 ({_GLOBAL_NOTE})")

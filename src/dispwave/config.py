@@ -1,9 +1,15 @@
-"""Run configuration: strict JSON schema with unknown-key rejection.
+"""Run and sweep configuration: strict JSON schemas with unknown-key rejection.
 
 A config must reproduce a run exactly, so parsing is deliberately rigid:
 every key is checked against a whitelist, types are enforced, referenced
 files must exist at parse time, and the resolved form (all defaults filled
 in) is what gets embedded into summary artifacts.
+
+Both config types go through one parser. Each has `params`, `grid`, `solver`
+and optional `outputs`; a run adds `initial` and a sweep adds `family`,
+objects whose `kind` key selects their schema from a table. An `amplitude`
+family's `base` is initial data under the run's schema. A sweep writes only
+`comparison.csv`, so its `outputs` takes only `directory`.
 """
 
 from __future__ import annotations
@@ -49,15 +55,6 @@ def _integer(d: dict, key: str, path: str) -> int:
     return v
 
 
-def _boolean(d: dict, key: str, path: str, default: bool) -> bool:
-    if key not in d:
-        return default
-    v = d[key]
-    if not isinstance(v, bool):
-        raise ConfigError(f"{path}.{key}: expected true/false, got {v!r}")
-    return v
-
-
 def _parse_params(data: dict) -> PdeParams:
     _check_keys(data, "params", ("gamma", "omega"))
     try:
@@ -97,44 +94,45 @@ _INITIAL_SCHEMAS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "file": (("path",), ()),
 }
 
+_FAMILY_SCHEMAS = {
+    "steepness": (("steepnesses", "amplitude"), ("center",)),
+    "amplitude": (("alphas", "base"), ()),
+}
 
-def _parse_initial(init, base_dir: Path, path: str = "initial") -> dict:
-    if not isinstance(init, dict) or "kind" not in init:
+
+def _parse_kind(spec, base_dir: Path, path: str, schemas: dict) -> dict:
+    """Resolve an object whose `kind` key picks its schema, defaults filled in."""
+    if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{path}: expected an object with a 'kind' key")
-    kind = init["kind"]
-    if kind not in _INITIAL_SCHEMAS:
-        raise ConfigError(
-            f"{path}.kind: unknown kind {kind!r}, expected one of {sorted(_INITIAL_SCHEMAS)}"
-        )
-    required, optional = _INITIAL_SCHEMAS[kind]
-    _check_keys(init, path, ("kind",) + required, optional)
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in schemas:
+        raise ConfigError(f"{path}.kind: unknown kind {kind!r}, expected one of {sorted(schemas)}")
+    required, optional = schemas[kind]
+    _check_keys(spec, path, ("kind",) + required, optional)
     resolved: dict = {"kind": kind}
     for key in required + optional:
-        if key == "path":
-            raw = init[key]
+        where = f"{path}.{key}"
+        if key not in spec:
+            resolved[key] = 0.0  # "center" is the only optional key
+        elif key == "path":
+            raw = spec[key]
             if not isinstance(raw, str):
-                raise ConfigError(f"{path}.path: expected a string, got {raw!r}")
+                raise ConfigError(f"{where}: expected a string, got {raw!r}")
             full = (base_dir / raw).resolve()
             if not full.is_file():
-                raise ConfigError(f"{path}.path: file not found: {full}")
+                raise ConfigError(f"{where}: file not found: {full}")
             resolved[key] = str(full)
-        elif key in init:
-            resolved[key] = _number(init, key, path)
-        elif key == "center":
-            resolved[key] = 0.0
+        elif key == "base":
+            resolved[key] = _parse_kind(spec[key], base_dir, where, _INITIAL_SCHEMAS)
+        elif key in ("steepnesses", "alphas"):
+            values = spec[key]
+            if (not isinstance(values, list) or not values
+                    or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values)):
+                raise ConfigError(f"{where}: expected a non-empty list of numbers")
+            resolved[key] = [float(v) for v in values]
+        else:
+            resolved[key] = _number(spec, key, path)
     return resolved
-
-
-def _parse_outputs(data) -> OutputOptions:
-    _check_keys(data, "outputs", (), tuple(f.name for f in fields(OutputOptions)))
-    directory = data.get("directory")
-    if directory is not None and not isinstance(directory, str):
-        raise ConfigError(f"outputs.directory: expected a string, got {directory!r}")
-    return OutputOptions(
-        directory=directory,
-        write_trace=_boolean(data, "write_trace", "outputs", True),
-        write_checkpoints=_boolean(data, "write_checkpoints", "outputs", False),
-    )
 
 
 @dataclass(frozen=True)
@@ -142,6 +140,30 @@ class OutputOptions:
     directory: str | None = None
     write_trace: bool = True
     write_checkpoints: bool = False
+
+
+def _parse_outputs(data, keys: tuple[str, ...]) -> OutputOptions:
+    _check_keys(data, "outputs", (), keys)
+    for key, v in data.items():
+        if key == "directory" and v is not None and not isinstance(v, str):
+            raise ConfigError(f"outputs.directory: expected a string, got {v!r}")
+        if key != "directory" and not isinstance(v, bool):
+            raise ConfigError(f"outputs.{key}: expected true/false, got {v!r}")
+    return OutputOptions(**data)
+
+
+def _parse_sections(data, base_dir: Path, kind_key: str, schemas: dict,
+                    output_keys: tuple[str, ...]) -> dict:
+    """The fields of a RunConfig (kind_key "initial") or SweepConfig ("family")."""
+    # older configs and summaries carry a "seed"; nothing is random, so it is ignored
+    _check_keys(data, "config", ("params", "grid", "solver", kind_key), ("outputs", "seed"))
+    return {
+        "params": _parse_params(data["params"]),
+        "grid": _parse_grid(data["grid"]),
+        "solver": _parse_solver(data["solver"]),
+        kind_key: _parse_kind(data[kind_key], base_dir, kind_key, schemas),
+        "outputs": _parse_outputs(data.get("outputs", {}), output_keys),
+    }
 
 
 @dataclass(frozen=True)
@@ -153,20 +175,27 @@ class RunConfig:
     outputs: OutputOptions
 
 
+@dataclass(frozen=True)
+class SweepConfig:
+    params: PdeParams
+    grid: Grid
+    solver: SolverConfig
+    family: dict
+    outputs: OutputOptions
+
+
 def parse_run_config(data, base_dir: Path) -> RunConfig:
     if isinstance(data, dict) and "config" in data and "stop_reason" in data:
         # a summary artifact embeds its resolved config; allow re-running from it
         data = data["config"]
-    # older configs and summaries carry a "seed"; nothing is random, so it is ignored
-    _check_keys(data, "config", ("params", "grid", "solver", "initial"),
-                ("outputs", "seed"))
-    return RunConfig(
-        params=_parse_params(data["params"]),
-        grid=_parse_grid(data["grid"]),
-        solver=_parse_solver(data["solver"]),
-        initial=_parse_initial(data["initial"], base_dir),
-        outputs=_parse_outputs(data.get("outputs", {})),
-    )
+    return RunConfig(**_parse_sections(data, base_dir, "initial", _INITIAL_SCHEMAS,
+                                       tuple(f.name for f in fields(OutputOptions))))
+
+
+def parse_sweep_config(data, base_dir: Path) -> SweepConfig:
+    # a sweep writes only comparison.csv, so the trace and checkpoint switches are rejected
+    return SweepConfig(**_parse_sections(data, base_dir, "family", _FAMILY_SCHEMAS,
+                                         ("directory",)))
 
 
 def _load_json(path: Path):
@@ -211,55 +240,6 @@ def build_initial_field(rc: RunConfig) -> Field:
     if kind == "file":
         return field_from_csv(rc.grid, init["path"])
     raise ConfigError(f"initial.kind: unhandled kind {kind!r}")
-
-
-_FAMILY_SCHEMAS = {
-    "steepness": (("amplitude", "steepnesses"), ("center",)),
-    "amplitude": (("base", "alphas"), ()),
-}
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    params: PdeParams
-    grid: Grid
-    solver: SolverConfig
-    family: dict
-    outputs: OutputOptions
-
-
-def parse_sweep_config(data, base_dir: Path) -> SweepConfig:
-    _check_keys(data, "config", ("params", "grid", "solver", "family"),
-                ("outputs", "seed"))  # "seed" is ignored, as in parse_run_config
-    fam = data["family"]
-    if not isinstance(fam, dict) or "kind" not in fam:
-        raise ConfigError("family: expected an object with a 'kind' key")
-    kind = fam["kind"]
-    if kind not in _FAMILY_SCHEMAS:
-        raise ConfigError(
-            f"family.kind: unknown kind {kind!r}, expected one of {sorted(_FAMILY_SCHEMAS)}"
-        )
-    required, optional = _FAMILY_SCHEMAS[kind]
-    _check_keys(fam, "family", ("kind",) + required, optional)
-    resolved: dict = {"kind": kind}
-    list_key = "steepnesses" if kind == "steepness" else "alphas"
-    values = fam[list_key]
-    if (not isinstance(values, list) or not values
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values)):
-        raise ConfigError(f"family.{list_key}: expected a non-empty list of numbers")
-    resolved[list_key] = [float(v) for v in values]
-    if kind == "steepness":
-        resolved["amplitude"] = _number(fam, "amplitude", "family")
-        resolved["center"] = _number(fam, "center", "family") if "center" in fam else 0.0
-    else:
-        resolved["base"] = _parse_initial(fam["base"], base_dir, path="family.base")
-    return SweepConfig(
-        params=_parse_params(data["params"]),
-        grid=_parse_grid(data["grid"]),
-        solver=_parse_solver(data["solver"]),
-        family=resolved,
-        outputs=_parse_outputs(data.get("outputs", {})),
-    )
 
 
 def load_sweep_config(path) -> SweepConfig:

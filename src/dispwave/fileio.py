@@ -63,5 +63,10 @@ def jsonable(obj):
     return obj
 
 
+def json_text(payload: dict) -> str:
+    """The one layout of every JSON artifact: jsonable, indented, keys sorted."""
+    return json.dumps(jsonable(payload), indent=2, sort_keys=True)
+
+
 def write_json(path: Path | str, payload: dict) -> None:
-    Path(path).write_text(json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json_text(payload) + "\n")

@@ -191,9 +191,6 @@ class Field:
         d.flags.writeable = False
         return d
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 def _derivative_values(spectrum: np.ndarray, grid: Grid, order: int) -> np.ndarray:
     mult = grid.derivative_multiplier ** order

@@ -184,6 +184,69 @@ class TestSweepConfig:
         with pytest.raises(ConfigError, match="non-empty"):
             load_sweep_config(path)
 
+    @staticmethod
+    def _write_sweep(path, family, **overrides):
+        data = {
+            "params": {"gamma": 1.0, "omega": 0.0},
+            "grid": {"L": 6.0, "N": 256},
+            "solver": {"t_end": 1.0},
+            "family": family,
+        }
+        data.update(overrides)
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize("switch", ["write_trace", "write_checkpoints"])
+    def test_output_switches_rejected(self, tmp_path, switch):
+        # a sweep writes only comparison.csv, so its outputs take only a directory
+        family = {"kind": "steepness", "amplitude": 1.0, "steepnesses": [3.0]}
+        path = self._write_sweep(tmp_path / "s.json", family,
+                                 outputs={"directory": "out", switch: True})
+        with pytest.raises(ConfigError, match=r"^outputs: unknown key\(s\) \['" + switch):
+            load_sweep_config(path)
+
+    @pytest.mark.parametrize("family,message", [
+        ({"amplitude": 1.0, "steepnesses": [3.0]},
+         "family: expected an object with a 'kind' key"),
+        ({"kind": "width", "amplitude": 1.0},
+         "family.kind: unknown kind 'width', expected one of ['amplitude', 'steepness']"),
+        ({"kind": ["steepness"], "amplitude": 1.0, "steepnesses": [3.0]},
+         "family.kind: unknown kind ['steepness'], expected one of ['amplitude', 'steepness']"),
+        ({"kind": "amplitude", "base": {"kind": "nope"}, "alphas": [1.0]},
+         "family.base.kind: unknown kind 'nope', expected one of "
+         "['file', 'gaussian', 'scaled_soliton', 'soliton', 'steep']"),
+        ({"kind": "amplitude", "alphas": [1.0],
+          "base": {"kind": "steep", "amplitude": 1.0, "steepness": 3.0, "skew": 2}},
+         "family.base: unknown key(s) ['skew']"),
+        ({"kind": "amplitude", "alphas": [1.0, True],
+          "base": {"kind": "steep", "amplitude": 1.0, "steepness": 3.0}},
+         "family.alphas: expected a non-empty list of numbers"),
+        ({"kind": "steepness", "amplitude": 1.0, "steepnesses": [3.0], "center": "0"},
+         "family.center: expected a number, got '0'"),
+    ])
+    def test_family_errors_name_their_path(self, tmp_path, family, message):
+        path = self._write_sweep(tmp_path / "s.json", family)
+        with pytest.raises(ConfigError) as err:
+            load_sweep_config(path)
+        assert str(err.value) == message
+
+    def test_file_base_resolves_against_config_directory(self, tmp_path, monkeypatch):
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        g = Grid(6.0, 256)
+        u = gaussian_bump(g, 0.5, 1.0)
+        write_csv(config_dir / "u0.csv", ("x", "u"), zip(g.x, u.values))
+        path = self._write_sweep(config_dir / "s.json", {
+            "kind": "amplitude", "base": {"kind": "file", "path": "u0.csv"},
+            "alphas": [0.5, 2.0]})
+        monkeypatch.chdir(tmp_path)  # the path must not resolve against the cwd
+        sc = load_sweep_config(Path("configs") / "s.json")
+        assert sc.family["base"] == {"kind": "file",
+                                     "path": str((config_dir / "u0.csv").resolve())}
+        members = build_family(sc)
+        assert [a for a, _ in members] == [0.5, 2.0]
+        assert all(np.array_equal(f.values, a * u.values) for a, f in members)
+
 
 class TestSimulateCommand:
     def test_zero_data_run(self, tmp_path, capsys):
