@@ -203,7 +203,7 @@ def _cmd_sweep(args) -> int:
         return _fail(str(err))
     if sc.params.gamma == 0.0:
         return _fail(f"sweep requires gamma != 0 ({_GLOBAL_NOTE})")
-    out = args.out if args.out is not None else sc.outputs.directory
+    out = args.out if args.out is not None else sc.directory
     if out is None:
         return _fail("no output directory: set --out or outputs.directory")
     out_dir = Path(out)

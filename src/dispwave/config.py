@@ -57,9 +57,9 @@ def _integer(d: dict, key: str, path: str) -> int:
 
 def _parse_params(data: dict) -> PdeParams:
     _check_keys(data, "params", ("gamma", "omega"))
+    gamma, omega = _number(data, "gamma", "params"), _number(data, "omega", "params")
     try:
-        return PdeParams(gamma=_number(data, "gamma", "params"),
-                         omega=_number(data, "omega", "params"))
+        return PdeParams(gamma=gamma, omega=omega)
     except ValueError as err:
         raise ConfigError(f"params: {err}") from err
 
@@ -69,8 +69,9 @@ def _parse_grid(data: dict) -> Grid:
     n = _integer(data, "N", "grid")
     if n < 16 or n & (n - 1) != 0:
         raise ConfigError(f"grid.N: must be a power of two >= 16, got {n}")
+    half_width = _number(data, "L", "grid")
     try:
-        return Grid(half_width=_number(data, "L", "grid"), n_points=n)
+        return Grid(half_width=half_width, n_points=n)
     except ValueError as err:
         raise ConfigError(f"grid: {err}") from err
 
@@ -142,19 +143,22 @@ class OutputOptions:
     write_checkpoints: bool = False
 
 
-def _parse_outputs(data, keys: tuple[str, ...]) -> OutputOptions:
+def _parse_outputs(data, keys: tuple[str, ...]) -> dict:
     _check_keys(data, "outputs", (), keys)
     for key, v in data.items():
         if key == "directory" and v is not None and not isinstance(v, str):
             raise ConfigError(f"outputs.directory: expected a string, got {v!r}")
         if key != "directory" and not isinstance(v, bool):
             raise ConfigError(f"outputs.{key}: expected true/false, got {v!r}")
-    return OutputOptions(**data)
+    return data
 
 
 def _parse_sections(data, base_dir: Path, kind_key: str, schemas: dict,
                     output_keys: tuple[str, ...]) -> dict:
-    """The fields of a RunConfig (kind_key "initial") or SweepConfig ("family")."""
+    """Sections of a RunConfig (kind_key "initial") or SweepConfig ("family").
+
+    `outputs` stays a dict: a run builds OutputOptions from it, a sweep keeps the directory.
+    """
     # older configs and summaries carry a "seed"; nothing is random, so it is ignored
     _check_keys(data, "config", ("params", "grid", "solver", kind_key), ("outputs", "seed"))
     return {
@@ -181,21 +185,22 @@ class SweepConfig:
     grid: Grid
     solver: SolverConfig
     family: dict
-    outputs: OutputOptions
+    directory: str | None
 
 
 def parse_run_config(data, base_dir: Path) -> RunConfig:
     if isinstance(data, dict) and "config" in data and "stop_reason" in data:
         # a summary artifact embeds its resolved config; allow re-running from it
         data = data["config"]
-    return RunConfig(**_parse_sections(data, base_dir, "initial", _INITIAL_SCHEMAS,
-                                       tuple(f.name for f in fields(OutputOptions))))
+    sections = _parse_sections(data, base_dir, "initial", _INITIAL_SCHEMAS,
+                               tuple(f.name for f in fields(OutputOptions)))
+    return RunConfig(outputs=OutputOptions(**sections.pop("outputs")), **sections)
 
 
 def parse_sweep_config(data, base_dir: Path) -> SweepConfig:
     # a sweep writes only comparison.csv, so the trace and checkpoint switches are rejected
-    return SweepConfig(**_parse_sections(data, base_dir, "family", _FAMILY_SCHEMAS,
-                                         ("directory",)))
+    sections = _parse_sections(data, base_dir, "family", _FAMILY_SCHEMAS, ("directory",))
+    return SweepConfig(directory=sections.pop("outputs").get("directory"), **sections)
 
 
 def _load_json(path: Path):
@@ -256,6 +261,6 @@ def build_family(sc: SweepConfig) -> list[tuple[float, Field]]:
             for s in fam["steepnesses"]
         ]
     base_rc = RunConfig(params=sc.params, grid=sc.grid, solver=sc.solver,
-                        initial=fam["base"], outputs=sc.outputs)
+                        initial=fam["base"], outputs=OutputOptions())
     base = build_initial_field(base_rc)
     return [(a, Field(sc.grid, a * base.values)) for a in fam["alphas"]]

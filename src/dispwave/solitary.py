@@ -16,18 +16,18 @@ gamma = 1 the first condition fails: that is the peaked limit, out of scope
 here.)
 
 The quadrature inverts x(phi) = integral of sqrt((c - gamma*psi)/(a - psi))/psi.
-Two substitutions keep it regular: a - phi = sigma^2 removes the square-root
-singularity at the peak, and the tail is integrated in log(phi) where the
-integrand tends to the constant 1/kappa. Both pieces are accumulated with
-composite Gauss-Legendre panels and inverted onto the grid with cubic
-Hermite interpolation whose slopes come from the exact ODE.
+One substitution, phi = a*sech^2(theta), keeps it regular from the peak to
+the tail: dx/dtheta = 2*sqrt(c - gamma*phi)/sqrt(a) is smooth, and positive
+exactly for admissible waves; at gamma = 0 it is 2/kappa, so phi =
+a*sech^2(kappa*x/2). It is accumulated with composite Gauss-Legendre panels
+and inverted onto the grid with cubic Hermite interpolation whose slopes
+come from the exact ODE.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +37,10 @@ from .spectral import Field, Grid, differentiate, irfft
 from .timestep import SimulationResult, SolverConfig, simulate
 
 _TAIL_FLOOR_FRACTION = 1e-14  # below this fraction of the peak the profile is exact zero
+_N_PANELS = 16384  # Gauss-Legendre panels from the peak to the tail floor
+_DECAY_WINDOW = (1e-7, 1e-3)  # phi/a range of the tail-rate fit
+_TAIL_EXPONENT = 32.0  # recommended half-width in units of the tail length 1/kappa
+_MAX_POINTS = 32768
 
 
 class AdmissibilityError(ValueError):
@@ -89,14 +93,17 @@ class SolitonProfile:
     grid: Grid
     values: np.ndarray
     slope: np.ndarray
-    decay_rate: float
 
     def as_field(self) -> Field:
         return Field(self.grid, self.values)
 
-    @cached_property
+    @property
     def amplitude(self) -> float:
         return self.params.amplitude
+
+    @property
+    def decay_rate(self) -> float:
+        return self.params.decay_rate
 
 
 def _cumulative_gauss(fun, t0: float, t1: float, n_panels: int,
@@ -128,8 +135,7 @@ def _hermite(xk: np.ndarray, yk: np.ndarray, dk: np.ndarray, x: np.ndarray) -> n
     return ((yk[i] + dk[i] * s) + c1[i] * s2) + c0[i] * (s2 * s)
 
 
-def build_profile(p: SolitonParams, grid: Grid, tail_tol: float = 1e-8,
-                  n_panels: int = 16384) -> SolitonProfile:
+def build_profile(p: SolitonParams, grid: Grid, tail_tol: float = 1e-8) -> SolitonProfile:
     """Construct phi on the grid by quadrature of the first-integral ODE.
 
     Rejects inadmissible parameters and grids too narrow for the estimated
@@ -150,38 +156,22 @@ def build_profile(p: SolitonParams, grid: Grid, tail_tol: float = 1e-8,
             f"estimated boundary value {tail_estimate:g}; need half_width >= {required:.1f}"
         )
 
-    # peak piece, a - phi = sigma^2: dx/dsigma = 2*sqrt(c - gamma*phi)/phi
-    s_mid = math.sqrt(0.5 * a)  # down to phi = a/2
+    # phi = a*sech^2(theta): dx/dtheta = 2*sqrt(c - gamma*phi)/sqrt(a), positive
+    # and bounded from the peak (theta = 0) down to the floor phi = 1e-14*a
+    def dx_dtheta(theta):
+        return 2.0 * np.sqrt(c - gamma * a / np.cosh(theta) ** 2) / math.sqrt(a)
 
-    def dx_dsigma(s):
-        phi = a - s * s
-        return 2.0 * np.sqrt(c - gamma * phi) / phi
-
-    sigma_knots, x_peak = _cumulative_gauss(dx_dsigma, 0.0, s_mid, n_panels // 2)
-
-    # tail piece in tau = -log(phi): dx/dtau = sqrt((c - gamma*phi)/(a - phi))
-    phi_floor = _TAIL_FLOOR_FRACTION * a
-
-    def dx_dtau(tau):
-        phi = np.exp(-tau)
-        return np.sqrt((c - gamma * phi) / (a - phi))
-
-    tau_knots, x_tail = _cumulative_gauss(
-        dx_dtau, -math.log(0.5 * a), -math.log(phi_floor), n_panels)
-    x_tail += x_peak[-1]
+    theta_end = math.acosh(_TAIL_FLOOR_FRACTION ** -0.5)
+    theta_knots, x_knots = _cumulative_gauss(dx_dtheta, 0.0, theta_end, _N_PANELS)
 
     xs = np.abs(grid.x)
-    phi = np.zeros(grid.n_points)
-    peak_region = xs <= x_peak[-1]
-    sig = _hermite(x_peak, sigma_knots, 1.0 / dx_dsigma(sigma_knots), xs[peak_region])
-    phi[peak_region] = a - sig * sig
-    tail_region = (~peak_region) & (xs <= x_tail[-1])
-    tau = _hermite(x_tail, tau_knots, 1.0 / dx_dtau(tau_knots), xs[tail_region])
-    phi[tail_region] = np.exp(-tau)
-
-    slope = -np.sign(grid.x) * phi * np.sqrt(
-        np.maximum(a - phi, 0.0) / (c - gamma * phi))
-    return SolitonProfile(params=p, grid=grid, values=phi, slope=slope, decay_rate=kappa)
+    theta = np.full(grid.n_points, np.inf)  # phi is exactly 0 beyond the last knot
+    inside = xs <= x_knots[-1]
+    theta[inside] = _hermite(x_knots, theta_knots, 1.0 / dx_dtheta(theta_knots), xs[inside])
+    # a/cosh^2 rather than a*(1 - tanh^2) keeps the tail's relative accuracy
+    phi = a / np.cosh(theta) ** 2
+    slope = -np.sign(grid.x) * phi * np.tanh(theta) * math.sqrt(a) / np.sqrt(c - gamma * phi)
+    return SolitonProfile(params=p, grid=grid, values=phi, slope=slope)
 
 
 def first_integral_residual(profile: SolitonProfile) -> np.ndarray:
@@ -213,16 +203,17 @@ def profile_equation_residual(profile: SolitonProfile) -> np.ndarray:
             - 0.5 * gamma * phi_x**2 - gamma * phi * phi_xx)
 
 
-def measure_decay_rate(profile: SolitonProfile, window: tuple[float, float] = (1e-7, 1e-3)) -> float:
+def measure_decay_rate(profile: SolitonProfile) -> float:
     """Fit the tail rate from the log-slope of phi on x > 0.
 
-    The window selects samples with phi/a between its bounds, where the
-    profile is already asymptotic but far above the cutoff floor.
+    The fit uses samples with phi/a inside _DECAY_WINDOW, where the profile
+    is already asymptotic but far above the cutoff floor.
     """
     a = profile.amplitude
     x = profile.grid.x
     phi = profile.values
-    sel = (x > 0) & (phi > window[0] * a) & (phi < window[1] * a)
+    lo, hi = _DECAY_WINDOW
+    sel = (x > 0) & (phi > lo * a) & (phi < hi * a)
     if np.count_nonzero(sel) < 8:
         raise ValueError("tail window contains too few grid points to fit a decay rate")
     coeffs = np.polyfit(x[sel], np.log(phi[sel]), 1)
@@ -236,7 +227,6 @@ class TravelReport:
     times: np.ndarray
     l2_errors: np.ndarray
     measured_speed: float
-    requested_speed: float
 
     @property
     def max_l2_error(self) -> float:
@@ -316,12 +306,10 @@ def verify_traveling(profile: SolitonProfile, t_end: float,
         times=np.array([t for t, _ in result.checkpoints]),
         l2_errors=np.array([shape_error(u0, c, snap, t) for t, snap in result.checkpoints]),
         measured_speed=speed,
-        requested_speed=c,
     )
 
 
-def recommended_grid(p: SolitonParams, tail_exponent: float = 32.0,
-                     max_points: int = 32768) -> Grid:
+def recommended_grid(p: SolitonParams) -> Grid:
     """Pick a box that hides the tail and resolves the peak curvature.
 
     Near the speed cap the peak narrows like sqrt(c - gamma*a) and its
@@ -332,13 +320,13 @@ def recommended_grid(p: SolitonParams, tail_exponent: float = 32.0,
         raise AdmissibilityError(diagnostic)
     c, gamma = p.speed, p.params.gamma
     a, kappa = p.amplitude, p.decay_rate
-    half_width = float(math.ceil(max(tail_exponent / kappa, 10.0)))
+    half_width = float(math.ceil(max(_TAIL_EXPONENT / kappa, 10.0)))
     peak_width = 2.0 * math.sqrt((c - gamma * a) / a)
     # residuals are judged on absolute tolerances, so taller waves (whose
     # equation terms grow with a) get proportionally denser grids
     h_target = min(peak_width / 32.0, 0.125 / kappa) / max(1.0, a)
     n = 1 << max(8, math.ceil(math.log2(2.0 * half_width / h_target)))
-    return Grid(half_width, min(n, max_points))
+    return Grid(half_width, min(n, _MAX_POINTS))
 
 
 def write_profile_csv(profile: SolitonProfile, path) -> None:

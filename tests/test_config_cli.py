@@ -72,6 +72,19 @@ class TestRunConfigParsing:
         with pytest.raises(ConfigError, match="power of two"):
             load_run_config(path)
 
+    @pytest.mark.parametrize("section,value,message", [
+        ("params", {"gamma": "x", "omega": 0.5}, "params.gamma: expected a number, got 'x'"),
+        ("grid", {"L": "x", "N": 256}, "grid.L: expected a number, got 'x'"),
+        # a value the constructor rejects gets the section prefix once
+        ("params", {"gamma": 1.0, "omega": -1.0},
+         "params: omega must be finite and >= 0, got -1.0"),
+    ])
+    def test_value_errors_prefixed_once(self, tmp_path, section, value, message):
+        path = write_config(tmp_path / "c.json", **{section: value})
+        with pytest.raises(ConfigError) as info:
+            load_run_config(path)
+        assert str(info.value) == message
+
     def test_unknown_initial_kind(self, tmp_path):
         path = write_config(tmp_path / "c.json", initial={"kind": "square"})
         with pytest.raises(ConfigError, match="unknown kind"):

@@ -143,6 +143,16 @@ class TestBuildProfile:
         assert np.max(np.abs(first_integral_residual(profile))) <= 1e-8 * residual_scale(p)
         assert np.max(np.abs(profile_equation_residual(profile))) <= 1e-7
         assert measure_decay_rate(profile) == pytest.approx(math.sqrt(a / c), rel=0.01)
+        spectral = differentiate(profile.as_field(), 1).values
+        assert np.max(np.abs(spectral - profile.slope)) <= 1e-7
+
+    def test_gamma_zero_is_closed_form_sech2(self):
+        # at gamma = 0 the wave is a*sech^2(kappa*x/2), the regularized long-wave soliton
+        p = SolitonParams(1.0, PdeParams(0.0, 0.25))
+        profile = build_profile(p, recommended_grid(p))
+        a, kappa = p.amplitude, p.decay_rate
+        exact = a / np.cosh(0.5 * kappa * profile.grid.x) ** 2
+        assert np.max(np.abs(profile.values - exact)) <= 1e-13 * a
 
 
 class TestHermite:
@@ -174,7 +184,6 @@ class TestTraveling:
             grid=canonical_profile.grid,
             values=np.zeros(canonical_profile.grid.n_points),
             slope=np.zeros(canonical_profile.grid.n_points),
-            decay_rate=canonical_profile.decay_rate,
         )
         with pytest.raises(ValueError, match="nontrivial"):
             verify_traveling(degenerate, t_end=1.0)
