@@ -75,48 +75,41 @@ def _project(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 class SpectralRhs:
-    """u_t of the nonlocal form as a map on 2/3-band rfft coefficients.
+    """u_t of the nonlocal form on the 2/3 band's rfft coefficients.
 
-    On a state confined to the retained band the dealiased product u*u_x
-    equals (u^2)_x/2 exactly, so -gamma*u*u_x joins the Helmholtz bracket
-    in one rfft(u^2):
+    On a band-limited state the dealiased u*u_x equals (u^2)_x/2 exactly, so
 
         u_t_hat = A*rfft(u^2) + B*rfft(u_x^2) + C*u_hat,
 
-    where A, B and C hold the dealias mask, -ik, 1/(1 + k^2) and (gamma,
-    omega) and are built once. A call costs 4 transforms in 2 or 3 FFT calls
-    and writes only into arrays made once. The pairs travel as the two rows
-    of one array: `physical` fills `u` and `ux` from u_hat (one 2-row
-    irfft), and `finish` forms u_t_hat from them (one 2-row rfft or two
-    1-row ones). Each kernel times its call shapes in its first RHS calls
-    and keeps the faster per direction (`spectral.Fastest`): numpy's
-    vectorized 2-row passes are the faster ones unless their per-call
-    scratch page-faults, as it does at N=16384 when glibc hands it back to
-    the OS after each call. Every row comes out bit-identical to a
-    single-row transform whichever shape runs, so the pick never changes a
-    result. For u_hat in the band the result lies in the band too, so RK4
-    stages never leave it.
+    with A, B and C built once from -ik, 1/(1 + k^2) and (gamma, omega); C runs
+    only when omega != 0. States and results hold the band's modes only. A
+    call costs 4 transforms in 2 or 3 FFT calls, into arrays made once:
+    `physical` fills `u` and `ux` (rows of one array) from the state in
+    `stage`, the band of a zero-padded 2-row irfft input; `finish` squares
+    them into `squares`, transforms those into `pair` (all readable until the
+    next call) and takes one 2-row multiply and one add. Each direction runs
+    the call shape that `spectral.Fastest` timed faster in this kernel's first
+    calls; all give rows bit-identical to single-row transforms.
     """
 
     def __init__(self, grid: Grid, params: PdeParams) -> None:
-        gamma, omega = params.gamma, params.omega
-        keep = grid.dealias_keep
-        self.grid = grid
-        self._ik = grid.derivative_multiplier
-        ikh = self._ik * grid.helmholtz_multiplier
-        self._mult_uu = -(0.5 * gamma * self._ik + 0.5 * (3.0 - gamma) * ikh) * keep
-        self._mult_xx = -(0.5 * gamma * ikh) * keep
-        self._mult_u = -2.0 * omega * ikh
-        n = grid.n_points
-        self._band = band = int(np.count_nonzero(keep))
+        gamma, omega, keep = params.gamma, params.omega, grid.dealias_keep
+        band, n = grid.band, grid.n_points
+        ik = grid.derivative_multiplier
+        ikh = ik * grid.helmholtz_multiplier
+        mults = -np.stack((0.5 * gamma * ik + 0.5 * (3.0 - gamma) * ikh, 0.5 * gamma * ikh)) * keep
+        self._ik, self._mults = ik[:band], mults[:, :band].copy()
+        self._mult_u = (-2.0 * omega * ikh)[:band] if omega != 0.0 else None
         # rows (u_hat, ik*u_hat) going in, zero-padded: modes from `band` up stay 0
         self._padded = np.zeros((2, n // 2 + 1), dtype=complex)
-        # rows (F(u^2), F(u_x^2)) coming back
-        self._pair = np.empty_like(self._padded)
+        self.stage, self._stage_x = self._padded[:, :band]  # the state `physical` transforms
         self._fields = np.empty((2, n))
         self.u, self.ux = self._fields  # row views, still readable after `finish`
-        self._squares = np.empty_like(self._fields)
-        padded, fields, squares, pair = self._padded, self._fields, self._squares, self._pair
+        self.squares = np.empty_like(self._fields)
+        self.pair = np.empty_like(self._padded)  # rows (F(u^2), F(u_x^2))
+        self._pair_band = self.pair[:, :band]
+        self._terms = np.empty((2, band), dtype=complex)
+        padded, fields, squares, pair = self._padded, self._fields, self.squares, self.pair
         # call shapes with bit-identical rows; the faster of each pair is kept
         self._inverse = Fastest(("irfft", n), {
             "2-row": lambda: irfft(padded, n=n, out=fields),  # numpy's vectorized pass
@@ -125,35 +118,27 @@ class SpectralRhs:
             "2-row": lambda: rfft(squares, out=pair),
             "1-row": lambda: (rfft(squares[0], out=pair[0]), rfft(squares[1], out=pair[1]))})
 
-    def physical(self, u_hat: np.ndarray) -> None:
-        """Fill `u` and `ux` (rows 0 and 1 of one array) with the grid values
-        of u_hat and its derivative, from the band's modes (modes above it are
-        not read). The 2-row irfft runs on all N/2 + 1 modes or on the band's
-        only, whichever call shape is faster at this N; both give the same rows."""
-        band = self._band
-        rows = self._padded[:, :band]
-        rows[0] = u_hat[:band]
-        np.multiply(u_hat[:band], self._ik[:band], out=rows[1])
+    def physical(self, u_hat: np.ndarray | None = None) -> None:
+        """Fill `u` and `ux` with the grid values of the state and its derivative: u_hat's
+        band (modes above it are not read), copied into `stage`, or the one already there."""
+        if u_hat is not None:
+            self.stage[...] = u_hat[:self.stage.size]
+        np.multiply(self.stage, self._ik, out=self._stage_x)
         self._inverse.call()
 
-    def finish(self, u_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write u_t_hat into out; `u` and `ux` must hold u_hat's values.
-
-        Squares both rows at once and transforms the squares, in one 2-row
-        rfft or two 1-row ones, whichever is faster at this N; `u` and `ux`
-        are left as they were.
-        """
-        np.multiply(self._fields, self._fields, out=self._squares)
+    def finish(self, out: np.ndarray) -> np.ndarray:
+        """Write u_t_hat of the state in `stage`, whose values `u` and `ux` hold, into out."""
+        np.multiply(self._fields, self._fields, out=self.squares)
         self._forward.call()
-        spec_uu, spec_xx = self._pair
-        np.multiply(spec_uu, self._mult_uu, out=out)
-        out += np.multiply(spec_xx, self._mult_xx, out=spec_xx)
-        out += np.multiply(u_hat, self._mult_u, out=spec_xx)
+        terms = np.multiply(self._pair_band, self._mults, out=self._terms)
+        np.add(terms[0], terms[1], out=out)
+        if self._mult_u is not None:
+            out += np.multiply(self.stage, self._mult_u, out=terms[1])
         return out
 
     def __call__(self, u_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
         self.physical(u_hat)
-        return self.finish(u_hat, out)
+        return self.finish(out)
 
 
 def rhs_nonlocal(u: Field, params: PdeParams) -> Field:
@@ -168,10 +153,17 @@ def rhs_nonlocal(u: Field, params: PdeParams) -> Field:
     """
     grid = u.grid
     u_hat = rfft(u.values)
-    rhs = SpectralRhs(grid, params)
+    rhs, band = SpectralRhs(grid, params), grid.band
     # u and u_x from every mode: `physical` would read only the band's
-    irfft(np.stack((u_hat, u_hat * grid.derivative_multiplier)), n=grid.n_points, out=rhs._fields)
-    return Field(grid, irfft(rhs.finish(u_hat, np.empty_like(u_hat)), n=grid.n_points))
+    rhs.u[...], rhs.ux[...] = irfft(np.stack((u_hat, u_hat * grid.derivative_multiplier)),
+                                    n=grid.n_points)
+    rhs.stage[...] = u_hat[:band]
+    ut_hat = np.empty_like(u_hat)
+    rhs.finish(ut_hat[:band])
+    # above the band only C*u_hat is left
+    ikh = grid.derivative_multiplier[band:] * grid.helmholtz_multiplier[band:]
+    np.multiply(u_hat[band:], -2.0 * params.omega * ikh, out=ut_hat[band:])
+    return Field(grid, irfft(ut_hat, n=grid.n_points))
 
 
 def rhs_momentum(u: Field, params: PdeParams) -> Field:
@@ -227,12 +219,13 @@ def energy(u: Field) -> float:
     On the periodic grid the trapezoid rule is the plain h-weighted sum and
     coincides with hs_norm(u, 1)^2 by Parseval.
     """
-    return energy_sum(u.values, u.derivative, u.grid)
+    ux = u.derivative
+    return energy_sum((u.values**2, ux * ux), u.grid)
 
 
-def energy_sum(u: np.ndarray, ux: np.ndarray, grid: Grid) -> float:
-    """`energy` from the grid values of u and u_x."""
-    return float(grid.spacing * np.sum(u**2 + ux * ux))
+def energy_sum(squares, grid: Grid) -> float:
+    """`energy` from squares = rows (u^2, u_x^2) of grid values; row 0 is overwritten."""
+    return float(grid.spacing * np.sum(np.add(squares[0], squares[1], out=squares[0])))
 
 
 def slope_argmin(ux: np.ndarray, gamma: float) -> tuple[int, float]:
@@ -243,27 +236,40 @@ def slope_argmin(ux: np.ndarray, gamma: float) -> tuple[int, float]:
     """
     if gamma == 0.0:
         return 0, 0.0
-    i = int(np.argmin(ux) if gamma > 0.0 else np.argmax(ux))
+    i = int(ux.argmin() if gamma > 0.0 else ux.argmax())
     return i, gamma * float(ux[i])
 
 
-def _convolution_bracket(u_hat: np.ndarray, u: np.ndarray, ux: np.ndarray, grid: Grid,
-                         params: PdeParams) -> np.ndarray:
-    """gamma * helmholtz_inverse((3-g)/2 u^2 + g/2 u_x^2 + 2w u), dealiased."""
+def _squares_hat(u: Field) -> tuple[np.ndarray, np.ndarray]:
+    """rfft(u^2) and rfft(u_x^2) of a Field, the rows `SpectralRhs.pair` holds."""
+    ux = u.derivative
+    return rfft(u.values * u.values), rfft(ux * ux)
+
+
+def _convolution_bracket(u_hat: np.ndarray, squares_hat, grid: Grid, params: PdeParams,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """gamma * helmholtz_inverse((3-g)/2 u^2 + g/2 u_x^2 + 2w u), the squares dealiased,
+    into out if given; squares_hat = rows (rfft(u^2), rfft(u_x^2)), u_hat = rfft(u) or its band."""
     gamma, omega = params.gamma, params.omega
-    bracket_hat = 0.5 * (3.0 - gamma) * dealias(rfft(u * u), grid)
-    bracket_hat += 0.5 * gamma * dealias(rfft(ux * ux), grid)
-    bracket_hat += 2.0 * omega * u_hat
-    return gamma * irfft(grid.helmholtz_multiplier * bracket_hat, n=grid.n_points)
+    band = grid.band
+    spec_uu, spec_xx = squares_hat
+    squares_part = 0.5 * (3.0 - gamma) * spec_uu[:band]
+    squares_part += 0.5 * gamma * spec_xx[:band]
+    bracket_hat = 2.0 * omega * u_hat
+    bracket_hat[:band] += squares_part
+    bracket_hat *= grid.helmholtz_multiplier[:bracket_hat.size]
+    conv = irfft(bracket_hat, n=grid.n_points, out=out)
+    return np.multiply(conv, gamma, out=conv)
 
 
-def riccati_rate(u_hat: np.ndarray, u: np.ndarray, ux: np.ndarray, i: int, m: float,
-                 grid: Grid, params: PdeParams) -> float:
-    """The Riccati rate m' at grid point i, where gamma*u_x = m; u_hat = rfft(u)."""
+def riccati_rate(u_hat: np.ndarray, squares_hat, u: np.ndarray, i: int, m: float,
+                 grid: Grid, params: PdeParams, out: np.ndarray | None = None) -> float:
+    """The Riccati rate m' at grid point i, where gamma*u_x = m (arguments as for
+    `_convolution_bracket`)."""
     gamma, omega = params.gamma, params.omega
     if gamma == 0.0:
         return 0.0
-    conv = _convolution_bracket(u_hat, u, ux, grid, params)
+    conv = _convolution_bracket(u_hat, squares_hat, grid, params, out)
     ui = float(u[i])
     return (-0.5 * m * m
             + 0.5 * (3.0 - gamma) * gamma * ui * ui
@@ -278,9 +284,8 @@ def slope_sample(u: Field, params: PdeParams, t: float = 0.0) -> SlopeSample:
     identically zero; by convention the sample reports m = 0 at the first
     grid point.
     """
-    ux = u.derivative
-    i, m = slope_argmin(ux, params.gamma)
-    m_rhs = riccati_rate(u.spectrum, u.values, ux, i, m, u.grid, params)
+    i, m = slope_argmin(u.derivative, params.gamma)
+    m_rhs = riccati_rate(u.spectrum, _squares_hat(u), u.values, i, m, u.grid, params)
     return SlopeSample(t=t, m=m, xi=float(u.grid.x[i]), m_rhs=m_rhs)
 
 
@@ -291,27 +296,13 @@ def gamma_utx_field(u: Field, params: PdeParams) -> Field:
     rate at the argmin it keeps the gamma^2*u*u_xx term, which only drops
     where u_xx vanishes.
     """
-    gamma = params.gamma
-    grid = u.grid
-    omega = params.omega
+    gamma, omega, grid = params.gamma, params.omega, u.grid
     ux = u.derivative
     uxx = differentiate(u, 2).values
-    conv = _convolution_bracket(u.spectrum, u.values, ux, grid, params)
+    conv = _convolution_bracket(u.spectrum, _squares_hat(u), grid, params)
     out = -0.5 * gamma * gamma * _project(ux * ux, grid)
     out -= gamma * gamma * _project(u.values * uxx, grid)
     out += 0.5 * (3.0 - gamma) * gamma * _project(u.values * u.values, grid)
     out += 2.0 * omega * gamma * u.values
     out -= conv
     return Field(grid, out)
-
-
-__all__ = [
-    "PdeParams",
-    "SlopeSample",
-    "rhs_nonlocal",
-    "rhs_momentum",
-    "pde_residual",
-    "energy",
-    "slope_sample",
-    "gamma_utx_field",
-]

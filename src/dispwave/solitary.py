@@ -313,7 +313,8 @@ def recommended_grid(p: SolitonParams) -> Grid:
     """Pick a box that hides the tail and resolves the peak curvature.
 
     Near the speed cap the peak narrows like sqrt(c - gamma*a) and its
-    spectrum widens accordingly, hence the generous points-per-width.
+    spectrum widens accordingly, hence the generous points-per-width. A wave
+    that would need more than `_MAX_POINTS` points raises ValueError.
     """
     ok, diagnostic = check_admissible(p)
     if not ok:
@@ -326,7 +327,10 @@ def recommended_grid(p: SolitonParams) -> Grid:
     # equation terms grow with a) get proportionally denser grids
     h_target = min(peak_width / 32.0, 0.125 / kappa) / max(1.0, a)
     n = 1 << max(8, math.ceil(math.log2(2.0 * half_width / h_target)))
-    return Grid(half_width, min(n, _MAX_POINTS))
+    if n > _MAX_POINTS:
+        raise ValueError(f"resolving this wave's peak needs N = {n} grid points, "
+                         f"more than the {_MAX_POINTS} allowed")
+    return Grid(half_width, n)
 
 
 def write_profile_csv(profile: SolitonProfile, path) -> None:

@@ -123,14 +123,18 @@ class Grid:
         return k
 
     @cached_property
+    def band(self) -> int:
+        """Number of modes the 2/3 rule keeps: j < N/3, the first ceil(N/3)."""
+        return -(-self.n_points // 3)
+
+    @cached_property
     def dealias_keep(self) -> np.ndarray:
         """Boolean 2/3-rule mask on the real-FFT layout: keep |j| < N/3.
 
         The product of two kept modes then aliases only onto dropped modes,
         also when 3 divides N.
         """
-        j = np.arange(self.n_points // 2 + 1)
-        mask = 3 * j < self.n_points
+        mask = np.arange(self.n_points // 2 + 1) < self.band
         mask.flags.writeable = False
         return mask
 

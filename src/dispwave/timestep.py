@@ -6,9 +6,10 @@ derivative); classical RK4 with a CFL-style step bound is accurate and keeps
 the breaking mechanism undamped. Steps are additionally shortened near
 breaking so the Riccati collapse of the slope minimum, which happens on the
 timescale 1/|m|, stays temporally resolved. The state is held as the rfft
-coefficients of u, projected once onto the 2/3 band, where the right-hand
-side needs 4 transforms; step control, trace rows, checkpoints and the final
-state all read the kernel's grid values u and u_x of the state.
+coefficients of u in the 2/3 band, onto which u0 is projected once, and all
+stepping arithmetic runs on those modes; a right-hand side needs 4
+transforms. Step control, trace rows, checkpoints and the final state all
+read the first stage's arrays of the state, so a trace row adds 1 transform.
 
 A run terminates for exactly one of four reasons:
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pde import PdeParams, SlopeSample, SpectralRhs, energy_sum, riccati_rate, slope_argmin
-from .spectral import Field, Grid, dealias, hs_norm, irfft, rfft
+from .spectral import Field, Grid, hs_norm, irfft, rfft
 
 
 class BoundaryDecayError(ValueError):
@@ -114,33 +115,29 @@ class SimulationResult:
 
 
 class _Rk4:
-    """Classical RK4 on 2/3-band rfft coefficients in work arrays made once.
+    """Classical RK4 on the 2/3 band's rfft coefficients in work arrays made once.
 
     A step costs 16 transforms in 8 FFT calls, or 12 where the kernel's
-    forward transforms run as 1-row calls. Its first two (the k1 stage's u
-    and u_x, one call) are `rhs.physical(u_hat)`, which the caller runs first
-    so step control can read `rhs.u` and `rhs.ux`; `step` then makes the
-    other 14.
+    forward transforms run as 1-row calls. The first 4 are the k1 stage
+    `rhs(u_hat, k)`, which the caller runs so step control and trace rows can
+    read its arrays; `step` makes the other 12, writing each stage straight
+    into the kernel's `stage`.
     """
 
     def __init__(self, grid: Grid, params: PdeParams) -> None:
         self.rhs = SpectralRhs(grid, params)
-        self._stage = np.empty(grid.n_points // 2 + 1, dtype=complex)
-        self._k = np.empty_like(self._stage)
+        self.k = np.empty(grid.band, dtype=complex)
 
     def step(self, u_hat: np.ndarray, dt: float, out: np.ndarray) -> None:
-        """Write the state one step of dt after u_hat into out.
-
-        `rhs.physical(u_hat)` must have run since `rhs` last saw another state.
-        """
-        stage, k = self._stage, self._k
-        self.rhs.finish(u_hat, k)
+        """Write the state one step of dt after u_hat into out; `k` must hold `rhs(u_hat, k)`."""
+        rhs, k, stage = self.rhs, self.k, self.rhs.stage
         np.multiply(k, dt / 6.0, out=out)
         out += u_hat
         for stage_frac, weight in ((0.5, 1.0 / 3.0), (0.5, 1.0 / 3.0), (1.0, 1.0 / 6.0)):
             np.multiply(k, stage_frac * dt, out=stage)
             stage += u_hat
-            self.rhs(stage, k)
+            rhs.physical()
+            rhs.finish(k)
             out += np.multiply(k, weight * dt, out=stage)
 
 
@@ -154,9 +151,9 @@ def rk4_step(u: Field, dt: float, params: PdeParams) -> Field:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = u.grid
     rk4 = _Rk4(grid, params)
-    u_hat = dealias(rfft(u.values), grid)
+    u_hat = rfft(u.values)[:grid.band]
     out = np.empty_like(u_hat)
-    rk4.rhs.physical(u_hat)
+    rk4.rhs(u_hat, rk4.k)
     rk4.step(u_hat, dt, out)
     return Field(grid, irfft(out, n=grid.n_points))
 
@@ -187,9 +184,11 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
         )
 
     rk4 = _Rk4(grid, params)
-    u, ux = rk4.rhs.u, rk4.rhs.ux  # u_hat's grid values after each rk4.rhs.physical
+    rhs = rk4.rhs
+    u, ux = rhs.u, rhs.ux  # u_hat's grid values after each rhs(u_hat, rk4.k)
     # the one-time projection: from here on the state is its 2/3-band spectrum
-    u_hat = dealias(rfft(u0.values), grid)
+    u_hat = rfft(u0.values)[:grid.band]
+    rhs(u_hat, rk4.k)  # each state's k1, whose transforms its trace row reuses
     new_hat = np.empty_like(u_hat)
     t = 0.0
     samples: list[TraceRow] = []
@@ -202,10 +201,9 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
     next_checkpoint = config.checkpoint_interval if config.checkpoint_interval else math.inf
     sample_due, checkpoint_due = True, bool(config.checkpoint_interval)
     while True:
-        rk4.rhs.physical(u_hat)
         i, m = slope_argmin(ux, params.gamma)
         # max |u| taken without the temporary abs(u) would allocate
-        max_u = max(float(np.max(u)), -float(np.min(u)))
+        max_u = max(float(u.max()), -float(u.min()))
         dt_ctrl = _controlled_dt(config, grid, params, max_u, m)
         if not samples:
             last_dt = dt_ctrl
@@ -223,9 +221,10 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
         # the initial row, every due sample, and the final row
         if sample_due or (stop_reason and samples[-1].t < t):
             samples.append(TraceRow(
-                t=t, energy=energy_sum(u, ux, grid), m=m, xi=float(grid.x[i]),
-                m_rhs=riccati_rate(u_hat, u, ux, i, m, grid, params),
-                max_u=max_u, min_ux=float(np.min(ux)), dt=last_dt,
+                # E sums the k1 squares into their row 0, then the bracket lands in row 1
+                t=t, energy=energy_sum(rhs.squares, grid), m=m, xi=float(grid.x[i]),
+                m_rhs=riccati_rate(u_hat, rhs.pair, u, i, m, grid, params, out=rhs.squares[1]),
+                max_u=max_u, min_ux=float(ux.min()), dt=last_dt,
             ))
             edge = max(abs(float(u[0])), abs(float(u[-1])))
             if not boundary_warned and edge > 1e-6 * max(max_u, 1e-300):
@@ -244,8 +243,9 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
         with np.errstate(over="ignore", invalid="ignore"):
             # overflow/NaN here is a detected outcome, not a numerical bug
             rk4.step(u_hat, dt, new_hat)
+            rhs(new_hat, rk4.k)
         t_new = t_event if dt >= t_event - t else t + dt
-        if not np.all(np.isfinite(new_hat)):
+        if not np.isfinite(new_hat).all():
             stop_reason = "blowup_nonfinite"
             t = t_new
             # the stages overwrote u, so the last finite state needs a transform

@@ -22,7 +22,7 @@ from dispwave import (
     steep_bump,
 )
 
-from dispwave.pde import SpectralRhs
+from dispwave.pde import SpectralRhs, energy_sum, riccati_rate
 
 from conftest import PLANS, band_limited_field
 
@@ -35,7 +35,7 @@ def zero_field(grid):
 
 def _refined_minimum_sample(field, p):
     """Sub-grid minimum of gamma*u_x and the Riccati rate evaluated there."""
-    from dispwave.pde import _convolution_bracket
+    from dispwave.pde import _convolution_bracket, _squares_hat
 
     g = field.grid
     n = g.n_points
@@ -51,7 +51,7 @@ def _refined_minimum_sample(field, p):
         return (arr[(i - 1) % n] * (d * (d - 1) / 2) + arr[i] * (1 - d * d)
                 + arr[(i + 1) % n] * (d * (d + 1) / 2))
 
-    conv = _convolution_bracket(field.spectrum, field.values, ux, g, p)
+    conv = _convolution_bracket(field.spectrum, _squares_hat(field), g, p)
     uval = interp(field.values)
     rate = (-0.5 * m * m + 0.5 * (3.0 - p.gamma) * p.gamma * uval * uval
             + 2.0 * p.omega * p.gamma * uval - interp(conv))
@@ -202,10 +202,14 @@ class TestSpectralRhs:
             for f in fields:
                 u_hat = g.dealias_keep * np.fft.rfft(f.values)
                 u, ux, ref = _single_row_rhs(u_hat, g, p)
-                got = rhs(u_hat, np.empty_like(u_hat))
-                assert np.array_equal(got, ref)
-                # step control reads u and u_x after the RHS has been formed
+                got = rhs(u_hat, np.empty(g.band, dtype=complex))
+                # the kernel returns the band's modes; the full formula is 0 above them
+                assert np.array_equal(got, ref[:g.band]) and not np.any(ref[g.band:])
+                # step control reads u and u_x after the RHS has been formed,
+                # and trace samples its squares and their transforms
                 assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
+                assert np.array_equal(rhs.squares, [u * u, ux * ux])
+                assert np.array_equal(rhs.pair, [np.fft.rfft(u * u), np.fft.rfft(ux * ux)])
 
     def test_physical_reads_only_the_band(self, force_plan):
         g = Grid(6.0, 1024)
@@ -215,7 +219,8 @@ class TestSpectralRhs:
             rhs = SpectralRhs(g, PdeParams(1.0, 0.5))
             rhs.physical(u_hat)
             u, ux = rhs.u.copy(), rhs.ux.copy()
-            rhs(u_hat + ~g.dealias_keep, np.empty_like(u_hat))  # unit modes above the band
+            # unit modes above the band
+            rhs(u_hat + ~g.dealias_keep, np.empty(g.band, dtype=complex))
             rhs.physical(u_hat)
             assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
             rhs.physical(u_hat + ~g.dealias_keep)
@@ -234,7 +239,7 @@ class TestSpectralRhs:
             calls = []
             for _ in range(4 * rounds + 4):
                 before = transform_count["calls"]
-                rhs(u_hat, np.empty_like(u_hat))
+                rhs(u_hat, np.empty(g.band, dtype=complex))
                 calls.append(transform_count["calls"] - before)
                 if gamma == 1.0 and len(calls) == 4 * rounds - 1:
                     assert plans() == {}
@@ -387,6 +392,34 @@ class TestSolverSamples:
             assert abs(row.m - s.m) <= rtol * abs(gamma) * ux_scale
             assert abs(row.m_rhs - s.m_rhs) <= rtol * (s.m * s.m + abs(s.m_rhs))
             assert abs(row.min_ux - np.min(state.derivative)) <= rtol * ux_scale
+
+    @pytest.mark.parametrize("gamma,omega", PARAM_PAIRS)
+    def test_every_row_reuses_the_first_stage_exactly(self, grid_medium, gamma, omega,
+                                                      monkeypatch):
+        # a row takes E from the k1 stage's squares and the Riccati bracket from
+        # their transforms; recomputed from the same state's Fields of u and
+        # u_x, both agree bit for bit on every row
+        states = []
+        physical = SpectralRhs.physical
+
+        def record(rhs, u_hat=None):
+            if u_hat is not None:  # a state, not a stage
+                states.append(u_hat.copy())
+            physical(rhs, u_hat)
+        monkeypatch.setattr(SpectralRhs, "physical", record)
+        g, p = grid_medium, PdeParams(gamma, omega)
+        dt = 2.0**-8  # under the CFL and Riccati caps, so every step lands on a sample
+        cfg = SolverConfig(t_end=12 * dt, dt_init=dt, sample_interval=dt, decay_tolerance=1.0)
+        rows = simulate(band_limited_field(g, seed=3), p, cfg).samples
+        assert len(rows) == len(states) == 13
+        for row, u_hat in zip(rows, states):
+            u, ux = (Field(g, np.fft.irfft(spec, n=g.n_points))
+                     for spec in (u_hat, u_hat * g.derivative_multiplier[:g.band]))
+            squares = [Field(g, f.values * f.values) for f in (u, ux)]
+            i = int(np.flatnonzero(g.x == row.xi)[0])
+            assert row.energy == energy_sum([s.values.copy() for s in squares], g)
+            assert row.m_rhs == riccati_rate(u_hat, [s.spectrum for s in squares], u.values,
+                                             i, row.m, g, p)
 
 
 class TestGammaUtxField:

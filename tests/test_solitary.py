@@ -219,3 +219,9 @@ class TestRecommendedGrid:
     def test_rejects_inadmissible(self):
         with pytest.raises(AdmissibilityError):
             recommended_grid(SolitonParams(3.0, PdeParams(2.0, 0.5)))
+
+    def test_refuses_a_grid_above_the_cap(self):
+        # 0.999 of the gamma = 2 speed cap needs 65536 points, twice the cap
+        with pytest.raises(ValueError, match="N = 65536"):
+            recommended_grid(SolitonParams(1.998, PdeParams(2.0, 0.5)))
+        assert recommended_grid(SolitonParams(1.995, PdeParams(2.0, 0.5))).n_points == 32768
