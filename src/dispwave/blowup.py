@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -249,7 +248,12 @@ def sharpness_experiment(members: Sequence[tuple[float, Field]], params: PdePara
     workers = min(workers, len(members))
     jobs = [(i, alpha, u0, params, config) for i, (alpha, u0) in enumerate(members)]
     rows = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # 20-26 ms to import; only pools need it
+        context = ProcessPoolExecutor(max_workers=workers)
+    else:
+        context = nullcontext()
+    with context as pool:
         if pool is None:
             calls = [partial(run_member, *job) for job in jobs]
         else:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Fastest, Field, Grid, dealias, differentiate, irfft, rfft
+from .spectral import Field, Grid, dealias, differentiate, irfft, rfft
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,12 @@ class SpectralRhs:
 
     with A, B and C built once from -ik, 1/(1 + k^2) and (gamma, omega); C runs
     only when omega != 0. States and results hold the band's modes only. A
-    call costs 4 transforms in 2 or 3 FFT calls, into arrays made once:
-    `physical` fills `u` and `ux` (rows of one array) from the state in
-    `stage`, the band of a zero-padded 2-row irfft input; `finish` squares
-    them into `squares`, transforms those into `pair` (all readable until the
-    next call) and takes one 2-row multiply and one add. Each direction runs
-    the call shape that `spectral.Fastest` timed faster in this kernel's first
-    calls; all give rows bit-identical to single-row transforms.
+    call costs 4 transforms in 2 FFT calls, numpy's 2-row passes, into arrays
+    made once: `physical` fills `u` and `ux` (rows of one array) from the
+    state in `stage`, the band of a zero-padded 2-row irfft input; `finish`
+    squares them into `squares`, transforms those into `pair` (all readable
+    until the next call) and takes one 2-row multiply and one add. Each row
+    is bit-identical to a single-row transform of it.
     """
 
     def __init__(self, grid: Grid, params: PdeParams) -> None:
@@ -109,14 +108,7 @@ class SpectralRhs:
         self.pair = np.empty_like(self._padded)  # rows (F(u^2), F(u_x^2))
         self._pair_band = self.pair[:, :band]
         self._terms = np.empty((2, band), dtype=complex)
-        padded, fields, squares, pair = self._padded, self._fields, self.squares, self.pair
-        # call shapes with bit-identical rows; the faster of each pair is kept
-        self._inverse = Fastest(("irfft", n), {
-            "2-row": lambda: irfft(padded, n=n, out=fields),  # numpy's vectorized pass
-            "band": lambda: irfft(padded[:, :band], n=n, out=fields)})  # zero-fills each row
-        self._forward = Fastest(("rfft", n), {
-            "2-row": lambda: rfft(squares, out=pair),
-            "1-row": lambda: (rfft(squares[0], out=pair[0]), rfft(squares[1], out=pair[1]))})
+        self._n = n
 
     def physical(self, u_hat: np.ndarray | None = None) -> None:
         """Fill `u` and `ux` with the grid values of the state and its derivative: u_hat's
@@ -124,12 +116,12 @@ class SpectralRhs:
         if u_hat is not None:
             self.stage[...] = u_hat[:self.stage.size]
         np.multiply(self.stage, self._ik, out=self._stage_x)
-        self._inverse.call()
+        irfft(self._padded, n=self._n, out=self._fields)
 
     def finish(self, out: np.ndarray) -> np.ndarray:
         """Write u_t_hat of the state in `stage`, whose values `u` and `ux` hold, into out."""
         np.multiply(self._fields, self._fields, out=self.squares)
-        self._forward.call()
+        rfft(self.squares, out=self.pair)
         terms = np.multiply(self._pair_band, self._mults, out=self._terms)
         np.add(terms[0], terms[1], out=out)
         if self._mult_u is not None:

@@ -13,65 +13,45 @@ kept alias-free with the standard 2/3 rule.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+import ctypes
+import os
 from dataclasses import dataclass
 from functools import cached_property
-from time import perf_counter
 
 import numpy as np
 from numpy.fft import irfft, rfft  # the package's one FFT import point
 
-_PLAN_ROUNDS = 15  # odd, so the median is one sample
-_plans: dict[tuple[str, int], str] = {}
+# glibc's mallopt parameters (malloc.h) and the values pinned for them
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 1 << 20
+_TRIM_THRESHOLD = 4 << 20
 
 
-def plans() -> dict[tuple[str, int], str]:
-    """The name of the candidate each `Fastest` key picked last in this process."""
-    return dict(_plans)
+def _pin_malloc_thresholds(libc) -> bool:
+    """Keep pocketfft's per-call scratch on the heap; False where libc has no mallopt.
 
-
-class Fastest:
-    """The fastest of interchangeable zero-argument calls, learnt from using them.
-
-    `call()` runs one of `candidates` (name -> call), calls with the same
-    effect: callers offer only call shapes with bit-identical results, so
-    which one runs never changes a number. The first calls time them, in
-    `_PLAN_ROUNDS` rounds in which each candidate runs twice in a row and
-    its second run is timed. So the timing happens in the caller's own loop
-    and makes no call of its own, and each shape meets the heap as it leaves
-    it when run back to back (numpy scratch that glibc hands back to the OS
-    faults in again on every call). Then the smallest median wins, the
-    first on ties, and `call` is that candidate. Each instance times for
-    itself, so what a run calls does not depend on what ran before it in
-    the process; `plans()` lists the latest pick per key.
+    numpy mallocs scratch for every FFT call. Under glibc's defaults a block
+    of that size is either mmapped afresh or, once glibc has raised its
+    self-adjusting thresholds, trimmed back off the top of the heap; either
+    way it returns to the OS after the call and page-faults in again on the
+    next (about 96 faults per 2-row call at N = 16384). Pinning both
+    thresholds turns the adjustment off: blocks below 1 MiB come from the
+    heap, and its top is given back only once 4 MiB lie free there. That
+    keeps the scratch of the solver's 2-row calls resident up to N = 32768,
+    the largest grid `solitary.recommended_grid` returns; at N = 65536 the
+    scratch passes 1 MiB and faults as before.
     """
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
 
-    def __init__(self, key: tuple[str, int],
-                 candidates: Mapping[str, Callable[[], object]]) -> None:
-        self._key = key
-        self._names = list(candidates)
-        self._calls = list(candidates.values())
-        self._times = np.empty((_PLAN_ROUNDS, len(self._calls)))
-        self._runs = 0
-        self.call = self._timed
 
-    def _timed(self) -> None:
-        run = self._runs
-        self._runs += 1
-        row, slot = divmod(run, 2 * len(self._calls))
-        call = self._calls[slot // 2]
-        if slot % 2 == 0:
-            call()
-            return
-        start = perf_counter()
-        call()
-        self._times[row, slot // 2] = perf_counter() - start
-        if self._runs == 2 * self._times.size:
-            # the middle row after sorting is the median (rounds are odd); np.median
-            # would import numpy.ma
-            best = int(np.argmin(np.sort(self._times, axis=0)[_PLAN_ROUNDS // 2]))
-            _plans[self._key] = self._names[best]
-            self.call = self._calls[best]
+if os.name == "posix":
+    _pin_malloc_thresholds(ctypes.CDLL(None))
 
 
 class NonFiniteFieldError(ValueError):

@@ -117,8 +117,7 @@ class SimulationResult:
 class _Rk4:
     """Classical RK4 on the 2/3 band's rfft coefficients in work arrays made once.
 
-    A step costs 16 transforms in 8 FFT calls, or 12 where the kernel's
-    forward transforms run as 1-row calls. The first 4 are the k1 stage
+    A step costs 16 transforms in 8 FFT calls. The first 4 are the k1 stage
     `rhs(u_hat, k)`, which the caller runs so step control and trace rows can
     read its arrays; `step` makes the other 12, writing each stage straight
     into the kernel's `stage`.

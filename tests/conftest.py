@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,32 +28,6 @@ def grid_small() -> Grid:
 @pytest.fixture
 def grid_medium() -> Grid:
     return Grid(30.0, 1024)
-
-
-# The (inverse, forward) call shapes `SpectralRhs` runs, as indices into its
-# candidates. Inverse: 0 transforms all N/2 + 1 modes (zero-padded) in numpy's
-# 2-row pass, 1 the band's modes only. Forward: 0 is one 2-row rfft, 1 two
-# 1-row ones. None leaves them to `spectral.Fastest`, which times them first.
-PLANS = [(0, 0), (0, 1), (1, 0), (1, 1), None]
-
-
-@pytest.fixture
-def force_plan(monkeypatch):
-    """force_plan(plan) fixes the call shapes of kernels built after it to one of `PLANS`."""
-    import dispwave.pde
-    import dispwave.spectral
-
-    def force(plan: tuple[int, int] | None) -> None:
-        monkeypatch.setattr(dispwave.spectral, "_plans", {})
-        if plan is None:
-            monkeypatch.setattr(dispwave.pde, "Fastest", dispwave.spectral.Fastest)
-            return
-        picks = {"irfft": plan[0], "rfft": plan[1]}
-
-        def pinned(key, candidates):
-            return SimpleNamespace(call=list(candidates.values())[picks[key[0]]])
-        monkeypatch.setattr(dispwave.pde, "Fastest", pinned)
-    return force
 
 
 @pytest.fixture

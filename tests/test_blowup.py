@@ -1,10 +1,10 @@
+import concurrent.futures
 import math
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-import dispwave.blowup as blowup
 from dispwave import (
     Field,
     Grid,
@@ -299,7 +299,8 @@ class TestSharpnessExperiment:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(blowup, "ProcessPoolExecutor", InlinePool)
+        # the pool branch imports the executor when it runs
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         cfg = SolverConfig(t_end=0.02, sample_interval=0.01)
         u = gaussian_bump(grid_small, 0.1, 2.0)
         members = [(a, Field(grid_small, a * u.values)) for a in (1.0, 2.0, 3.0)]

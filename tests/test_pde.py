@@ -24,7 +24,7 @@ from dispwave import (
 
 from dispwave.pde import SpectralRhs, energy_sum, riccati_rate
 
-from conftest import PLANS, band_limited_field
+from conftest import band_limited_field
 
 PARAM_PAIRS = [(0.0, 0.5), (1.0, 0.0), (2.0, 0.3), (3.0, 1.0), (-1.0, 0.7)]
 
@@ -183,72 +183,55 @@ def _single_row_rhs(u_hat, grid, p):
 
 
 class TestSpectralRhs:
-    @pytest.mark.parametrize("n", [48, 1024, 16384])
+    @pytest.mark.parametrize("n", [48, 64, 1024, 16384, 32768])
     @pytest.mark.parametrize("gamma,omega", PARAM_PAIRS)
-    def test_paired_transforms_bit_identical_to_single_rows(self, n, gamma, omega,
-                                                            force_plan):
-        # the kernel runs its transforms as 2-row or 1-row FFT calls, whichever
-        # is faster at n; under every plan, and while the shapes are being
-        # timed, each row must round exactly as a single-row call does, or
-        # artifacts would change
+    def test_paired_transforms_bit_identical_to_single_rows(self, n, gamma, omega):
+        # the kernel runs its transforms as 2-row FFT calls; each row must
+        # round exactly as a single-row call does, as in Field.spectrum and
+        # slope_sample, or trace rows and artifacts would change
         p = PdeParams(gamma, omega)
         g = Grid(6.0, n)  # 3 divides 48
         fields = [band_limited_field(g, seed=seed, modes=min(24, n // 3 - 1))
                   for seed in range(2)]
         fields.append(steep_bump(g, 1.0, 3.0))
-        for plan in PLANS:
-            force_plan(plan)
-            rhs = SpectralRhs(g, p)
-            for f in fields:
-                u_hat = g.dealias_keep * np.fft.rfft(f.values)
-                u, ux, ref = _single_row_rhs(u_hat, g, p)
-                got = rhs(u_hat, np.empty(g.band, dtype=complex))
-                # the kernel returns the band's modes; the full formula is 0 above them
-                assert np.array_equal(got, ref[:g.band]) and not np.any(ref[g.band:])
-                # step control reads u and u_x after the RHS has been formed,
-                # and trace samples its squares and their transforms
-                assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
-                assert np.array_equal(rhs.squares, [u * u, ux * ux])
-                assert np.array_equal(rhs.pair, [np.fft.rfft(u * u), np.fft.rfft(ux * ux)])
+        rhs = SpectralRhs(g, p)
+        for f in fields:
+            u_hat = g.dealias_keep * np.fft.rfft(f.values)
+            u, ux, ref = _single_row_rhs(u_hat, g, p)
+            got = rhs(u_hat, np.empty(g.band, dtype=complex))
+            # the kernel returns the band's modes; the full formula is 0 above them
+            assert np.array_equal(got, ref[:g.band]) and not np.any(ref[g.band:])
+            # step control reads u and u_x after the RHS has been formed,
+            # and trace samples its squares and their transforms
+            assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
+            assert np.array_equal(rhs.squares, [u * u, ux * ux])
+            assert np.array_equal(rhs.pair, [np.fft.rfft(u * u), np.fft.rfft(ux * ux)])
 
-    def test_physical_reads_only_the_band(self, force_plan):
+    def test_physical_reads_only_the_band(self):
         g = Grid(6.0, 1024)
         u_hat = g.dealias_keep * np.fft.rfft(steep_bump(g, 1.0, 3.0).values)
-        for plan in PLANS:
-            force_plan(plan)
-            rhs = SpectralRhs(g, PdeParams(1.0, 0.5))
-            rhs.physical(u_hat)
-            u, ux = rhs.u.copy(), rhs.ux.copy()
-            # unit modes above the band
-            rhs(u_hat + ~g.dealias_keep, np.empty(g.band, dtype=complex))
-            rhs.physical(u_hat)
-            assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
-            rhs.physical(u_hat + ~g.dealias_keep)
-            assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
+        rhs = SpectralRhs(g, PdeParams(1.0, 0.5))
+        rhs.physical(u_hat)
+        u, ux = rhs.u.copy(), rhs.ux.copy()
+        # unit modes above the band
+        rhs(u_hat + ~g.dealias_keep, np.empty(g.band, dtype=complex))
+        rhs.physical(u_hat)
+        assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
+        rhs.physical(u_hat + ~g.dealias_keep)
+        assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
 
-    def test_call_shapes_timed_in_use_by_each_kernel(self, force_plan, transform_count):
-        import dispwave.spectral
-        from dispwave.spectral import plans
-
-        force_plan(None)
+    def test_fft_counts_exact_from_the_first_call(self, transform_count):
+        # one 2-row irfft and one 2-row rfft per right-hand side, the first included
         g = Grid(6.0, 64)
-        u_hat = g.dealias_keep * np.fft.rfft(steep_bump(g, 1.0, 3.0).values)
-        rounds = dispwave.spectral._PLAN_ROUNDS
-        for gamma in (1.0, 2.0):  # a second kernel at the same N times again
-            rhs = SpectralRhs(g, PdeParams(gamma, 0.5))
-            calls = []
-            for _ in range(4 * rounds + 4):
-                before = transform_count["calls"]
-                rhs(u_hat, np.empty(g.band, dtype=complex))
-                calls.append(transform_count["calls"] - before)
-                if gamma == 1.0 and len(calls) == 4 * rounds - 1:
-                    assert plans() == {}
-            # timing makes no call of its own: each round runs each shape twice
-            # in a row, one irfft and then a 2-row rfft or two 1-row ones
-            assert calls[:4 * rounds] == [2, 2, 3, 3] * rounds
-            picked = plans()
-            assert picked[("irfft", 64)] in ("2-row", "band")
-            assert calls[4 * rounds:] == [{"2-row": 2, "1-row": 3}[picked[("rfft", 64)]]] * 4
+        u_hat = np.fft.rfft(steep_bump(g, 1.0, 3.0).values)[:g.band]
+        rhs = SpectralRhs(g, PdeParams(1.0, 0.5))
+        counts = []
+        for _ in range(20):
+            before = dict(transform_count)
+            rhs(u_hat, np.empty(g.band, dtype=complex))
+            counts.append((transform_count["calls"] - before["calls"],
+                           transform_count["transforms"] - before["transforms"]))
+        assert counts == [(2, 4)] * 20
 
 
 class TestFormulationEquivalence:

@@ -1,3 +1,6 @@
+import platform
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -181,35 +184,47 @@ class TestHsNorm:
             hs_norm(f, -0.5)
 
 
-class TestFastest:
-    def test_times_the_calls_in_use_and_keeps_the_faster(self, monkeypatch):
-        import time
+# one right-hand side, then the minor faults of 50 more, in a fresh interpreter:
+# the heap that earlier tests leave behind can hide the faults
+_FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from dispwave import Grid, PdeParams, steep_bump
+from dispwave.pde import SpectralRhs
+g = Grid(6.0, 16384)
+rhs = SpectralRhs(g, PdeParams(1.0, 0.0))
+u_hat = np.fft.rfft(steep_bump(g, 1.0, 3.0).values)[:g.band]
+out = np.empty(g.band, dtype=complex)
+rhs(u_hat, out)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    rhs(u_hat, out)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
-        import dispwave.spectral
-        from dispwave.spectral import Fastest, plans
 
-        monkeypatch.setattr(dispwave.spectral, "_plans", {})
-        calls = [0, 0]
+class TestMallocPin:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's mallopt")
+    def test_transform_scratch_stays_resident(self):
+        import os
+        import subprocess
+        import sys
 
-        def slow():
-            calls[0] += 1
-            time.sleep(1e-3)
+        import dispwave
 
-        def quick():
-            calls[1] += 1
+        src = os.path.dirname(os.path.dirname(dispwave.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        run = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+        # unpinned, glibc hands pocketfft's scratch back to the OS after each
+        # transform, and each 2-row call here faults about 96 pages in again
+        assert int(run.stdout) < 50
 
-        rounds = dispwave.spectral._PLAN_ROUNDS
-        first = Fastest(("x", 1), {"slow": slow, "quick": quick})
-        for _ in range(4 * rounds - 1):
-            first.call()
-        # each round runs each candidate twice in a row; no call is extra
-        assert calls == [2 * rounds, 2 * rounds - 1] and plans() == {}
-        first.call()
-        assert plans() == {("x", 1): "quick"} and first.call is quick
-        # each instance times for itself
-        second = Fastest(("x", 1), {"quick": quick, "slow": slow})
-        assert second.call is not quick
-        for _ in range(4 * rounds):
-            second.call()
-        assert calls == [4 * rounds, 4 * rounds]
-        assert plans() == {("x", 1): "quick"} and second.call is quick
+    def test_pin_reports_whether_libc_has_mallopt(self):
+        import ctypes
+
+        from dispwave.spectral import _pin_malloc_thresholds
+
+        assert _pin_malloc_thresholds(SimpleNamespace()) is False
+        if platform.libc_ver()[0] == "glibc":
+            assert _pin_malloc_thresholds(ctypes.CDLL(None))  # as on import; idempotent

@@ -20,8 +20,6 @@ from dispwave import (
     steep_bump,
 )
 
-from conftest import PLANS, band_limited_field
-
 
 def zero_field(grid):
     return Field(grid, np.zeros(grid.n_points))
@@ -82,39 +80,50 @@ class TestRk4Step:
         e_fine = np.max(np.abs(advance(horizon / 16, 16) - ref))
         assert e_coarse / e_fine == pytest.approx(16.0, rel=0.2)
 
-    def test_transform_budget(self, grid_small, transform_count, force_plan):
+    def test_transform_budget(self, grid_small, transform_count):
         # one rfft into the band, 4 stages of 4 transforms, one irfft out;
-        # each stage makes one 2-row irfft and one 2-row rfft or two 1-row
-        # ones; while a kernel times its shapes, 2 stages run each forward
+        # each stage makes one 2-row irfft and one 2-row rfft
         u = gaussian_bump(grid_small, 0.2, 2.0)
-        for plan in PLANS:
-            force_plan(plan)
-            before = dict(transform_count)
-            rk4_step(u, 1e-3, PdeParams(1.0, 0.5))
-            assert transform_count["transforms"] - before["transforms"] == 18
-            assert transform_count["calls"] - before["calls"] == {
-                (0, 0): 10, (1, 0): 10, (0, 1): 14, (1, 1): 14, None: 12}[plan]
+        before = dict(transform_count)
+        rk4_step(u, 1e-3, PdeParams(1.0, 0.5))
+        assert transform_count["transforms"] - before["transforms"] == 18
+        assert transform_count["calls"] - before["calls"] == 10
 
     @pytest.mark.parametrize("n", [48, 1024])
-    def test_stages_never_leak_above_the_band(self, n, force_plan):
+    def test_stages_never_leak_above_the_band(self, n):
         # each stage is written in place into the kernel's zero-padded 2-row
         # inverse input; its modes from the band up must stay exactly 0, or
         # the 2-row irfft over all N/2 + 1 modes would read them
         from dispwave.timestep import _Rk4
 
         g = Grid(6.0, n)  # 3 divides 48
-        p = PdeParams(1.0, 0.5)
-        for plan in PLANS:
-            force_plan(plan)
-            rk4 = _Rk4(g, p)
-            u_hat = np.fft.rfft(steep_bump(g, 1.0, 3.0).values)[:g.band]
-            out = np.empty_like(u_hat)
-            for _ in range(20):  # past the 15 steps in which the kernel times its shapes
-                rk4.rhs(u_hat, rk4.k)
-                rk4.step(u_hat, 1e-3, out)
-                u_hat, out = out, u_hat
-                assert not np.any(rk4.rhs._padded[:, g.band:])
-                assert np.all(np.isfinite(u_hat))
+        rk4 = _Rk4(g, PdeParams(1.0, 0.5))
+        u_hat = np.fft.rfft(steep_bump(g, 1.0, 3.0).values)[:g.band]
+        out = np.empty_like(u_hat)
+        for _ in range(20):
+            rk4.rhs(u_hat, rk4.k)
+            rk4.step(u_hat, 1e-3, out)
+            u_hat, out = out, u_hat
+            assert not np.any(rk4.rhs._padded[:, g.band:])
+            assert np.all(np.isfinite(u_hat))
+
+    def test_step_fft_counts_exact_from_the_first_step(self, transform_count):
+        # the k1 stage and the 3 stages of `step`: 8 calls, 16 transforms, every step
+        from dispwave.timestep import _Rk4
+
+        g = Grid(6.0, 64)
+        rk4 = _Rk4(g, PdeParams(1.0, 0.5))
+        u_hat = np.fft.rfft(steep_bump(g, 1.0, 3.0).values)[:g.band]
+        out = np.empty_like(u_hat)
+        counts = []
+        for _ in range(20):
+            before = dict(transform_count)
+            rk4.rhs(u_hat, rk4.k)
+            rk4.step(u_hat, 1e-3, out)
+            u_hat, out = out, u_hat
+            counts.append((transform_count["calls"] - before["calls"],
+                           transform_count["transforms"] - before["transforms"]))
+        assert counts == [(8, 16)] * 20
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_stage_is_loud(self, grid_small):
@@ -209,7 +218,7 @@ class TestSimulate:
         assert [r.t for r in res.samples] == [0.0]
         assert np.max(np.abs(res.final_state.values - u0.values)) <= 1e-12 * 1e160
 
-    def test_transform_budget(self, grid_small, transform_count, force_plan):
+    def test_transform_budget(self, grid_small, transform_count):
         # dt_init is far below the CFL and Riccati caps, so a run to
         # t_end = steps * dt_init takes exactly that many steps
         u0 = gaussian_bump(grid_small, 0.1, 2.0)
@@ -226,17 +235,13 @@ class TestSimulate:
             return np.array([transform_count[key] - before[key]
                              for key in ("transforms", "calls")])
 
-        for plan in PLANS:
-            force_plan(plan)
-            # 16 transforms per step, in 8 FFT calls, or 12 with 1-row forward
-            # calls; 10 while the kernel times its shapes (a step is one round)
-            per_step = {(0, 0): 8, (1, 0): 8, (0, 1): 12, (1, 1): 12, None: 10}[plan]
-            assert list(counts(8, 1) - counts(4, 1)) == [16 * 4, per_step * 4]
-            # a sample reads the k1 stage's u, u_x, squares and their rfft;
-            # only the Riccati rate's bracket transforms (1 irfft)
-            per_sample = counts(8, 2) - counts(8, 1)
-            assert list(per_sample) == [1, 1]
-            assert list(counts(8, 4) - counts(8, 2)) == list(2 * per_sample)
+        # 16 transforms per step, in 8 FFT calls
+        assert list(counts(8, 1) - counts(4, 1)) == [16 * 4, 8 * 4]
+        # a sample reads the k1 stage's u, u_x, squares and their rfft;
+        # only the Riccati rate's bracket transforms (1 irfft)
+        per_sample = counts(8, 2) - counts(8, 1)
+        assert list(per_sample) == [1, 1]
+        assert list(counts(8, 4) - counts(8, 2)) == list(2 * per_sample)
 
 
 @pytest.fixture(scope="module")
