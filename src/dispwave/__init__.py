@@ -28,7 +28,7 @@ from .blowup import (
 from .initial import field_from_csv, gaussian_bump, steep_bump
 from .pde import (
     PdeParams,
-    SlopeSample,
+    TraceRow,
     energy,
     gamma_utx_field,
     pde_residual,
@@ -64,7 +64,6 @@ from .timestep import (
     IncomparableRunsError,
     SimulationResult,
     SolverConfig,
-    TraceRow,
     continuous_dependence_probe,
     rk4_step,
     simulate,

@@ -40,11 +40,12 @@ from typing import Sequence
 import numpy as np
 
 from .fileio import write_csv
-from .pde import PdeParams, SlopeSample, energy, slope_argmin
+from .pde import PdeParams, TraceRow, energy, slope_argmin
 from .spectral import Field
 from .timestep import SimulationResult, SolverConfig, simulate
 
 _SQRT8 = 4.0 * math.sqrt(2.0)
+_M_CUT = -8.0  # samples at or below this slope enter the -2/m fit
 
 
 def gamma_regime(gamma: float) -> str:
@@ -99,7 +100,10 @@ class BlowupVerdict:
 
     threshold: float
     witness_x0: float | None
-    triggered: bool
+
+    @property
+    def triggered(self) -> bool:
+        return self.witness_x0 is not None
 
 
 def slope_minimum(u0: Field, params: PdeParams) -> float:
@@ -111,10 +115,8 @@ def blowup_condition(u0: Field, params: PdeParams) -> BlowupVerdict:
     """Scan gamma*u0' for a point below the guaranteed-breaking threshold."""
     threshold = breaking_threshold(energy(u0), params)
     i, m0 = slope_argmin(u0.derivative, params.gamma)
-    if m0 < threshold:
-        return BlowupVerdict(threshold=threshold, witness_x0=float(u0.grid.x[i]),
-                             triggered=True)
-    return BlowupVerdict(threshold=threshold, witness_x0=None, triggered=False)
+    return BlowupVerdict(threshold=threshold,
+                         witness_x0=float(u0.grid.x[i]) if m0 < threshold else None)
 
 
 @dataclass(frozen=True)
@@ -159,15 +161,15 @@ class BlowupFit:
     n_points: int
 
 
-def extrapolate_blowup_time(trace: Sequence[SlopeSample], m_cut: float = -8.0) -> BlowupFit:
-    """Fit z(t) = -2/m(t) on samples with m <= m_cut and return its root.
+def extrapolate_blowup_time(trace: Sequence[TraceRow]) -> BlowupFit:
+    """Fit z(t) = -2/m(t) on samples with m <= -8 and return its root.
 
     Once the Riccati term dominates, z decreases linearly with slope -1 and
     hits zero at the breaking time, so the fitted root extrapolates past the
     last resolved sample. Falls back to one-point extrapolation when fewer
     than four samples qualify.
     """
-    pts = [(s.t, -2.0 / s.m) for s in trace if s.m <= m_cut]
+    pts = [(s.t, -2.0 / s.m) for s in trace if s.m <= _M_CUT]
     if not pts:
         last_neg = [s for s in trace if s.m < 0]
         if not last_neg:
@@ -207,13 +209,10 @@ def run_member(family_id: int, alpha: float, u0: Field, params: PdeParams,
     """Simulate one family member and compare its breaking time to the bound."""
     bound = existence_bound(u0, params)
     result: SimulationResult = simulate(u0, params, config)
+    t_star, ratio, censored = math.nan, math.nan, True
     if result.stop_reason in ("blowup_slope", "blowup_nonfinite"):
-        fit = extrapolate_blowup_time(result.slope_trace)
-        t_star = fit.t_star
-        ratio = t_star / bound.t_lower
-        censored = False
-    else:
-        t_star, ratio, censored = math.nan, math.nan, True
+        t_star = extrapolate_blowup_time(result.samples).t_star
+        ratio, censored = t_star / bound.t_lower, False
     return SweepRow(family_id=family_id, alpha=alpha, e0=bound.e0, m0=bound.m0,
                     gamma_case=bound.gamma_case, bracket=bound.bracket,
                     t_lower=bound.t_lower, t_star=t_star, ratio=ratio,

@@ -100,7 +100,7 @@ def _summary_payload(rc: RunConfig, u0: Field, result: SimulationResult) -> dict
         }
     if result.stop_reason in ("blowup_slope", "blowup_nonfinite"):
         try:
-            payload["t_star"] = extrapolate_blowup_time(result.slope_trace).t_star
+            payload["t_star"] = extrapolate_blowup_time(result.samples).t_star
         except ValueError:
             payload["t_star"] = None
     else:

@@ -27,9 +27,9 @@ which obeys a Riccati-type equation
     m' = -m^2/2 + (3-gamma)*gamma/2*u^2 + 2*omega*gamma*u - conv   (at the argmin)
 
 where conv is the Helmholtz convolution of the same quadratic bracket.
-`slope_sample` evaluates both sides (via `slope_argmin`, `riccati_rate`),
-`gamma_utx_field` the whole-field version (which retains the gamma^2*u*u_xx
-term that vanishes at the argmin).
+`trace_row`, the one builder of every `TraceRow`, evaluates both sides (via
+`slope_argmin`, `riccati_rate`); `gamma_utx_field` the whole-field version
+(which retains the gamma^2*u*u_xx term that vanishes at the argmin).
 """
 
 from __future__ import annotations
@@ -56,17 +56,19 @@ class PdeParams:
 
 
 @dataclass(frozen=True)
-class SlopeSample:
-    """Slope minimum m = min_x gamma*u_x and its predicted rate of change.
-
-    xi is the grid point attaining the minimum (smallest index on ties);
-    m_rhs is the Riccati right-hand side evaluated at xi.
-    """
+class TraceRow:
+    """One recorded sample: the slope minimum m = min_x gamma*u_x at the grid
+    point xi (smallest index on ties), its Riccati rate m_rhs there, E, max|u|,
+    min u_x and the step dt that reached it; `trace_row` builds every row."""
 
     t: float
+    energy: float
     m: float
     xi: float
     m_rhs: float
+    max_u: float
+    min_ux: float
+    dt: float
 
 
 def _project(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -92,11 +94,11 @@ class SpectralRhs:
     """
 
     def __init__(self, grid: Grid, params: PdeParams) -> None:
-        gamma, omega, keep = params.gamma, params.omega, grid.dealias_keep
+        gamma, omega = params.gamma, params.omega
         band, n = grid.band, grid.n_points
         ik = grid.derivative_multiplier
         ikh = ik * grid.helmholtz_multiplier
-        mults = -np.stack((0.5 * gamma * ik + 0.5 * (3.0 - gamma) * ikh, 0.5 * gamma * ikh)) * keep
+        mults = -np.stack((0.5 * gamma * ik + 0.5 * (3.0 - gamma) * ikh, 0.5 * gamma * ikh))
         self._ik, self._mults = ik[:band], mults[:, :band].copy()
         self._mult_u = (-2.0 * omega * ikh)[:band] if omega != 0.0 else None
         # rows (u_hat, ik*u_hat) going in, zero-padded: modes from `band` up stay 0
@@ -269,16 +271,25 @@ def riccati_rate(u_hat: np.ndarray, squares_hat, u: np.ndarray, i: int, m: float
             - float(conv[i]))
 
 
-def slope_sample(u: Field, params: PdeParams, t: float = 0.0) -> SlopeSample:
-    """Locate the grid minimum of gamma*u_x and evaluate its Riccati rate.
+def trace_row(t: float, dt: float, u: np.ndarray, ux: np.ndarray, squares: np.ndarray,
+              squares_hat, u_hat: np.ndarray, grid: Grid, params: PdeParams) -> TraceRow:
+    """The row of the state with grid values u, ux at time t, reached by a step dt.
+    squares holds the rows (u^2, u_x^2), squares_hat their rffts and u_hat is rfft(u)
+    or its band. E is summed into squares[0] before the Riccati bracket's irfft lands
+    in squares[1]. At gamma = 0, by convention, m = m_rhs = 0 at the first grid point."""
+    i, m = slope_argmin(ux, params.gamma)
+    energy = energy_sum(squares, grid)
+    m_rhs = riccati_rate(u_hat, squares_hat, u, i, m, grid, params, out=squares[1])
+    return TraceRow(t=t, energy=energy, m=m, xi=float(grid.x[i]), m_rhs=m_rhs,
+                    max_u=max(float(u.max()), -float(u.min())), min_ux=float(ux.min()), dt=dt)
 
-    With gamma = 0 every solution is global and the slope functional is
-    identically zero; by convention the sample reports m = 0 at the first
-    grid point.
-    """
-    i, m = slope_argmin(u.derivative, params.gamma)
-    m_rhs = riccati_rate(u.spectrum, _squares_hat(u), u.values, i, m, u.grid, params)
-    return SlopeSample(t=t, m=m, xi=float(u.grid.x[i]), m_rhs=m_rhs)
+
+def slope_sample(u: Field, params: PdeParams, t: float = 0.0) -> TraceRow:
+    """The Field oracle of a trace row: `trace_row` on u's own values, derivative,
+    squares and their rffts, with dt = 0."""
+    ux = u.derivative
+    squares = np.stack((u.values * u.values, ux * ux))
+    return trace_row(t, 0.0, u.values, ux, squares, rfft(squares), u.spectrum, u.grid, params)
 
 
 def gamma_utx_field(u: Field, params: PdeParams) -> Field:

@@ -9,7 +9,8 @@ timescale 1/|m|, stays temporally resolved. The state is held as the rfft
 coefficients of u in the 2/3 band, onto which u0 is projected once, and all
 stepping arithmetic runs on those modes; a right-hand side needs 4
 transforms. Step control, trace rows, checkpoints and the final state all
-read the first stage's arrays of the state, so a trace row adds 1 transform.
+read the first stage's arrays of the state: `pde.trace_row`, the one row
+builder, takes its squares and their transforms, so a row adds 1 transform.
 
 A run terminates for exactly one of four reasons:
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pde import PdeParams, SlopeSample, SpectralRhs, energy_sum, riccati_rate, slope_argmin
+from .pde import PdeParams, SpectralRhs, TraceRow, slope_argmin, trace_row
 from .spectral import Field, Grid, hs_norm, irfft, rfft
 
 
@@ -78,20 +79,6 @@ class SolverConfig:
             )
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """One recorded sample: summary diagnostics, not the full field."""
-
-    t: float
-    energy: float
-    m: float
-    xi: float
-    m_rhs: float
-    max_u: float
-    min_ux: float
-    dt: float
-
-
 @dataclass
 class SimulationResult:
     samples: list[TraceRow]
@@ -102,8 +89,8 @@ class SimulationResult:
     warnings: list[str] = field(default_factory=list)
 
     @property
-    def slope_trace(self) -> list[SlopeSample]:
-        return [SlopeSample(r.t, r.m, r.xi, r.m_rhs) for r in self.samples]
+    def slope_trace(self) -> list[TraceRow]:  # the samples, under the name perfbench reads
+        return self.samples
 
     @property
     def energy_drift(self) -> float:
@@ -200,7 +187,7 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
     next_checkpoint = config.checkpoint_interval if config.checkpoint_interval else math.inf
     sample_due, checkpoint_due = True, bool(config.checkpoint_interval)
     while True:
-        i, m = slope_argmin(ux, params.gamma)
+        m = slope_argmin(ux, params.gamma)[1]
         # max |u| taken without the temporary abs(u) would allocate
         max_u = max(float(u.max()), -float(u.min()))
         dt_ctrl = _controlled_dt(config, grid, params, max_u, m)
@@ -219,12 +206,8 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
 
         # the initial row, every due sample, and the final row
         if sample_due or (stop_reason and samples[-1].t < t):
-            samples.append(TraceRow(
-                # E sums the k1 squares into their row 0, then the bracket lands in row 1
-                t=t, energy=energy_sum(rhs.squares, grid), m=m, xi=float(grid.x[i]),
-                m_rhs=riccati_rate(u_hat, rhs.pair, u, i, m, grid, params, out=rhs.squares[1]),
-                max_u=max_u, min_ux=float(ux.min()), dt=last_dt,
-            ))
+            samples.append(trace_row(t, last_dt, u, ux, rhs.squares, rhs.pair, u_hat, grid,
+                                     params))
             edge = max(abs(float(u[0])), abs(float(u[-1])))
             if not boundary_warned and edge > 1e-6 * max(max_u, 1e-300):
                 warnings.append(

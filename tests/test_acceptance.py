@@ -187,7 +187,7 @@ def test_acceptance_7_breaking_end_to_end():
     res = simulate(u0, p, cfg)
     assert res.stop_reason == "blowup_slope"
     bound = existence_bound(u0, p)
-    fit = extrapolate_blowup_time(res.slope_trace)
+    fit = extrapolate_blowup_time(res.samples)
     assert fit.t_star >= 0.98 * bound.t_lower
     assert res.t_stop >= 0.98 * bound.t_lower
 

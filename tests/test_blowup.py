@@ -9,8 +9,8 @@ from dispwave import (
     Field,
     Grid,
     PdeParams,
-    SlopeSample,
     SolverConfig,
+    TraceRow,
     blowup_condition,
     breaking_threshold,
     energy,
@@ -196,6 +196,11 @@ class TestExistenceBound:
         assert b.m0 == pytest.approx(slope_minimum(u0, p), rel=1e-14)
 
 
+def slope_row(t: float, m: float, m_rhs: float) -> TraceRow:
+    """A trace row carrying only the slope fields the extrapolation reads."""
+    return TraceRow(t=t, energy=0.0, m=m, xi=0.0, m_rhs=m_rhs, max_u=0.0, min_ux=0.0, dt=0.0)
+
+
 class TestExtrapolation:
     @staticmethod
     def riccati_trace(m0: float, stop: float, dt: float = 0.002):
@@ -203,7 +208,7 @@ class TestExtrapolation:
         t = 0.0
         while True:
             m = 1.0 / (1.0 / m0 + 0.5 * t)
-            rows.append(SlopeSample(t=t, m=m, xi=0.0, m_rhs=-0.5 * m * m))
+            rows.append(slope_row(t, m, -0.5 * m * m))
             if m <= stop:
                 return rows
             t += dt
@@ -216,17 +221,17 @@ class TestExtrapolation:
 
     def test_one_point_fallback(self):
         trace = self.riccati_trace(-3.0, stop=-9.0)[:3]
-        fit = extrapolate_blowup_time(trace, m_cut=-100.0)
+        fit = extrapolate_blowup_time(trace)
         assert fit.n_points == 1
         assert fit.t_star == pytest.approx(2.0 / 3.0, rel=1e-9)
 
     def test_rejects_non_breaking_trace(self):
-        rows = [SlopeSample(t=0.1 * i, m=1.0, xi=0.0, m_rhs=0.0) for i in range(5)]
+        rows = [slope_row(0.1 * i, 1.0, 0.0) for i in range(5)]
         with pytest.raises(ValueError, match="no negative slope"):
             extrapolate_blowup_time(rows)
 
     def test_rejects_relaxing_trace(self):
-        rows = [SlopeSample(t=0.1 * i, m=-20.0 + i, xi=0.0, m_rhs=0.0) for i in range(8)]
+        rows = [slope_row(0.1 * i, -20.0 + i, 0.0) for i in range(8)]
         with pytest.raises(ValueError, match="not collapsing"):
             extrapolate_blowup_time(rows)
 

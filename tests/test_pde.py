@@ -8,6 +8,7 @@ from dispwave import (
     PdeParams,
     SolitonParams,
     SolverConfig,
+    TraceRow,
     build_profile,
     dealias,
     differentiate,
@@ -187,8 +188,8 @@ class TestSpectralRhs:
     @pytest.mark.parametrize("gamma,omega", PARAM_PAIRS)
     def test_paired_transforms_bit_identical_to_single_rows(self, n, gamma, omega):
         # the kernel runs its transforms as 2-row FFT calls; each row must
-        # round exactly as a single-row call does, as in Field.spectrum and
-        # slope_sample, or trace rows and artifacts would change
+        # round exactly as a single-row call does, as in Field.spectrum, or
+        # trace rows and artifacts would change
         p = PdeParams(gamma, omega)
         g = Grid(6.0, n)  # 3 divides 48
         fields = [band_limited_field(g, seed=seed, modes=min(24, n // 3 - 1))
@@ -334,6 +335,20 @@ class TestSlopeSample:
         p = PdeParams(-0.7, 0.1)
         s = slope_sample(u, p)
         assert np.all(p.gamma * u.derivative >= s.m - 1e-15)
+
+    def test_is_the_solvers_trace_row(self, grid_small):
+        # the oracle builds its row with the solver's row builder, so the
+        # fields no transform enters equal the Field functions exactly, and
+        # the solver hands out its one list of rows under both names
+        u = band_limited_field(grid_small, seed=12)
+        p = PdeParams(1.0, 0.5)
+        s = slope_sample(u, p, t=0.25)
+        assert isinstance(s, TraceRow) and s.t == 0.25 and s.dt == 0.0
+        assert s.energy == energy(u)
+        assert s.max_u == np.max(np.abs(u.values))
+        assert s.min_ux == np.min(u.derivative)
+        res = simulate(u, p, SolverConfig(t_end=0.01, decay_tolerance=1.0))
+        assert res.slope_trace is res.samples
 
     def test_riccati_rate_along_trajectory(self):
         # centered dm/dt must track the predicted rate along a steepening
