@@ -38,6 +38,8 @@ from .timestep import SimulationResult, SolverConfig, simulate
 
 _TAIL_FLOOR_FRACTION = 1e-14  # below this fraction of the peak the profile is exact zero
 _N_PANELS = 16384  # Gauss-Legendre panels from the peak to the tail floor
+_GAUSS_NODES = 10  # per panel
+_SUM_BLOCK = 128  # panels per block of the running sum; divides _N_PANELS
 _DECAY_WINDOW = (1e-7, 1e-3)  # phi/a range of the tail-rate fit
 _TAIL_EXPONENT = 32.0  # recommended half-width in units of the tail length 1/kappa
 _MAX_POINTS = 32768
@@ -106,16 +108,20 @@ class SolitonProfile:
         return self.params.decay_rate
 
 
-def _cumulative_gauss(fun, t0: float, t1: float, n_panels: int,
-                      n_nodes: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative integral of fun from t0 along n_panels Gauss-Legendre panels."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+def _cumulative_gauss(fun, t0: float, t1: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative integral of fun from t0 along n_panels Gauss-Legendre panels. The
+    running sum restarts every _SUM_BLOCK panels from an offset math.fsum takes
+    over the earlier blocks' fsum totals, so its rounding does not pile up."""
+    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     edges = np.linspace(t0, t1, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     vals = fun(mid[:, None] + half[:, None] * nodes[None, :])
-    increments = (vals @ weights) * half
-    return edges, np.concatenate(([0.0], np.cumsum(increments)))
+    blocks = ((vals @ weights) * half).reshape(-1, _SUM_BLOCK)
+    totals = [math.fsum(block) for block in blocks.tolist()]
+    offsets = [math.fsum(totals[:b]) for b in range(len(totals))]
+    running = np.cumsum(blocks, axis=1) + np.array(offsets)[:, None]
+    return edges, np.concatenate(([0.0], running.ravel()))
 
 
 def _hermite(xk: np.ndarray, yk: np.ndarray, dk: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -152,7 +152,7 @@ class TestBuildProfile:
         profile = build_profile(p, recommended_grid(p))
         a, kappa = p.amplitude, p.decay_rate
         exact = a / np.cosh(0.5 * kappa * profile.grid.x) ** 2
-        assert np.max(np.abs(profile.values - exact)) <= 1e-13 * a
+        assert np.max(np.abs(profile.values - exact)) <= 1e-15 * a
 
 
 class TestHermite:
