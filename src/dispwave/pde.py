@@ -286,10 +286,11 @@ def trace_row(t: float, dt: float, u: np.ndarray, ux: np.ndarray, squares: np.nd
 
 def slope_sample(u: Field, params: PdeParams, t: float = 0.0) -> TraceRow:
     """The Field oracle of a trace row: `trace_row` on u's own values, derivative,
-    squares and their rffts, with dt = 0."""
+    squares and their single-row rffts, with dt = 0."""
     ux = u.derivative
     squares = np.stack((u.values * u.values, ux * ux))
-    return trace_row(t, 0.0, u.values, ux, squares, rfft(squares), u.spectrum, u.grid, params)
+    squares_hat = [rfft(row) for row in squares]
+    return trace_row(t, 0.0, u.values, ux, squares, squares_hat, u.spectrum, u.grid, params)
 
 
 def gamma_utx_field(u: Field, params: PdeParams) -> Field:

@@ -188,8 +188,8 @@ class TestSpectralRhs:
     @pytest.mark.parametrize("gamma,omega", PARAM_PAIRS)
     def test_paired_transforms_bit_identical_to_single_rows(self, n, gamma, omega):
         # the kernel runs its transforms as 2-row FFT calls; each row must
-        # round exactly as a single-row call does, as in Field.spectrum, or
-        # trace rows and artifacts would change
+        # round exactly as a single-row call does, as in Field.spectrum and
+        # slope_sample, or trace rows and artifacts would change
         p = PdeParams(gamma, omega)
         g = Grid(6.0, n)  # 3 divides 48
         fields = [band_limited_field(g, seed=seed, modes=min(24, n // 3 - 1))
