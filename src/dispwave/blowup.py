@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 from typing import Sequence
 
@@ -46,6 +46,9 @@ from .timestep import SimulationResult, SolverConfig, simulate
 
 _SQRT8 = 4.0 * math.sqrt(2.0)
 _M_CUT = -8.0  # samples at or below this slope enter the -2/m fit
+BREAKING_STOPS = ("blowup_slope", "blowup_nonfinite")  # runs whose trace carries a t*
+# field names that comparison.csv, summary.json and `dispwave bound` write otherwise
+ARTIFACT_NAMES = {"e0": "E0", "bracket": "K", "t_lower": "T_lower"}
 
 
 def gamma_regime(gamma: float) -> str:
@@ -137,13 +140,11 @@ def existence_time_lower_bound(e0: float, m0: float, params: PdeParams) -> Exist
     coincides exactly with -2*arctan(sqrt(K)/m0)/sqrt(K).
     """
     regime, bracket = riccati_bracket(e0, params)
-    if regime == "zero" or bracket == 0.0:
-        return ExistenceBound(e0=e0, m0=m0, gamma_case=regime, bracket=bracket,
-                              t_lower=math.inf)
-    root = math.sqrt(bracket)
-    t_lower = (2.0 / root) * (0.5 * math.pi + math.atan(m0 / root))
-    return ExistenceBound(e0=e0, m0=m0, gamma_case=regime, bracket=bracket,
-                          t_lower=t_lower)
+    t_lower = math.inf
+    if regime != "zero" and bracket != 0.0:
+        root = math.sqrt(bracket)
+        t_lower = (2.0 / root) * (0.5 * math.pi + math.atan(m0 / root))
+    return ExistenceBound(e0=e0, m0=m0, gamma_case=regime, bracket=bracket, t_lower=t_lower)
 
 
 def existence_bound(u0: Field, params: PdeParams) -> ExistenceBound:
@@ -190,18 +191,19 @@ def extrapolate_blowup_time(trace: Sequence[TraceRow]) -> BlowupFit:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One member of the sharpness comparison table."""
+    """One member of the sharpness comparison table, comparison.csv's columns in order;
+    left at their defaults, the fields after alpha make a raising member's error row."""
 
     family_id: int
     alpha: float
-    e0: float
-    m0: float
-    gamma_case: str
-    bracket: float
-    t_lower: float
-    t_star: float
-    ratio: float
-    censored: bool
+    e0: float = math.nan
+    m0: float = math.nan
+    gamma_case: str = "error"
+    bracket: float = math.nan
+    t_lower: float = math.nan
+    t_star: float = math.nan
+    ratio: float = math.nan
+    censored: bool = True
 
 
 def run_member(family_id: int, alpha: float, u0: Field, params: PdeParams,
@@ -209,21 +211,11 @@ def run_member(family_id: int, alpha: float, u0: Field, params: PdeParams,
     """Simulate one family member and compare its breaking time to the bound."""
     bound = existence_bound(u0, params)
     result: SimulationResult = simulate(u0, params, config)
-    t_star, ratio, censored = math.nan, math.nan, True
-    if result.stop_reason in ("blowup_slope", "blowup_nonfinite"):
+    row = SweepRow(family_id, alpha, **asdict(bound))
+    if result.stop_reason in BREAKING_STOPS:
         t_star = extrapolate_blowup_time(result.samples).t_star
-        ratio, censored = t_star / bound.t_lower, False
-    return SweepRow(family_id=family_id, alpha=alpha, e0=bound.e0, m0=bound.m0,
-                    gamma_case=bound.gamma_case, bracket=bound.bracket,
-                    t_lower=bound.t_lower, t_star=t_star, ratio=ratio,
-                    censored=censored)
-
-
-def _failed_row(family_id: int, alpha: float) -> SweepRow:
-    nan = math.nan
-    return SweepRow(family_id=family_id, alpha=alpha, e0=nan, m0=nan,
-                    gamma_case="error", bracket=nan, t_lower=nan, t_star=nan,
-                    ratio=nan, censored=True)
+        row = replace(row, t_star=t_star, ratio=t_star / bound.t_lower, censored=False)
+    return row
 
 
 def sharpness_experiment(members: Sequence[tuple[float, Field]], params: PdeParams,
@@ -263,7 +255,7 @@ def sharpness_experiment(members: Sequence[tuple[float, Field]], params: PdePara
             except Exception as err:  # per-member failure: record and continue
                 warnings.warn(f"member {i} (alpha = {alpha:g}) failed: {err}",
                               RuntimeWarning, stacklevel=2)
-                row = _failed_row(i, alpha)
+                row = SweepRow(i, alpha)
             # censored and error rows have ratio = nan, which never compares below
             if row.ratio < 0.98:
                 warnings.warn(f"member {i}: observed breaking time ratio {row.ratio:.4f} "
@@ -274,11 +266,7 @@ def sharpness_experiment(members: Sequence[tuple[float, Field]], params: PdePara
 
 
 def write_comparison_csv(rows: Sequence[SweepRow], path) -> None:
-    header = ("family_id", "alpha", "E0", "m0", "gamma_case", "K", "T_lower",
-              "t_star", "ratio", "censored")
-    table = [
-        (str(r.family_id), r.alpha, r.e0, r.m0, r.gamma_case, r.bracket, r.t_lower,
-         r.t_star, r.ratio, str(r.censored).lower())
-        for r in rows
-    ]
+    """One line per row under SweepRow's field names, renamed by ARTIFACT_NAMES."""
+    header = [ARTIFACT_NAMES.get(f.name, f.name) for f in fields(SweepRow)]
+    table = [[str(v).lower() if isinstance(v, bool) else v for v in astuple(r)] for r in rows]
     write_csv(path, header, table)

@@ -10,12 +10,16 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .blowup import (
+    ARTIFACT_NAMES,
+    BREAKING_STOPS,
     blowup_condition,
     existence_bound,
     extrapolate_blowup_time,
@@ -68,17 +72,15 @@ def _write_checkpoints(result: SimulationResult, directory: Path) -> list[float]
 
 
 def _bound_fields(u0: Field, params: PdeParams) -> dict:
-    bound = existence_bound(u0, params)
-    return {
-        "E0": bound.e0,
-        "m0": bound.m0,
-        "gamma_case": bound.gamma_case,
-        "K": bound.bracket,
-        "T_lower": bound.t_lower,
-    }
+    bound = asdict(existence_bound(u0, params))
+    return {ARTIFACT_NAMES.get(name, name): value for name, value in bound.items()}
 
 
 def _summary_payload(rc: RunConfig, u0: Field, result: SimulationResult) -> dict:
+    t_star = None
+    if result.stop_reason in BREAKING_STOPS:
+        with contextlib.suppress(ValueError):
+            t_star = extrapolate_blowup_time(result.samples).t_star
     payload: dict = {
         "stop_reason": result.stop_reason,
         "t_stop": result.t_stop,
@@ -86,6 +88,7 @@ def _summary_payload(rc: RunConfig, u0: Field, result: SimulationResult) -> dict
         "energy_final": result.samples[-1].energy,
         "energy_drift": result.energy_drift,
         "existence_bound": _bound_fields(u0, rc.params),
+        "t_star": t_star,
         "warnings": list(result.warnings),
         "config": config_dict(rc),
     }
@@ -98,13 +101,6 @@ def _summary_payload(rc: RunConfig, u0: Field, result: SimulationResult) -> dict
             "triggered": verdict.triggered,
             "witness_x0": verdict.witness_x0,
         }
-    if result.stop_reason in ("blowup_slope", "blowup_nonfinite"):
-        try:
-            payload["t_star"] = extrapolate_blowup_time(result.samples).t_star
-        except ValueError:
-            payload["t_star"] = None
-    else:
-        payload["t_star"] = None
     if rc.initial["kind"] == "soliton":
         payload["shape_error"] = shape_error(u0, rc.initial["c"], result.final_state,
                                              result.t_stop)

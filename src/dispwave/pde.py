@@ -88,9 +88,10 @@ class SpectralRhs:
     call costs 4 transforms in 2 FFT calls, numpy's 2-row passes, into arrays
     made once: `physical` fills `u` and `ux` (rows of one array) from the
     state in `stage`, the band of a zero-padded 2-row irfft input; `finish`
-    squares them into `squares`, transforms those into `pair` (all readable
-    until the next call) and takes one 2-row multiply and one add. Each row
-    is bit-identical to a single-row transform of it.
+    squares them and transforms the squares into `pair` (`u`, `ux` and `pair`
+    stay readable until the next call, and a trace row reads only those) and
+    takes one 2-row multiply and one add. Each row is bit-identical to a
+    single-row transform of it.
     """
 
     def __init__(self, grid: Grid, params: PdeParams) -> None:
@@ -106,7 +107,7 @@ class SpectralRhs:
         self.stage, self._stage_x = self._padded[:, :band]  # the state `physical` transforms
         self._fields = np.empty((2, n))
         self.u, self.ux = self._fields  # row views, still readable after `finish`
-        self.squares = np.empty_like(self._fields)
+        self._squares = np.empty_like(self._fields)
         self.pair = np.empty_like(self._padded)  # rows (F(u^2), F(u_x^2))
         self._pair_band = self.pair[:, :band]
         self._terms = np.empty((2, band), dtype=complex)
@@ -122,8 +123,8 @@ class SpectralRhs:
 
     def finish(self, out: np.ndarray) -> np.ndarray:
         """Write u_t_hat of the state in `stage`, whose values `u` and `ux` hold, into out."""
-        np.multiply(self._fields, self._fields, out=self.squares)
-        rfft(self.squares, out=self.pair)
+        np.multiply(self._fields, self._fields, out=self._squares)
+        rfft(self._squares, out=self.pair)
         terms = np.multiply(self._pair_band, self._mults, out=self._terms)
         np.add(terms[0], terms[1], out=out)
         if self._mult_u is not None:
@@ -143,7 +144,9 @@ def rhs_nonlocal(u: Field, params: PdeParams) -> Field:
     is, it equals the formula that dealiases u*u_x as a product of its own.
     u is not projected: for u with content above the band, -gamma*u*u_x
     is taken as the dealiased (u^2)_x/2, and `pde_residual(u, rhs_nonlocal(u))`
-    still measures u itself.
+    still measures u itself. That is by design: the residual then falls with
+    the resolution of u. Evaluated on u's projection it stalls on coarse grids,
+    and with the projection in place of u too it is roundoff at every N.
     """
     grid = u.grid
     u_hat = rfft(u.values)
@@ -213,13 +216,12 @@ def energy(u: Field) -> float:
     On the periodic grid the trapezoid rule is the plain h-weighted sum and
     coincides with hs_norm(u, 1)^2 by Parseval.
     """
-    ux = u.derivative
-    return energy_sum((u.values**2, ux * ux), u.grid)
+    return energy_sum(u.values, u.derivative, u.grid)
 
 
-def energy_sum(squares, grid: Grid) -> float:
-    """`energy` from squares = rows (u^2, u_x^2) of grid values; row 0 is overwritten."""
-    return float(grid.spacing * np.sum(np.add(squares[0], squares[1], out=squares[0])))
+def energy_sum(u: np.ndarray, ux: np.ndarray, grid: Grid) -> float:
+    """`energy` from the grid values of u and u_x."""
+    return float(grid.spacing * np.sum(u * u + ux * ux))
 
 
 def slope_argmin(ux: np.ndarray, gamma: float) -> tuple[int, float]:
@@ -240,10 +242,10 @@ def _squares_hat(u: Field) -> tuple[np.ndarray, np.ndarray]:
     return rfft(u.values * u.values), rfft(ux * ux)
 
 
-def _convolution_bracket(u_hat: np.ndarray, squares_hat, grid: Grid, params: PdeParams,
-                         out: np.ndarray | None = None) -> np.ndarray:
-    """gamma * helmholtz_inverse((3-g)/2 u^2 + g/2 u_x^2 + 2w u), the squares dealiased,
-    into out if given; squares_hat = rows (rfft(u^2), rfft(u_x^2)), u_hat = rfft(u) or its band."""
+def _convolution_bracket(u_hat: np.ndarray, squares_hat, grid: Grid,
+                         params: PdeParams) -> np.ndarray:
+    """gamma * helmholtz_inverse((3-g)/2 u^2 + g/2 u_x^2 + 2w u), the squares dealiased;
+    squares_hat = rows (rfft(u^2), rfft(u_x^2)), u_hat = rfft(u) or its band."""
     gamma, omega = params.gamma, params.omega
     band = grid.band
     spec_uu, spec_xx = squares_hat
@@ -252,18 +254,18 @@ def _convolution_bracket(u_hat: np.ndarray, squares_hat, grid: Grid, params: Pde
     bracket_hat = 2.0 * omega * u_hat
     bracket_hat[:band] += squares_part
     bracket_hat *= grid.helmholtz_multiplier[:bracket_hat.size]
-    conv = irfft(bracket_hat, n=grid.n_points, out=out)
+    conv = irfft(bracket_hat, n=grid.n_points)
     return np.multiply(conv, gamma, out=conv)
 
 
 def riccati_rate(u_hat: np.ndarray, squares_hat, u: np.ndarray, i: int, m: float,
-                 grid: Grid, params: PdeParams, out: np.ndarray | None = None) -> float:
+                 grid: Grid, params: PdeParams) -> float:
     """The Riccati rate m' at grid point i, where gamma*u_x = m (arguments as for
     `_convolution_bracket`)."""
     gamma, omega = params.gamma, params.omega
     if gamma == 0.0:
         return 0.0
-    conv = _convolution_bracket(u_hat, squares_hat, grid, params, out)
+    conv = _convolution_bracket(u_hat, squares_hat, grid, params)
     ui = float(u[i])
     return (-0.5 * m * m
             + 0.5 * (3.0 - gamma) * gamma * ui * ui
@@ -271,26 +273,21 @@ def riccati_rate(u_hat: np.ndarray, squares_hat, u: np.ndarray, i: int, m: float
             - float(conv[i]))
 
 
-def trace_row(t: float, dt: float, u: np.ndarray, ux: np.ndarray, squares: np.ndarray,
-              squares_hat, u_hat: np.ndarray, grid: Grid, params: PdeParams) -> TraceRow:
+def trace_row(t: float, dt: float, u: np.ndarray, ux: np.ndarray, squares_hat,
+              u_hat: np.ndarray, grid: Grid, params: PdeParams) -> TraceRow:
     """The row of the state with grid values u, ux at time t, reached by a step dt.
-    squares holds the rows (u^2, u_x^2), squares_hat their rffts and u_hat is rfft(u)
-    or its band. E is summed into squares[0] before the Riccati bracket's irfft lands
-    in squares[1]. At gamma = 0, by convention, m = m_rhs = 0 at the first grid point."""
+    squares_hat holds the rows (rfft(u^2), rfft(u_x^2)), u_hat is rfft(u) or its band,
+    and none is written to. At gamma = 0, by convention, m = m_rhs = 0 at grid point 0."""
     i, m = slope_argmin(ux, params.gamma)
-    energy = energy_sum(squares, grid)
-    m_rhs = riccati_rate(u_hat, squares_hat, u, i, m, grid, params, out=squares[1])
-    return TraceRow(t=t, energy=energy, m=m, xi=float(grid.x[i]), m_rhs=m_rhs,
+    return TraceRow(t=t, energy=energy_sum(u, ux, grid), m=m, xi=float(grid.x[i]),
+                    m_rhs=riccati_rate(u_hat, squares_hat, u, i, m, grid, params),
                     max_u=max(float(u.max()), -float(u.min())), min_ux=float(ux.min()), dt=dt)
 
 
 def slope_sample(u: Field, params: PdeParams, t: float = 0.0) -> TraceRow:
-    """The Field oracle of a trace row: `trace_row` on u's own values, derivative,
-    squares and their single-row rffts, with dt = 0."""
-    ux = u.derivative
-    squares = np.stack((u.values * u.values, ux * ux))
-    squares_hat = [rfft(row) for row in squares]
-    return trace_row(t, 0.0, u.values, ux, squares, squares_hat, u.spectrum, u.grid, params)
+    """The Field oracle of a trace row: `trace_row` on u's own values, derivative
+    and the single-row rffts of their squares, with dt = 0."""
+    return trace_row(t, 0.0, u.values, u.derivative, _squares_hat(u), u.spectrum, u.grid, params)
 
 
 def gamma_utx_field(u: Field, params: PdeParams) -> Field:

@@ -9,8 +9,9 @@ timescale 1/|m|, stays temporally resolved. The state is held as the rfft
 coefficients of u in the 2/3 band, onto which u0 is projected once, and all
 stepping arithmetic runs on those modes; a right-hand side needs 4
 transforms. Step control, trace rows, checkpoints and the final state all
-read the first stage's arrays of the state: `pde.trace_row`, the one row
-builder, takes its squares and their transforms, so a row adds 1 transform.
+read the first stage's arrays of the state. `pde.trace_row`, the one row
+builder, reads its `u`, `u_x` and the squares' transforms, writes none of
+them and adds 1 transform.
 
 A run terminates for exactly one of four reasons:
 
@@ -206,8 +207,7 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
 
         # the initial row, every due sample, and the final row
         if sample_due or (stop_reason and samples[-1].t < t):
-            samples.append(trace_row(t, last_dt, u, ux, rhs.squares, rhs.pair, u_hat, grid,
-                                     params))
+            samples.append(trace_row(t, last_dt, u, ux, rhs.pair, u_hat, grid, params))
             edge = max(abs(float(u[0])), abs(float(u[-1])))
             if not boundary_warned and edge > 1e-6 * max(max_u, 1e-300):
                 warnings.append(

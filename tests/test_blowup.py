@@ -10,6 +10,7 @@ from dispwave import (
     Grid,
     PdeParams,
     SolverConfig,
+    SweepRow,
     TraceRow,
     blowup_condition,
     breaking_threshold,
@@ -342,6 +343,14 @@ class TestSharpnessExperiment:
             write_comparison_csv(rows, tmp_path / f"workers{workers}.csv")
             tables.append((tmp_path / f"workers{workers}.csv").read_bytes())
         assert tables[0] == tables[1]
+
+    def test_error_row_is_the_default_row(self, tmp_path):
+        # a member that raised is SweepRow(i, alpha): every field after alpha at its default
+        path = tmp_path / "comparison.csv"
+        write_comparison_csv([SweepRow(1, 0.5)], path)
+        assert path.read_text().splitlines() == [
+            "family_id,alpha,E0,m0,gamma_case,K,T_lower,t_star,ratio,censored",
+            "1,0.5,nan,nan,error,nan,nan,nan,nan,true"]
 
     def test_comparison_csv_layout(self, small_family_rows, tmp_path):
         path = tmp_path / "comparison.csv"

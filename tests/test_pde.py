@@ -23,7 +23,7 @@ from dispwave import (
     steep_bump,
 )
 
-from dispwave.pde import SpectralRhs, energy_sum, riccati_rate
+from dispwave.pde import SpectralRhs, energy_sum, riccati_rate, trace_row
 
 from conftest import band_limited_field
 
@@ -203,9 +203,8 @@ class TestSpectralRhs:
             # the kernel returns the band's modes; the full formula is 0 above them
             assert np.array_equal(got, ref[:g.band]) and not np.any(ref[g.band:])
             # step control reads u and u_x after the RHS has been formed,
-            # and trace samples its squares and their transforms
+            # and trace samples them and their squares' transforms
             assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
-            assert np.array_equal(rhs.squares, [u * u, ux * ux])
             assert np.array_equal(rhs.pair, [np.fft.rfft(u * u), np.fft.rfft(ux * ux)])
 
     def test_physical_reads_only_the_band(self):
@@ -394,9 +393,9 @@ class TestSolverSamples:
     @pytest.mark.parametrize("gamma,omega", PARAM_PAIRS)
     def test_every_row_reuses_the_first_stage_exactly(self, grid_medium, gamma, omega,
                                                       monkeypatch):
-        # a row takes E from the k1 stage's squares and the Riccati bracket from
-        # their transforms; recomputed from the same state's Fields of u and
-        # u_x, both agree bit for bit on every row
+        # a row takes E from the k1 stage's u and u_x and the Riccati bracket
+        # from their squares' transforms; recomputed from the same state's
+        # Fields of u and u_x, both agree bit for bit on every row
         states = []
         physical = SpectralRhs.physical
 
@@ -415,9 +414,22 @@ class TestSolverSamples:
                      for spec in (u_hat, u_hat * g.derivative_multiplier[:g.band]))
             squares = [Field(g, f.values * f.values) for f in (u, ux)]
             i = int(np.flatnonzero(g.x == row.xi)[0])
-            assert row.energy == energy_sum([s.values.copy() for s in squares], g)
+            assert row.energy == energy_sum(u.values, ux.values, g)
             assert row.m_rhs == riccati_rate(u_hat, [s.spectrum for s in squares], u.values,
                                              i, row.m, g, p)
+
+    @pytest.mark.parametrize("gamma,omega", PARAM_PAIRS)
+    def test_trace_row_writes_none_of_the_kernels_arrays(self, grid_medium, gamma, omega):
+        # simulate builds each row from the k1 stage's arrays in place; the
+        # row must leave them, and the state, as the kernel left them
+        g, p = grid_medium, PdeParams(gamma, omega)
+        u_hat = np.fft.rfft(steep_bump(g, 1.0, 3.0).values)[:g.band]
+        rhs = SpectralRhs(g, p)
+        rhs(u_hat, np.empty(g.band, dtype=complex))
+        read = (rhs.u, rhs.ux, rhs.pair, rhs.stage, u_hat)
+        before = [a.copy() for a in read]
+        trace_row(0.0, 0.01, rhs.u, rhs.ux, rhs.pair, u_hat, g, p)
+        assert all(np.array_equal(a, b) for a, b in zip(read, before))
 
 
 class TestGammaUtxField:

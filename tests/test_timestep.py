@@ -237,7 +237,7 @@ class TestSimulate:
 
         # 16 transforms per step, in 8 FFT calls
         assert list(counts(8, 1) - counts(4, 1)) == [16 * 4, 8 * 4]
-        # a sample reads the k1 stage's u, u_x, squares and their rfft;
+        # a sample reads the k1 stage's u, u_x and their squares' rfft;
         # only the Riccati rate's bracket transforms (1 irfft)
         per_sample = counts(8, 2) - counts(8, 1)
         assert list(per_sample) == [1, 1]
