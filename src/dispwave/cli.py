@@ -40,7 +40,6 @@ from .pde import PdeParams
 from .solitary import (
     SolitonParams,
     build_profile,
-    check_admissible,
     first_integral_residual,
     shape_error,
     write_profile_csv,
@@ -138,9 +137,6 @@ def _cmd_soliton(args) -> int:
         params = SolitonParams(args.c, PdeParams(gamma=args.gamma, omega=args.omega))
     except ValueError as err:
         return _fail(str(err))
-    ok, diagnostic = check_admissible(params)
-    if not ok:
-        return _fail(diagnostic, code=1)
     try:
         grid = Grid(args.L, args.N)
         profile = build_profile(params, grid)

@@ -1,4 +1,4 @@
-"""Smooth solitary waves: construction by quadrature, validation, propagation.
+"""Smooth solitary waves: construction in closed form, validation, propagation.
 
 A traveling wave u(t, x) = phi(x - ct) reduces the model to an ODE with the
 first integral
@@ -15,13 +15,14 @@ which keeps c - gamma*phi positive along the whole descent. (At omega = 0,
 gamma = 1 the first condition fails: that is the peaked limit, out of scope
 here.)
 
-The quadrature inverts x(phi) = integral of sqrt((c - gamma*psi)/(a - psi))/psi.
-One substitution, phi = a*sech^2(theta), keeps it regular from the peak to
-the tail: dx/dtheta = 2*sqrt(c - gamma*phi)/sqrt(a) is smooth, and positive
-exactly for admissible waves; at gamma = 0 it is 2/kappa, so phi =
-a*sech^2(kappa*x/2). It is accumulated with composite Gauss-Legendre panels
-and inverted onto the grid with cubic Hermite interpolation whose slopes
-come from the exact ODE.
+With phi = a*sech^2(theta) and u = tanh(theta), dx/dtheta = 2*g/sqrt(a),
+where g = sqrt(c - gamma*phi) = sqrt(A + b*u^2) with b = gamma*a and
+A = c - b > 0, integrates in closed form:
+
+    x(theta) = (2/sqrt(a)) * [sqrt(c)*atanh(sqrt(c)*u/g) - S(u)],
+
+S(u) = sqrt(b)*asinh(u*sqrt(b/A)), or -sqrt(-b)*asin(u*sqrt(-b/A)) for b < 0.
+At gamma = 0 it is phi = a*sech^2(kappa*x/2). Newton inverts it on the grid.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ from .spectral import Field, Grid, differentiate, irfft
 from .timestep import SimulationResult, SolverConfig, simulate
 
 _TAIL_FLOOR_FRACTION = 1e-14  # below this fraction of the peak the profile is exact zero
-_N_PANELS = 16384  # Gauss-Legendre panels from the peak to the tail floor
-_GAUSS_NODES = 10  # per panel
-_SUM_BLOCK = 128  # panels per block of the running sum; divides _N_PANELS
+_NEWTON_STEP_TOL = 1e-10  # convergence is quadratic: the error left is far below roundoff
+_NEWTON_MAX_STEPS = 100
 _DECAY_WINDOW = (1e-7, 1e-3)  # phi/a range of the tail-rate fit
 _TAIL_EXPONENT = 32.0  # recommended half-width in units of the tail length 1/kappa
 _MAX_POINTS = 32768
@@ -108,41 +108,8 @@ class SolitonProfile:
         return self.params.decay_rate
 
 
-def _cumulative_gauss(fun, t0: float, t1: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative integral of fun from t0 along n_panels Gauss-Legendre panels. The
-    running sum restarts every _SUM_BLOCK panels from an offset math.fsum takes
-    over the earlier blocks' fsum totals, so its rounding does not pile up."""
-    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
-    edges = np.linspace(t0, t1, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    vals = fun(mid[:, None] + half[:, None] * nodes[None, :])
-    blocks = ((vals @ weights) * half).reshape(-1, _SUM_BLOCK)
-    totals = [math.fsum(block) for block in blocks.tolist()]
-    offsets = [math.fsum(totals[:b]) for b in range(len(totals))]
-    running = np.cumsum(blocks, axis=1) + np.array(offsets)[:, None]
-    return edges, np.concatenate(([0.0], running.ravel()))
-
-
-def _hermite(xk: np.ndarray, yk: np.ndarray, dk: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cubic Hermite interpolant through (xk, yk) with slopes dk, evaluated at x.
-
-    xk must increase strictly; points outside it extend the end pieces. The
-    coefficients and their evaluation order are those of scipy's
-    CubicHermiteSpline, so the values agree with it bit for bit.
-    """
-    h = np.diff(xk)
-    slope = np.diff(yk) / h
-    t = (dk[:-1] + dk[1:] - 2.0 * slope) / h
-    c0, c1 = t / h, (slope - dk[:-1]) / h - t
-    i = np.clip(np.searchsorted(xk, x, side="right") - 1, 0, len(xk) - 2)
-    s = x - xk[i]
-    s2 = s * s
-    return ((yk[i] + dk[i] * s) + c1[i] * s2) + c0[i] * (s2 * s)
-
-
 def build_profile(p: SolitonParams, grid: Grid, tail_tol: float = 1e-8) -> SolitonProfile:
-    """Construct phi on the grid by quadrature of the first-integral ODE.
+    """Construct phi on the grid from the closed form of x(theta), inverted by Newton.
 
     Rejects inadmissible parameters and grids too narrow for the estimated
     tail a*exp(-kappa*L) to drop below tail_tol.
@@ -151,10 +118,8 @@ def build_profile(p: SolitonParams, grid: Grid, tail_tol: float = 1e-8) -> Solit
     if not ok:
         raise AdmissibilityError(diagnostic)
     c, gamma = p.speed, p.params.gamma
-    a = p.amplitude
-    kappa = p.decay_rate
-    L = grid.half_width
-    tail_estimate = a * math.exp(-kappa * L)
+    a, kappa = p.amplitude, p.decay_rate
+    tail_estimate = a * math.exp(-kappa * grid.half_width)
     if tail_estimate > tail_tol:
         required = math.log(a / tail_tol) / kappa
         raise ValueError(
@@ -162,18 +127,42 @@ def build_profile(p: SolitonParams, grid: Grid, tail_tol: float = 1e-8) -> Solit
             f"estimated boundary value {tail_estimate:g}; need half_width >= {required:.1f}"
         )
 
-    # phi = a*sech^2(theta): dx/dtheta = 2*sqrt(c - gamma*phi)/sqrt(a), positive
-    # and bounded from the peak (theta = 0) down to the floor phi = 1e-14*a
-    def dx_dtheta(theta):
-        return 2.0 * np.sqrt(c - gamma * a / np.cosh(theta) ** 2) / math.sqrt(a)
+    b = gamma * a
+    A = c - b  # c - gamma*phi at the peak
+    sqrt_c = math.sqrt(c)
+
+    def s_term(u):  # S(u), the integral of b/g over u from 0
+        if b < 0:
+            return -math.sqrt(-b) * np.arcsin(u * math.sqrt(-b / A))
+        return math.sqrt(b) * np.arcsinh(u * math.sqrt(b / A))
+
+    def x_and_g(theta):
+        u = np.tanh(theta)
+        # A + b*u^2 rather than c - b*sech^2: no cancellation near the speed cap
+        g = np.sqrt(A + b * u * u)
+        # sqrt(c)*atanh(sqrt(c)*u/g), written so that it does not cancel as u -> 1
+        atanh_term = sqrt_c * (np.log(g + sqrt_c * u) + np.log(np.cosh(theta)) - 0.5 * math.log(A))
+        return 2.0 * (atanh_term - s_term(u)) / math.sqrt(a), g
 
     theta_end = math.acosh(_TAIL_FLOOR_FRACTION ** -0.5)
-    theta_knots, x_knots = _cumulative_gauss(dx_dtheta, 0.0, theta_end, _N_PANELS)
-
     xs = np.abs(grid.x)
-    theta = np.full(grid.n_points, np.inf)  # phi is exactly 0 beyond the last knot
-    inside = xs <= x_knots[-1]
-    theta[inside] = _hermite(x_knots, theta_knots, 1.0 / dx_dtheta(theta_knots), xs[inside])
+    inside = xs <= x_and_g(theta_end)[0]
+    target = xs[inside]
+    # start on the asymptote x = 2*theta/kappa + x_inf; x is convex in theta for
+    # gamma > 0 and concave for gamma < 0, so Newton converges monotonically from it
+    x_inf = 2.0 * (0.5 * sqrt_c * math.log(c / A) - s_term(1.0)) / math.sqrt(a)
+    theta_in = np.maximum(0.5 * kappa * (target - x_inf), 0.0)
+    for _ in range(_NEWTON_MAX_STEPS):
+        x, g = x_and_g(theta_in)
+        step = (x - target) * math.sqrt(a) / (2.0 * g)
+        theta_in -= step
+        if np.max(np.abs(step), initial=0.0) <= _NEWTON_STEP_TOL:
+            break
+    else:
+        raise RuntimeError(f"Newton inversion of x(theta) did not converge for {diagnostic}")
+
+    theta = np.full(grid.n_points, np.inf)  # phi is exactly 0 beyond x(theta_end)
+    theta[inside] = theta_in
     # a/cosh^2 rather than a*(1 - tanh^2) keeps the tail's relative accuracy
     phi = a / np.cosh(theta) ** 2
     slope = -np.sign(grid.x) * phi * np.tanh(theta) * math.sqrt(a) / np.sqrt(c - gamma * phi)
@@ -183,8 +172,8 @@ def build_profile(p: SolitonParams, grid: Grid, tail_tol: float = 1e-8) -> Solit
 def first_integral_residual(profile: SolitonProfile) -> np.ndarray:
     """(phi')^2 (c - gamma*phi) - phi^2 (a - phi) with a spectral phi'.
 
-    The derivative is recomputed by FFT rather than taken from the
-    quadrature, so this genuinely cross-checks the construction.
+    The derivative is recomputed by FFT rather than taken from the closed
+    form, so this genuinely cross-checks the construction.
     """
     c, gamma = profile.params.speed, profile.params.params.gamma
     a = profile.amplitude

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from dispwave import (
     AdmissibilityError,
@@ -21,9 +23,14 @@ from dispwave import (
     verify_traveling,
     write_profile_csv,
 )
-from dispwave.solitary import _hermite
 
 CANONICAL = SolitonParams(2.0, PdeParams(1.0, 0.5))
+BRANCHES = [  # (c, gamma, omega)
+    (2.0, -1.0, 0.5),   # negative gamma branch
+    (1.5, 0.5, 0.5),    # low gamma
+    (1.9, 2.0, 0.5),    # 0.95 of the gamma > 1 speed cap
+    (1.0, 0.0, 0.25),   # gamma = 0 member of the family
+]
 
 
 @pytest.fixture(scope="module")
@@ -128,12 +135,7 @@ class TestBuildProfile:
         with pytest.raises(ValueError, match="half_width >="):
             build_profile(CANONICAL, Grid(10.0, 512))
 
-    @pytest.mark.parametrize("c,gamma,omega", [
-        (2.0, -1.0, 0.5),   # negative gamma branch
-        (1.5, 0.5, 0.5),    # low gamma
-        (1.9, 2.0, 0.5),    # 0.95 of the gamma > 1 speed cap
-        (1.0, 0.0, 0.25),   # gamma = 0 member of the family
-    ])
+    @pytest.mark.parametrize("c,gamma,omega", BRANCHES)
     def test_profile_laws_across_branches(self, c, gamma, omega):
         p = SolitonParams(c, PdeParams(gamma, omega))
         grid = recommended_grid(p)
@@ -146,6 +148,38 @@ class TestBuildProfile:
         spectral = differentiate(profile.as_field(), 1).values
         assert np.max(np.abs(spectral - profile.slope)) <= 1e-7
 
+    # epsabs = 1e-16 lies below quad's roundoff floor, which it reports with a warning
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("c,gamma,omega", BRANCHES + [(1.995, 2.0, 0.5)])  # + 0.9975 of the cap
+    def test_profile_matches_quadrature_reference(self, c, gamma, omega):
+        # theta(x) by root-finding on an adaptive quadrature of dx/dtheta, independent
+        # of the closed form; phi = a*sech^2(theta)
+        p = SolitonParams(c, PdeParams(gamma, omega))
+        grid = recommended_grid(p)
+        profile = build_profile(p, grid, tail_tol=1e-10)
+        a = p.amplitude
+
+        def dx_dtheta(t):
+            return 2.0 * math.sqrt(c - gamma * a / math.cosh(t) ** 2) / math.sqrt(a)
+
+        def x_of(theta):
+            return quad(dx_dtheta, 0.0, theta, epsabs=1e-16, epsrel=1e-14)[0]
+
+        theta_end = math.acosh(1e7)  # phi = 1e-14*a
+        x_end = x_of(theta_end)
+        n = grid.n_points
+        evenly = np.linspace(n // 2 + 1, n - 1, 11).astype(int)  # x > 0
+        points = [n // 2 + k for k in (1, 2, 5, 20)] + list(evenly)
+        checked = 0
+        for i in points:
+            x = abs(float(grid.x[i]))
+            if x >= x_end:
+                continue  # phi_ref < 1e-14*a
+            theta = brentq(lambda t: x_of(t) - x, 0.0, theta_end, xtol=1e-15, rtol=8.9e-16)
+            assert abs(profile.values[i] - a / math.cosh(theta) ** 2) <= 1e-14 * a, (i, x)
+            checked += 1
+        assert checked >= 8
+
     def test_gamma_zero_is_closed_form_sech2(self):
         # at gamma = 0 the wave is a*sech^2(kappa*x/2), the regularized long-wave soliton
         p = SolitonParams(1.0, PdeParams(0.0, 0.25))
@@ -153,23 +187,6 @@ class TestBuildProfile:
         a, kappa = p.amplitude, p.decay_rate
         exact = a / np.cosh(0.5 * kappa * profile.grid.x) ** 2
         assert np.max(np.abs(profile.values - exact)) <= 1e-15 * a
-
-
-class TestHermite:
-    def test_matches_scipy_cubic_hermite_spline(self):
-        from scipy.interpolate import CubicHermiteSpline
-
-        rng = np.random.default_rng(7)
-        for n in (2, 3, 50, 1000):
-            xk = np.cumsum(rng.uniform(1e-3, 1.0, n)) - 0.5
-            yk = rng.normal(size=n)
-            dk = rng.normal(size=n)
-            inside = rng.uniform(xk[0], xk[-1], 500)
-            x = np.concatenate([xk, inside])  # every knot, both ends included
-            expected = CubicHermiteSpline(xk, yk, dk)(x)
-            np.testing.assert_allclose(_hermite(xk, yk, dk, x), expected, rtol=1e-14, atol=0)
-            # every knot but the last starts its own piece, so it is hit exactly
-            np.testing.assert_array_equal(_hermite(xk, yk, dk, xk[:-1]), yk[:-1])
 
 
 class TestTraveling:
