@@ -15,6 +15,7 @@ family's `base` is initial data under the run's schema. A sweep writes only
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -45,6 +46,8 @@ def _number(d: dict, key: str, path: str) -> float:
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
+    if not abs(v) <= sys.float_info.max:  # JSON's Infinity and NaN; exact for any int
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {v!r}")
     return float(v)
 
 

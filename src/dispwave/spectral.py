@@ -23,7 +23,7 @@ from numpy.fft import irfft, rfft  # the package's one FFT import point
 
 # glibc's mallopt parameters (malloc.h) and the values pinned for them
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD = 1 << 20
+_MMAP_THRESHOLD = 4 << 20
 _TRIM_THRESHOLD = 4 << 20
 
 
@@ -35,11 +35,11 @@ def _pin_malloc_thresholds(libc) -> bool:
     self-adjusting thresholds, trimmed back off the top of the heap; either
     way it returns to the OS after the call and page-faults in again on the
     next (about 96 faults per 2-row call at N = 16384). Pinning both
-    thresholds turns the adjustment off: blocks below 1 MiB come from the
+    thresholds turns the adjustment off: blocks below 4 MiB come from the
     heap, and its top is given back only once 4 MiB lie free there. That
-    keeps the scratch of the solver's 2-row calls resident up to N = 32768,
-    the largest grid `solitary.recommended_grid` returns; at N = 65536 the
-    scratch passes 1 MiB and faults as before.
+    keeps the scratch of the solver's 2-row calls resident up to N = 65536,
+    twice the largest grid `solitary.recommended_grid` returns; at
+    N = 131072 it still faults.
     """
     mallopt = getattr(libc, "mallopt", None)
     if mallopt is None:

@@ -5,13 +5,12 @@ stiff-free first-order ODE in time (the nonlocal form has no third
 derivative); classical RK4 with a CFL-style step bound is accurate and keeps
 the breaking mechanism undamped. Steps are additionally shortened near
 breaking so the Riccati collapse of the slope minimum, which happens on the
-timescale 1/|m|, stays temporally resolved. The state is held as the rfft
-coefficients of u in the 2/3 band, onto which u0 is projected once, and all
-stepping arithmetic runs on those modes; a right-hand side needs 4
-transforms. Step control, trace rows, checkpoints and the final state all
-read the first stage's arrays of the state. `pde.trace_row`, the one row
-builder, reads its `u`, `u_x` and the squares' transforms, writes none of
-them and adds 1 transform.
+timescale 1/|m|, stays temporally resolved. The kernel, `pde.SpectralRhs`,
+owns the band state: it projects u0 once onto u's rfft coefficients in the
+2/3 band, steps them and returns grid values, so here a state is an opaque
+array. Step control, trace rows, checkpoints and the final state all read
+the first stage's arrays of the state; `pde.trace_row`, the one row builder,
+writes none of them and adds 1 transform.
 
 A run terminates for exactly one of four reasons:
 
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pde import PdeParams, SpectralRhs, TraceRow, slope_argmin, trace_row
-from .spectral import Field, Grid, hs_norm, irfft, rfft
+from .spectral import Field, Grid, hs_norm
 
 
 class BoundaryDecayError(ValueError):
@@ -48,7 +47,9 @@ class SolverConfig:
     dt_init doubles as the step-size ceiling: the CFL and Riccati bounds
     only ever shrink it. decay_tolerance gates the initial data at |x| = L;
     energy_drift_tol is a monitoring level (drift beyond it is recorded as
-    a warning, never silently ignored).
+    a warning, never silently ignored). t_end is finite. The event clock lands
+    within 1e-14*max(1, t_end) of an event and adds an interval to reach the
+    next, so sample_interval and checkpoint_interval must exceed that.
     """
 
     t_end: float
@@ -62,22 +63,22 @@ class SolverConfig:
     checkpoint_interval: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not (self.t_end > 0 and math.isfinite(self.t_end)):
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not (0 < self.dt_min <= self.dt_init):
             raise ValueError(
                 f"need 0 < dt_min <= dt_init, got dt_min={self.dt_min}, dt_init={self.dt_init}"
             )
         if not (0 < self.cfl_fraction <= 1):
             raise ValueError(f"cfl_fraction must lie in (0, 1], got {self.cfl_fraction}")
-        for name in ("blowup_m_threshold", "energy_drift_tol", "sample_interval",
-                     "decay_tolerance"):
+        for name in ("blowup_m_threshold", "energy_drift_tol", "decay_tolerance"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.checkpoint_interval is not None and not self.checkpoint_interval > 0:
-            raise ValueError(
-                f"checkpoint_interval must be positive or None, got {self.checkpoint_interval}"
-            )
+        tick = 1e-14 * max(1.0, self.t_end)
+        for name in ("sample_interval", "checkpoint_interval"):
+            value = getattr(self, name)
+            if not ((value is None and name == "checkpoint_interval") or value > tick):
+                raise ValueError(f"{name} must exceed 1e-14*max(1, t_end) = {tick:g}, got {value}")
 
 
 @dataclass
@@ -102,32 +103,6 @@ class SimulationResult:
         return max(abs(r.energy - e0) / e0 for r in self.samples)
 
 
-class _Rk4:
-    """Classical RK4 on the 2/3 band's rfft coefficients in work arrays made once.
-
-    A step costs 16 transforms in 8 FFT calls. The first 4 are the k1 stage
-    `rhs(u_hat, k)`, which the caller runs so step control and trace rows can
-    read its arrays; `step` makes the other 12, writing each stage straight
-    into the kernel's `stage`.
-    """
-
-    def __init__(self, grid: Grid, params: PdeParams) -> None:
-        self.rhs = SpectralRhs(grid, params)
-        self.k = np.empty(grid.band, dtype=complex)
-
-    def step(self, u_hat: np.ndarray, dt: float, out: np.ndarray) -> None:
-        """Write the state one step of dt after u_hat into out; `k` must hold `rhs(u_hat, k)`."""
-        rhs, k, stage = self.rhs, self.k, self.rhs.stage
-        np.multiply(k, dt / 6.0, out=out)
-        out += u_hat
-        for stage_frac, weight in ((0.5, 1.0 / 3.0), (0.5, 1.0 / 3.0), (1.0, 1.0 / 6.0)):
-            np.multiply(k, stage_frac * dt, out=stage)
-            stage += u_hat
-            rhs.physical()
-            rhs.finish(k)
-            out += np.multiply(k, weight * dt, out=stage)
-
-
 def rk4_step(u: Field, dt: float, params: PdeParams) -> Field:
     """One classical four-stage Runge-Kutta step of the nonlocal form.
 
@@ -136,13 +111,12 @@ def rk4_step(u: Field, dt: float, params: PdeParams) -> Field:
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    grid = u.grid
-    rk4 = _Rk4(grid, params)
-    u_hat = rfft(u.values)[:grid.band]
+    rhs = SpectralRhs(u.grid, params)
+    u_hat = rhs.project(u.values)
     out = np.empty_like(u_hat)
-    rk4.rhs(u_hat, rk4.k)
-    rk4.step(u_hat, dt, out)
-    return Field(grid, irfft(out, n=grid.n_points))
+    rhs(u_hat, rhs.k)
+    rhs.step(u_hat, dt, out)
+    return Field(u.grid, rhs.values(out))
 
 
 def _controlled_dt(config: SolverConfig, grid: Grid, params: PdeParams,
@@ -170,12 +144,10 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
             f"found {boundary0:g}"
         )
 
-    rk4 = _Rk4(grid, params)
-    rhs = rk4.rhs
-    u, ux = rhs.u, rhs.ux  # u_hat's grid values after each rhs(u_hat, rk4.k)
-    # the one-time projection: from here on the state is its 2/3-band spectrum
-    u_hat = rfft(u0.values)[:grid.band]
-    rhs(u_hat, rk4.k)  # each state's k1, whose transforms its trace row reuses
+    rhs = SpectralRhs(grid, params)
+    u, ux = rhs.u, rhs.ux  # u_hat's grid values after each rhs(u_hat, rhs.k)
+    u_hat = rhs.project(u0.values)  # the one-time projection onto the band
+    rhs(u_hat, rhs.k)  # each state's k1, whose transforms its trace row reuses
     new_hat = np.empty_like(u_hat)
     t = 0.0
     samples: list[TraceRow] = []
@@ -224,14 +196,14 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
 
         with np.errstate(over="ignore", invalid="ignore"):
             # overflow/NaN here is a detected outcome, not a numerical bug
-            rk4.step(u_hat, dt, new_hat)
-            rhs(new_hat, rk4.k)
+            rhs.step(u_hat, dt, new_hat)
+            rhs(new_hat, rhs.k)
         t_new = t_event if dt >= t_event - t else t + dt
         if not np.isfinite(new_hat).all():
             stop_reason = "blowup_nonfinite"
             t = t_new
             # the stages overwrote u, so the last finite state needs a transform
-            final = Field(grid, irfft(u_hat, n=grid.n_points))
+            final = Field(grid, rhs.values(u_hat))
             break
         u_hat, new_hat = new_hat, u_hat
         t = t_new

@@ -78,6 +78,11 @@ class TestRunConfigParsing:
         # a value the constructor rejects gets the section prefix once
         ("params", {"gamma": 1.0, "omega": -1.0},
          "params: omega must be finite and >= 0, got -1.0"),
+        # JSON's Infinity and NaN, and an integer too large for a float
+        ("solver", {"t_end": math.inf}, "solver.t_end: expected a finite number, got inf"),
+        ("grid", {"L": math.nan, "N": 256}, "grid.L: expected a finite number, got nan"),
+        pytest.param("params", {"gamma": 1.0, "omega": 10**400},
+                     f"params.omega: expected a finite number, got {10**400}", id="huge-int"),
     ])
     def test_value_errors_prefixed_once(self, tmp_path, section, value, message):
         path = write_config(tmp_path / "c.json", **{section: value})
@@ -338,6 +343,16 @@ class TestSimulateCommand:
         path = write_config(tmp_path / "c.json", grid={"L": 20.0, "N": 999})
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "power of two" in capsys.readouterr().err
+
+    def test_nonfinite_horizon_is_exit_2(self, tmp_path, capsys):
+        # breaking data, so that a run to t_end = Infinity would still end
+        path = write_config(tmp_path / "c.json",
+                            grid={"L": 6.0, "N": 256},
+                            solver={"t_end": math.inf, "blowup_m_threshold": 4.0},
+                            initial={"kind": "steep", "amplitude": 1.0, "steepness": 3.0})
+        assert "Infinity" in path.read_text()
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "solver.t_end: expected a finite number" in capsys.readouterr().err
 
     def test_missing_output_dir_is_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")

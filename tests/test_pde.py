@@ -211,13 +211,13 @@ class TestSpectralRhs:
         g = Grid(6.0, 1024)
         u_hat = g.dealias_keep * np.fft.rfft(steep_bump(g, 1.0, 3.0).values)
         rhs = SpectralRhs(g, PdeParams(1.0, 0.5))
-        rhs.physical(u_hat)
+        out = np.empty(g.band, dtype=complex)
+        rhs(u_hat, out)
         u, ux = rhs.u.copy(), rhs.ux.copy()
         # unit modes above the band
-        rhs(u_hat + ~g.dealias_keep, np.empty(g.band, dtype=complex))
-        rhs.physical(u_hat)
+        rhs(u_hat + ~g.dealias_keep, out)
         assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
-        rhs.physical(u_hat + ~g.dealias_keep)
+        rhs(u_hat, out)
         assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
 
     def test_fft_counts_exact_from_the_first_call(self, transform_count):
@@ -397,13 +397,12 @@ class TestSolverSamples:
         # from their squares' transforms; recomputed from the same state's
         # Fields of u and u_x, both agree bit for bit on every row
         states = []
-        physical = SpectralRhs.physical
+        call = SpectralRhs.__call__
 
-        def record(rhs, u_hat=None):
-            if u_hat is not None:  # a state, not a stage
-                states.append(u_hat.copy())
-            physical(rhs, u_hat)
-        monkeypatch.setattr(SpectralRhs, "physical", record)
+        def record(rhs, u_hat, out):  # a state: `step` transforms its stages itself
+            states.append(u_hat.copy())
+            return call(rhs, u_hat, out)
+        monkeypatch.setattr(SpectralRhs, "__call__", record)
         g, p = grid_medium, PdeParams(gamma, omega)
         dt = 2.0**-8  # under the CFL and Riccati caps, so every step lands on a sample
         cfg = SolverConfig(t_end=12 * dt, dt_init=dt, sample_interval=dt, decay_tolerance=1.0)

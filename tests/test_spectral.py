@@ -184,22 +184,23 @@ class TestHsNorm:
             hs_norm(f, -0.5)
 
 
-# one right-hand side, then the minor faults of 50 more, in a fresh interpreter:
-# the heap that earlier tests leave behind can hide the faults
+# per grid, one right-hand side, then the minor faults of 50 more, in a fresh
+# interpreter: the heap that earlier tests leave behind can hide the faults
 _FAULTS_SCRIPT = """
 import resource
 import numpy as np
 from dispwave import Grid, PdeParams, steep_bump
 from dispwave.pde import SpectralRhs
-g = Grid(6.0, 16384)
-rhs = SpectralRhs(g, PdeParams(1.0, 0.0))
-u_hat = np.fft.rfft(steep_bump(g, 1.0, 3.0).values)[:g.band]
-out = np.empty(g.band, dtype=complex)
-rhs(u_hat, out)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(50):
+for n in (16384, 65536):
+    g = Grid(6.0, n)
+    rhs = SpectralRhs(g, PdeParams(1.0, 0.0))
+    u_hat = np.fft.rfft(steep_bump(g, 1.0, 3.0).values)[:g.band]
+    out = np.empty(g.band, dtype=complex)
     rhs(u_hat, out)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        rhs(u_hat, out)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
@@ -217,8 +218,11 @@ class TestMallocPin:
         run = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], capture_output=True,
                              text=True, check=True, env={**os.environ, "PYTHONPATH": path})
         # unpinned, glibc hands pocketfft's scratch back to the OS after each
-        # transform, and each 2-row call here faults about 96 pages in again
-        assert int(run.stdout) < 50
+        # transform, and each 2-row call faults about 96 pages in again at
+        # N = 16384; at N = 65536 the scratch passes 1 MiB, the mmap threshold
+        # pinned before, and a right-hand side faulted about 1,028
+        faults = [int(count) for count in run.stdout.split()]
+        assert len(faults) == 2 and max(faults) < 50
 
     def test_pin_reports_whether_libc_has_mallopt(self):
         import ctypes

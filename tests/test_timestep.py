@@ -19,6 +19,7 @@ from dispwave import (
     simulate,
     steep_bump,
 )
+from dispwave.pde import SpectralRhs
 
 
 def zero_field(grid):
@@ -37,6 +38,20 @@ class TestSolverConfig:
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
             SolverConfig(t_end=0.0)
+
+    def test_rejects_infinite_horizon(self):
+        # simulate would step towards it forever
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            SolverConfig(t_end=math.inf)
+
+    @pytest.mark.parametrize("t_end,interval", [(0.1, 1e-16), (0.1, 1e-14), (100.0, 1e-12)])
+    @pytest.mark.parametrize("name", ["sample_interval", "checkpoint_interval"])
+    def test_rejects_intervals_the_event_clock_cannot_resolve(self, name, t_end, interval):
+        # the clock lands within 1e-14*max(1, t_end) of an event and adds the
+        # interval to reach the next; at or below that it never gets past t
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(t_end=t_end, **{name: interval})
+        SolverConfig(t_end=t_end, **{name: 1.01 * max(1.0, t_end) * 1e-14})
 
 
 class TestRk4Step:
@@ -94,32 +109,28 @@ class TestRk4Step:
         # each stage is written in place into the kernel's zero-padded 2-row
         # inverse input; its modes from the band up must stay exactly 0, or
         # the 2-row irfft over all N/2 + 1 modes would read them
-        from dispwave.timestep import _Rk4
-
         g = Grid(6.0, n)  # 3 divides 48
-        rk4 = _Rk4(g, PdeParams(1.0, 0.5))
+        rhs = SpectralRhs(g, PdeParams(1.0, 0.5))
         u_hat = np.fft.rfft(steep_bump(g, 1.0, 3.0).values)[:g.band]
         out = np.empty_like(u_hat)
         for _ in range(20):
-            rk4.rhs(u_hat, rk4.k)
-            rk4.step(u_hat, 1e-3, out)
+            rhs(u_hat, rhs.k)
+            rhs.step(u_hat, 1e-3, out)
             u_hat, out = out, u_hat
-            assert not np.any(rk4.rhs._padded[:, g.band:])
+            assert not np.any(rhs._padded[:, g.band:])
             assert np.all(np.isfinite(u_hat))
 
     def test_step_fft_counts_exact_from_the_first_step(self, transform_count):
         # the k1 stage and the 3 stages of `step`: 8 calls, 16 transforms, every step
-        from dispwave.timestep import _Rk4
-
         g = Grid(6.0, 64)
-        rk4 = _Rk4(g, PdeParams(1.0, 0.5))
+        rhs = SpectralRhs(g, PdeParams(1.0, 0.5))
         u_hat = np.fft.rfft(steep_bump(g, 1.0, 3.0).values)[:g.band]
         out = np.empty_like(u_hat)
         counts = []
         for _ in range(20):
             before = dict(transform_count)
-            rk4.rhs(u_hat, rk4.k)
-            rk4.step(u_hat, 1e-3, out)
+            rhs(u_hat, rhs.k)
+            rhs.step(u_hat, 1e-3, out)
             u_hat, out = out, u_hat
             counts.append((transform_count["calls"] - before["calls"],
                            transform_count["transforms"] - before["transforms"]))
