@@ -9,10 +9,11 @@ closed-form existence bound.
 """
 
 from .blowup import (
-    BlowupFit,
     BlowupVerdict,
     ExistenceBound,
+    RunReport,
     SweepRow,
+    assess,
     blowup_condition,
     breaking_threshold,
     existence_bound,

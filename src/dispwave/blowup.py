@@ -22,22 +22,21 @@ collects the bounded terms through the conserved energy:
   identically and extends continuously to m0 >= 0. gamma = 0 (or zero data)
   means no breaking at all: T = +inf.
 
-The sharpness experiment integrates a steepening family, extrapolates each
-observed breaking time from the asymptotically linear tail of -2/m(t), and
-tabulates the ratio t*/T, which the theory keeps >= 1 and which approaches 1
-as the data steepen.
+The sharpness experiment integrates a steepening family and tabulates t*/T,
+which the theory keeps >= 1 and which approaches 1 as the data steepen. t*
+is the Riccati blow-up time with the forcing m' + m^2/2 frozen, the median
+over the last resolved collapsing samples (a forcing of -K/2 gives T), and
+`assess` reports it with the bound for a finished run.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 from typing import Sequence
-
-import numpy as np
 
 from .fileio import write_csv
 from .pde import PdeParams, TraceRow, energy, slope_argmin
@@ -45,7 +44,8 @@ from .spectral import Field
 from .timestep import SimulationResult, SolverConfig, simulate
 
 _SQRT8 = 4.0 * math.sqrt(2.0)
-_M_CUT = -8.0  # samples at or below this slope enter the -2/m fit
+_TAIL_MAX = 1e-7  # samples whose band-edge tail exceeds this are under-resolved
+_WINDOW = 5  # t* is the median over this many resolved samples nearest breaking
 BREAKING_STOPS = ("blowup_slope", "blowup_nonfinite")  # runs whose trace carries a t*
 # field names that comparison.csv, summary.json and `dispwave bound` write otherwise
 ARTIFACT_NAMES = {"e0": "E0", "bracket": "K", "t_lower": "T_lower"}
@@ -153,40 +153,54 @@ def existence_bound(u0: Field, params: PdeParams) -> ExistenceBound:
 
 
 @dataclass(frozen=True)
-class BlowupFit:
-    """Extrapolated breaking time from the linear tail of -2/m(t)."""
+class BreakingTime:
+    """Observed breaking time and the spread of the estimates it is the median of."""
 
     t_star: float
-    slope: float
-    intercept: float
-    n_points: int
+    spread: float
 
 
-def extrapolate_blowup_time(trace: Sequence[TraceRow]) -> BlowupFit:
-    """Fit z(t) = -2/m(t) on samples with m <= -8 and return its root.
+def _time_to_breaking(m: float, m_rhs: float) -> float:
+    """Time for z = -2/m to reach 0 under z' = -1 + f*z^2/2 with f = m_rhs + m^2/2
+    frozen; m < 0 and m_rhs < 0 keep rate*z below 1 where f > 0."""
+    z, f = -2.0 / m, m_rhs + 0.5 * m * m
+    if f == 0.0:
+        return z
+    rate = math.sqrt(0.5 * abs(f))
+    return (math.atan(rate * z) if f < 0.0 else math.atanh(rate * z)) / rate
 
-    Once the Riccati term dominates, z decreases linearly with slope -1 and
-    hits zero at the breaking time, so the fitted root extrapolates past the
-    last resolved sample. Falls back to one-point extrapolation when fewer
-    than four samples qualify.
-    """
-    pts = [(s.t, -2.0 / s.m) for s in trace if s.m <= _M_CUT]
-    if not pts:
-        last_neg = [s for s in trace if s.m < 0]
-        if not last_neg:
-            raise ValueError("trace has no negative slope samples: not a breaking run")
-        s = last_neg[-1]
-        return BlowupFit(t_star=s.t - 2.0 / s.m, slope=-1.0, intercept=math.nan, n_points=1)
-    if len(pts) < 4:
-        t, z = pts[-1]
-        return BlowupFit(t_star=t + z, slope=-1.0, intercept=math.nan, n_points=len(pts))
-    ts = np.array([p[0] for p in pts])
-    zs = np.array([p[1] for p in pts])
-    slope, intercept = np.polyfit(ts, zs, 1)
-    if slope >= 0:
-        raise ValueError("-2/m(t) is not decreasing; trajectory is not collapsing")
-    return BlowupFit(t_star=float(-intercept / slope), slope=float(slope),
-                     intercept=float(intercept), n_points=len(pts))
+
+def extrapolate_blowup_time(trace: Sequence[TraceRow]) -> BreakingTime:
+    """Median and spread of t + `_time_to_breaking` over the last `_WINDOW` samples with
+    m < 0, m_rhs < 0 and tail <= `_TAIL_MAX`; ValueError if none qualifies."""
+    from statistics import median  # numpy's median imports numpy.ma, 1.2 MB resident
+    times = [s.t + _time_to_breaking(s.m, s.m_rhs) for s in trace
+             if s.m < 0.0 and s.m_rhs < 0.0 and s.tail <= _TAIL_MAX][-_WINDOW:]
+    if not times:
+        raise ValueError(f"no collapsing sample is resolved (m, m' < 0, tail <= {_TAIL_MAX:g})")
+    return BreakingTime(t_star=median(times), spread=max(times) - min(times))
+
+
+@dataclass(frozen=True)
+class RunReport:
+    """The analysis of a finished run: verdict is None at gamma = 0, the t* fields if censored."""
+
+    bound: ExistenceBound
+    verdict: BlowupVerdict | None
+    stop_reason: str
+    t_star: float | None
+    t_star_spread: float | None
+
+
+def assess(u0: Field, params: PdeParams, result: SimulationResult) -> RunReport:
+    """Bound and criterion for u0, and the breaking time of the run result from u0."""
+    t_star = spread = None
+    if result.stop_reason in BREAKING_STOPS:
+        with suppress(ValueError):  # no resolved collapsing sample: censored
+            t_star, spread = astuple(extrapolate_blowup_time(result.samples))
+    return RunReport(bound=existence_bound(u0, params),
+                     verdict=blowup_condition(u0, params) if params.gamma != 0.0 else None,
+                     stop_reason=result.stop_reason, t_star=t_star, t_star_spread=spread)
 
 
 @dataclass(frozen=True)
@@ -202,6 +216,7 @@ class SweepRow:
     bracket: float = math.nan
     t_lower: float = math.nan
     t_star: float = math.nan
+    t_star_spread: float = math.nan
     ratio: float = math.nan
     censored: bool = True
 
@@ -209,12 +224,11 @@ class SweepRow:
 def run_member(family_id: int, alpha: float, u0: Field, params: PdeParams,
                config: SolverConfig) -> SweepRow:
     """Simulate one family member and compare its breaking time to the bound."""
-    bound = existence_bound(u0, params)
-    result: SimulationResult = simulate(u0, params, config)
-    row = SweepRow(family_id, alpha, **asdict(bound))
-    if result.stop_reason in BREAKING_STOPS:
-        t_star = extrapolate_blowup_time(result.samples).t_star
-        row = replace(row, t_star=t_star, ratio=t_star / bound.t_lower, censored=False)
+    report = assess(u0, params, simulate(u0, params, config))
+    row = SweepRow(family_id, alpha, **asdict(report.bound))
+    if report.t_star is not None:
+        row = replace(row, t_star=report.t_star, t_star_spread=report.t_star_spread,
+                      ratio=report.t_star / report.bound.t_lower, censored=False)
     return row
 
 
@@ -222,12 +236,12 @@ def sharpness_experiment(members: Sequence[tuple[float, Field]], params: PdePara
                          config: SolverConfig, workers: int = 1) -> list[SweepRow]:
     """Run every family member and tabulate observed vs guaranteed times.
 
-    Members that reach t_end without breaking are censored rows, not
-    failures. A member that raises becomes a gamma_case = "error" row and the
-    others still run. Each failure, and each ratio below 0.98, is reported
-    with a RuntimeWarning. Rows are merged in member order regardless of
-    worker count. workers > 1 runs the members in a process pool of at most
-    one process per member.
+    Members that reach t_end without breaking, or break with no sample that
+    gives a t*, are censored rows, not failures. A member that raises becomes
+    a gamma_case = "error" row and the others still run. Each failure, and
+    each ratio below 0.98, is reported with a RuntimeWarning. Rows are merged
+    in member order regardless of worker count. workers > 1 runs the members
+    in a process pool of at most one process per member.
     """
     if params.gamma == 0.0:
         raise ValueError("sharpness experiment requires gamma != 0")

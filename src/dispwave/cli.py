@@ -10,7 +10,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -19,10 +18,10 @@ import numpy as np
 
 from .blowup import (
     ARTIFACT_NAMES,
-    BREAKING_STOPS,
+    ExistenceBound,
+    assess,
     blowup_condition,
     existence_bound,
-    extrapolate_blowup_time,
     sharpness_experiment,
     write_comparison_csv,
 )
@@ -55,11 +54,6 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def _write_trace(result: SimulationResult, path: Path) -> None:
-    rows = [(r.t, r.energy, r.m, r.xi, r.max_u, r.dt) for r in result.samples]
-    write_csv(path, ("t", "E", "m", "xi", "max_u", "dt"), rows)
-
-
 def _write_checkpoints(result: SimulationResult, directory: Path) -> list[float]:
     directory.mkdir(parents=True, exist_ok=True)
     times = []
@@ -70,36 +64,26 @@ def _write_checkpoints(result: SimulationResult, directory: Path) -> list[float]
     return times
 
 
-def _bound_fields(u0: Field, params: PdeParams) -> dict:
-    bound = asdict(existence_bound(u0, params))
-    return {ARTIFACT_NAMES.get(name, name): value for name, value in bound.items()}
+def _bound_fields(bound: ExistenceBound) -> dict:
+    return {ARTIFACT_NAMES.get(name, name): value for name, value in asdict(bound).items()}
 
 
 def _summary_payload(rc: RunConfig, u0: Field, result: SimulationResult) -> dict:
-    t_star = None
-    if result.stop_reason in BREAKING_STOPS:
-        with contextlib.suppress(ValueError):
-            t_star = extrapolate_blowup_time(result.samples).t_star
+    report = assess(u0, rc.params, result)
     payload: dict = {
-        "stop_reason": result.stop_reason,
+        "stop_reason": report.stop_reason,
         "t_stop": result.t_stop,
         "energy_initial": result.samples[0].energy,
         "energy_final": result.samples[-1].energy,
         "energy_drift": result.energy_drift,
-        "existence_bound": _bound_fields(u0, rc.params),
-        "t_star": t_star,
+        "existence_bound": _bound_fields(report.bound),
+        "t_star": report.t_star,
+        "t_star_spread": report.t_star_spread,
         "warnings": list(result.warnings),
         "config": config_dict(rc),
+        "breaking": ({"note": _GLOBAL_NOTE} if report.verdict is None
+                     else {**asdict(report.verdict), "triggered": report.verdict.triggered}),
     }
-    if rc.params.gamma == 0.0:
-        payload["breaking"] = {"note": _GLOBAL_NOTE}
-    else:
-        verdict = blowup_condition(u0, rc.params)
-        payload["breaking"] = {
-            "threshold": verdict.threshold,
-            "triggered": verdict.triggered,
-            "witness_x0": verdict.witness_x0,
-        }
     if rc.initial["kind"] == "soliton":
         payload["shape_error"] = shape_error(u0, rc.initial["c"], result.final_state,
                                              result.t_stop)
@@ -126,7 +110,8 @@ def _cmd_simulate(args) -> int:
     if rc.outputs.write_checkpoints and result.checkpoints:
         payload["checkpoint_times"] = _write_checkpoints(result, out_dir / "checkpoints")
     if rc.outputs.write_trace:
-        _write_trace(result, out_dir / "trace.csv")
+        write_csv(out_dir / "trace.csv", ("t", "E", "m", "xi", "max_u", "dt"),
+                  [(r.t, r.energy, r.m, r.xi, r.max_u, r.dt) for r in result.samples])
     write_json(out_dir / "summary.json", payload)
     print(f"{result.stop_reason} at t = {fmt(result.t_stop)}; artifacts in {out_dir}")
     return 0
@@ -151,19 +136,6 @@ def _cmd_soliton(args) -> int:
     return 0
 
 
-def _bound_payload(u0: Field, params: PdeParams) -> dict:
-    payload = _bound_fields(u0, params)
-    if params.gamma == 0.0:
-        payload["note"] = _GLOBAL_NOTE
-    else:
-        verdict = blowup_condition(u0, params)
-        payload["breaking_threshold"] = verdict.threshold
-        payload["triggered"] = verdict.triggered
-        if verdict.witness_x0 is not None:
-            payload["witness_x0"] = verdict.witness_x0
-    return payload
-
-
 def _cmd_bound(args) -> int:
     try:
         if args.config is not None:
@@ -177,7 +149,14 @@ def _cmd_bound(args) -> int:
             u0 = field_from_csv(None, args.data)
     except (ValueError, OSError) as err:
         return _fail(str(err))
-    payload = _bound_payload(u0, params)
+    payload = _bound_fields(existence_bound(u0, params))
+    if params.gamma == 0.0:
+        payload["note"] = _GLOBAL_NOTE
+    else:
+        verdict = blowup_condition(u0, params)
+        payload.update(breaking_threshold=verdict.threshold, triggered=verdict.triggered)
+        if verdict.witness_x0 is not None:
+            payload["witness_x0"] = verdict.witness_x0
     text = json_text(payload)
     print(text)
     if args.out is not None:

@@ -133,7 +133,7 @@ def _parse_kind(spec, base_dir: Path, path: str, schemas: dict) -> dict:
             if (not isinstance(values, list) or not values
                     or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values)):
                 raise ConfigError(f"{where}: expected a non-empty list of numbers")
-            resolved[key] = [float(v) for v in values]
+            resolved[key] = [_number({i: v}, i, where) for i, v in enumerate(values)]
         else:
             resolved[key] = _number(spec, key, path)
     return resolved

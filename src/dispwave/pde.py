@@ -59,7 +59,8 @@ class PdeParams:
 class TraceRow:
     """One recorded sample: the slope minimum m = min_x gamma*u_x at the grid
     point xi (smallest index on ties), its Riccati rate m_rhs there, E, max|u|,
-    min u_x and the step dt that reached it; `trace_row` builds every row."""
+    min u_x, the step dt that reached it and the resolution measure `tail`, the
+    largest |u_hat_j| with j >= 0.9*band over the band's largest. `trace_row` builds every row."""
 
     t: float
     energy: float
@@ -69,6 +70,7 @@ class TraceRow:
     max_u: float
     min_ux: float
     dt: float
+    tail: float
 
 
 def _project(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -303,7 +305,9 @@ def trace_row(t: float, dt: float, u: np.ndarray, ux: np.ndarray, squares_hat,
     squares_hat holds the rows (rfft(u^2), rfft(u_x^2)), u_hat is rfft(u) or its band,
     and none is written to. At gamma = 0, by convention, m = m_rhs = 0 at grid point 0."""
     i, m = slope_argmin(ux, params.gamma)
-    return TraceRow(t=t, energy=energy_sum(u, ux, grid), m=m, xi=float(grid.x[i]),
+    moduli = np.abs(u_hat[:grid.band])  # the tail of zero data is 0
+    tail = float(moduli[-(-9 * grid.band // 10):].max()) / max(float(moduli.max()), 1e-300)
+    return TraceRow(t=t, energy=energy_sum(u, ux, grid), m=m, xi=float(grid.x[i]), tail=tail,
                     m_rhs=riccati_rate(u_hat, squares_hat, u, i, m, grid, params),
                     max_u=max(float(u.max()), -float(u.min())), min_ux=float(ux.min()), dt=dt)
 

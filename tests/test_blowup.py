@@ -22,6 +22,7 @@ from dispwave import (
     gaussian_bump,
     riccati_bracket,
     sharpness_experiment,
+    simulate,
     slope_minimum,
     steep_bump,
     write_comparison_csv,
@@ -197,9 +198,10 @@ class TestExistenceBound:
         assert b.m0 == pytest.approx(slope_minimum(u0, p), rel=1e-14)
 
 
-def slope_row(t: float, m: float, m_rhs: float) -> TraceRow:
-    """A trace row carrying only the slope fields the extrapolation reads."""
-    return TraceRow(t=t, energy=0.0, m=m, xi=0.0, m_rhs=m_rhs, max_u=0.0, min_ux=0.0, dt=0.0)
+def slope_row(t: float, m: float, m_rhs: float, tail: float = 0.0) -> TraceRow:
+    """A trace row carrying only the fields the breaking-time estimate reads."""
+    return TraceRow(t=t, energy=0.0, m=m, xi=0.0, m_rhs=m_rhs, max_u=0.0, min_ux=0.0, dt=0.0,
+                    tail=tail)
 
 
 class TestExtrapolation:
@@ -216,25 +218,78 @@ class TestExtrapolation:
 
     def test_recovers_pure_riccati_time(self):
         trace = self.riccati_trace(-3.0, stop=-40.0)
-        fit = extrapolate_blowup_time(trace)
-        assert fit.t_star == pytest.approx(2.0 / 3.0, rel=1e-10)
-        assert fit.slope == pytest.approx(-1.0, rel=1e-10)
+        estimate = extrapolate_blowup_time(trace)
+        assert estimate.t_star == pytest.approx(2.0 / 3.0, rel=1e-10)
+        assert estimate.spread <= 1e-12
 
-    def test_one_point_fallback(self):
-        trace = self.riccati_trace(-3.0, stop=-9.0)[:3]
-        fit = extrapolate_blowup_time(trace)
-        assert fit.n_points == 1
-        assert fit.t_star == pytest.approx(2.0 / 3.0, rel=1e-9)
+    @pytest.mark.parametrize("gamma,omega,e0,m0", [
+        (1.0, 0.0, 1.0, -2.0), (2.0, 0.5, 3.0, -5.0), (0.5, 0.25, 0.4, -0.3)])
+    def test_reproduces_the_existence_bound(self, gamma, omega, e0, m0):
+        # with m_rhs = -(m^2 + K)/2 the slope follows the bound's own Riccati
+        # equation, m = sqrt(K)*tan(atan(m0/sqrt(K)) - sqrt(K)*t/2), so every
+        # sample's frozen-forcing time lands on T_lower
+        bound = existence_time_lower_bound(e0, m0, PdeParams(gamma, omega))
+        root = math.sqrt(bound.bracket)
+        rows = []
+        for t in np.linspace(0.0, 0.95 * bound.t_lower, 40):
+            m = root * math.tan(math.atan(m0 / root) - 0.5 * root * t)
+            rows.append(slope_row(float(t), m, -0.5 * (m * m + bound.bracket)))
+        estimate = extrapolate_blowup_time(rows)
+        assert abs(estimate.t_star - bound.t_lower) <= 1e-12
+        assert estimate.spread <= 1e-12
+
+    @pytest.mark.parametrize("f", [0.5, 2.0, 8.0])
+    def test_positive_forcing_matches_exact_riccati(self, f):
+        # m' = -(m^2 - b^2)/2 with b = sqrt(2f) solves to m = -b*coth(b*(T - t)/2),
+        # which reaches -infinity at T: the artanh branch
+        b, breaking = math.sqrt(2.0 * f), 0.7
+        rows = []
+        for t in np.linspace(0.0, 0.6, 31):
+            m = -b / math.tanh(0.5 * b * (breaking - t))
+            rows.append(slope_row(float(t), m, -0.5 * m * m + f))
+        estimate = extrapolate_blowup_time(rows)
+        assert abs(estimate.t_star - breaking) <= 1e-12
+
+    def test_median_of_the_last_resolved_collapsing_samples(self):
+        # at f = 0 a sample at t = 0 estimates 2/|m|; the window takes the last
+        # five that collapse and are resolved, skipping the other two rows
+        times = [1.0, 2.0, 0.9, 1.1, 1.3, 0.8, 1.2]
+        rows = [slope_row(0.0, -2.0 / x, -2.0 / (x * x)) for x in times]
+        rows.insert(4, slope_row(0.0, -2.0, 1.0))  # relaxing: m' > 0
+        rows.append(slope_row(0.0, -40.0, -800.0, tail=2e-7))  # under-resolved
+        estimate = extrapolate_blowup_time(rows)
+        assert estimate.t_star == pytest.approx(1.1, rel=1e-14)
+        assert estimate.spread == pytest.approx(0.5, rel=1e-14)
 
     def test_rejects_non_breaking_trace(self):
         rows = [slope_row(0.1 * i, 1.0, 0.0) for i in range(5)]
-        with pytest.raises(ValueError, match="no negative slope"):
+        with pytest.raises(ValueError, match="no collapsing sample is resolved"):
             extrapolate_blowup_time(rows)
 
     def test_rejects_relaxing_trace(self):
-        rows = [slope_row(0.1 * i, -20.0 + i, 0.0) for i in range(8)]
-        with pytest.raises(ValueError, match="not collapsing"):
+        rows = [slope_row(0.1 * i, -20.0 + i, 10.0) for i in range(8)]
+        with pytest.raises(ValueError, match="no collapsing sample is resolved"):
             extrapolate_blowup_time(rows)
+
+
+@pytest.mark.parametrize("gamma,omega,half_width", [(1.0, 0.0, 6.0), (2.0, 0.5, 8.0)])
+def test_breaking_time_agrees_across_grids(gamma, omega, half_width):
+    # acceptance-7 data, and the same steep bump at gamma = 2, omega = 0.5:
+    # t* at N = 2048 and 4096 agree within the sum of their spreads
+    p = PdeParams(gamma, omega)
+    threshold = 11.0 if gamma == 1.0 else 15.0
+    cfg = SolverConfig(t_end=2.0, sample_interval=0.004,
+                       blowup_m_threshold=threshold, dt_min=1e-10)
+    estimates = []
+    for n in (2048, 4096):
+        u0 = steep_bump(Grid(half_width, n), 1.0, 3.0)
+        res = simulate(u0, p, cfg)
+        assert res.stop_reason == "blowup_slope"
+        estimates.append(extrapolate_blowup_time(res.samples))
+    coarse, fine = estimates
+    assert abs(coarse.t_star - fine.t_star) <= coarse.spread + fine.spread
+    assert fine.t_star >= existence_bound(steep_bump(Grid(half_width, 4096), 1.0, 3.0),
+                                          p).t_lower
 
 
 @pytest.fixture(scope="module")
@@ -349,14 +404,15 @@ class TestSharpnessExperiment:
         path = tmp_path / "comparison.csv"
         write_comparison_csv([SweepRow(1, 0.5)], path)
         assert path.read_text().splitlines() == [
-            "family_id,alpha,E0,m0,gamma_case,K,T_lower,t_star,ratio,censored",
-            "1,0.5,nan,nan,error,nan,nan,nan,nan,true"]
+            "family_id,alpha,E0,m0,gamma_case,K,T_lower,t_star,t_star_spread,ratio,censored",
+            "1,0.5,nan,nan,error,nan,nan,nan,nan,nan,true"]
 
     def test_comparison_csv_layout(self, small_family_rows, tmp_path):
         path = tmp_path / "comparison.csv"
         write_comparison_csv(small_family_rows, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "family_id,alpha,E0,m0,gamma_case,K,T_lower,t_star,ratio,censored"
+        assert lines[0] == ("family_id,alpha,E0,m0,gamma_case,K,T_lower,t_star,t_star_spread,"
+                            "ratio,censored")
         assert len(lines) == 3
         assert lines[1].startswith("0,0.34999999999999998,") and lines[1].endswith(",true")
         assert lines[2].startswith("1,1,") and lines[2].endswith(",false")

@@ -324,6 +324,7 @@ class TestSimulateCommand:
         assert summary["stop_reason"] == "blowup_slope"
         assert summary["breaking"]["triggered"] is True
         assert summary["t_star"] >= 0.98 * summary["existence_bound"]["T_lower"]
+        assert 0.0 <= summary["t_star_spread"] <= 1e-2
 
     def test_checkpoints_written_when_enabled(self, tmp_path):
         cfg = write_config(tmp_path / "c.json",
@@ -457,7 +458,8 @@ class TestSweepCommand:
         lines = (out / "comparison.csv").read_text().splitlines()
         assert lines[0].startswith("family_id,alpha,")
         assert len(lines) == 3
-        ratios = [float(row.split(",")[8]) for row in lines[1:]]
+        column = lines[0].split(",").index("ratio")
+        ratios = [float(row.split(",")[column]) for row in lines[1:]]
         assert all(r >= 0.98 for r in ratios)
 
     def test_scaling_family_bound_decreases_with_alpha(self, tmp_path):
@@ -524,6 +526,21 @@ class TestSweepCommand:
         }))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_huge_integer_in_family_is_exit_2(self, tmp_path, capsys):
+        # an integer too large for a float is a number to JSON, and no float to the family
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "params": {"gamma": 1.0, "omega": 0.0},
+            "grid": {"L": 6.0, "N": 64},
+            "solver": {"t_end": 0.1},
+            "family": {"kind": "steepness", "amplitude": 1.0, "steepnesses": [3.0, 10**400]},
+        }))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: family.steepnesses.1: expected a finite number, got {10**400}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_nonpositive_workers_is_exit_2(self, tmp_path, capsys, workers):
         cfg = self._gaussian_family(tmp_path / "sweep.json", [1.0])
@@ -532,6 +549,28 @@ class TestSweepCommand:
                      "--workers", workers]) == 2
         assert "error: --workers" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_unresolved_breaking_run_is_censored_on_both_paths(tmp_path):
+    # at N = 128 every sample's band-edge tail exceeds 1e-7, so the run breaks
+    # with no sample to estimate t* from: simulate and sweep both censor it
+    common = {"params": {"gamma": 1.0, "omega": 0.0}, "grid": {"L": 6.0, "N": 128},
+              "solver": {"t_end": 1.2, "sample_interval": 0.01, "blowup_m_threshold": 3.0}}
+    run = write_config(tmp_path / "run.json", **common,
+                       initial={"kind": "steep", "amplitude": 1.0, "steepness": 3.0})
+    assert main(["simulate", "--config", str(run), "--out", str(tmp_path / "run")]) == 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["stop_reason"] == "blowup_slope"
+    assert summary["t_star"] is None and summary["t_star_spread"] is None
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({**common, "family": {"kind": "steepness", "amplitude": 1.0,
+                                                      "steepnesses": [3.0]}}))
+    assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "sweep")]) == 0
+    header, row = (tmp_path / "sweep" / "comparison.csv").read_text().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["gamma_case"] == "low" and fields["T_lower"] != "nan"
+    assert (fields["t_star"], fields["t_star_spread"], fields["ratio"]) == ("nan",) * 3
+    assert fields["censored"] == "true"
 
 
 def test_import_loads_numpy_only():

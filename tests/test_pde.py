@@ -315,7 +315,16 @@ class TestEnergy:
 class TestSlopeSample:
     def test_zero_field(self, grid_small):
         s = slope_sample(zero_field(grid_small), PdeParams(1.0, 0.2), t=0.3)
-        assert s.m == 0.0 and s.m_rhs == 0.0 and s.t == 0.3
+        assert s.m == 0.0 and s.m_rhs == 0.0 and s.t == 0.3 and s.tail == 0.0
+
+    def test_tail_reads_the_top_tenth_of_the_band(self, grid_small):
+        # band = 86 at N = 256, so the tail is the largest |u_hat_j| for j >= 78
+        # (modes from 86 up are outside the band) over the largest one
+        g = grid_small
+        k = np.pi / g.half_width
+        for j, expected in ((78, 0.5), (85, 0.5), (77, 0.0), (86, 0.0), (100, 0.0)):
+            u = Field(g, np.cos(k * g.x) + 0.5 * np.cos(j * k * g.x))
+            assert slope_sample(u, PdeParams(1.0, 0.0)).tail == pytest.approx(expected, abs=1e-13)
 
     def test_gamma_zero_convention(self, grid_small):
         u = band_limited_field(grid_small, seed=10)
@@ -389,6 +398,7 @@ class TestSolverSamples:
             assert abs(row.m - s.m) <= rtol * abs(gamma) * ux_scale
             assert abs(row.m_rhs - s.m_rhs) <= rtol * (s.m * s.m + abs(s.m_rhs))
             assert abs(row.min_ux - np.min(state.derivative)) <= rtol * ux_scale
+            assert abs(row.tail - s.tail) <= rtol
 
     @pytest.mark.parametrize("gamma,omega", PARAM_PAIRS)
     def test_every_row_reuses_the_first_stage_exactly(self, grid_medium, gamma, omega,

@@ -258,8 +258,7 @@ class TestSimulate:
 @pytest.fixture(scope="module")
 def breaking_run():
     # resolution chosen so the slope minimum is faithful down to the
-    # threshold: the extrapolated breaking time is converged to ~0.5%
-    # here, and the argmin sawtooth stays below the per-sample collapse
+    # threshold and the argmin sawtooth stays below the per-sample collapse
     g = Grid(6.0, 16384)
     u0 = steep_bump(g, 1.0, 3.0)
     p = PdeParams(1.0, 0.0)
