@@ -10,6 +10,7 @@ closed-form existence bound.
 
 from .blowup import (
     BlowupVerdict,
+    BreakingTime,
     ExistenceBound,
     RunReport,
     SweepRow,

@@ -22,11 +22,10 @@ collects the bounded terms through the conserved energy:
   identically and extends continuously to m0 >= 0. gamma = 0 (or zero data)
   means no breaking at all: T = +inf.
 
-The sharpness experiment integrates a steepening family and tabulates t*/T,
-which the theory keeps >= 1 and which approaches 1 as the data steepen. t*
-is the Riccati blow-up time with the forcing m' + m^2/2 frozen, the median
-over the last resolved collapsing samples (a forcing of -K/2 gives T), and
-`assess` reports it with the bound for a finished run.
+The sharpness experiment tabulates t*/T over a steepening family: the theory
+keeps it >= 1, and it approaches 1 as the data steepen. t* is the median over
+the last resolved collapsing samples of the Riccati blow-up time with the
+forcing m' + m^2/2 frozen (-K/2 gives T); `assess` reports it for a run.
 """
 
 from __future__ import annotations
@@ -154,7 +153,7 @@ def existence_bound(u0: Field, params: PdeParams) -> ExistenceBound:
 
 @dataclass(frozen=True)
 class BreakingTime:
-    """Observed breaking time and the spread of the estimates it is the median of."""
+    """Observed breaking time and the spread of its estimates (nan from just one)."""
 
     t_star: float
     spread: float
@@ -162,12 +161,15 @@ class BreakingTime:
 
 def _time_to_breaking(m: float, m_rhs: float) -> float:
     """Time for z = -2/m to reach 0 under z' = -1 + f*z^2/2 with f = m_rhs + m^2/2
-    frozen; m < 0 and m_rhs < 0 keep rate*z below 1 where f > 0."""
+    frozen, for m < 0 and m_rhs < 0. For f > 0, artanh(rate*z) is a log1p free of
+    cancellation: rate*z itself rounds to 1, outside artanh's domain, at |m_rhs| << m^2."""
     z, f = -2.0 / m, m_rhs + 0.5 * m * m
     if f == 0.0:
         return z
     rate = math.sqrt(0.5 * abs(f))
-    return (math.atan(rate * z) if f < 0.0 else math.atanh(rate * z)) / rate
+    if f < 0.0:
+        return math.atan(rate * z) / rate
+    return math.log1p(2.0 * rate * (2.0 * rate - m) / -m_rhs) / (2.0 * rate)
 
 
 def extrapolate_blowup_time(trace: Sequence[TraceRow]) -> BreakingTime:
@@ -178,29 +180,28 @@ def extrapolate_blowup_time(trace: Sequence[TraceRow]) -> BreakingTime:
              if s.m < 0.0 and s.m_rhs < 0.0 and s.tail <= _TAIL_MAX][-_WINDOW:]
     if not times:
         raise ValueError(f"no collapsing sample is resolved (m, m' < 0, tail <= {_TAIL_MAX:g})")
-    return BreakingTime(t_star=median(times), spread=max(times) - min(times))
+    return BreakingTime(t_star=median(times),
+                        spread=max(times) - min(times) if len(times) > 1 else math.nan)
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """The analysis of a finished run: verdict is None at gamma = 0, the t* fields if censored."""
+    """The analysis of a finished run: verdict None at gamma = 0, breaking None if censored."""
 
     bound: ExistenceBound
     verdict: BlowupVerdict | None
-    stop_reason: str
-    t_star: float | None
-    t_star_spread: float | None
+    breaking: BreakingTime | None
 
 
 def assess(u0: Field, params: PdeParams, result: SimulationResult) -> RunReport:
     """Bound and criterion for u0, and the breaking time of the run result from u0."""
-    t_star = spread = None
+    breaking = None
     if result.stop_reason in BREAKING_STOPS:
         with suppress(ValueError):  # no resolved collapsing sample: censored
-            t_star, spread = astuple(extrapolate_blowup_time(result.samples))
+            breaking = extrapolate_blowup_time(result.samples)
     return RunReport(bound=existence_bound(u0, params),
                      verdict=blowup_condition(u0, params) if params.gamma != 0.0 else None,
-                     stop_reason=result.stop_reason, t_star=t_star, t_star_spread=spread)
+                     breaking=breaking)
 
 
 @dataclass(frozen=True)
@@ -226,9 +227,9 @@ def run_member(family_id: int, alpha: float, u0: Field, params: PdeParams,
     """Simulate one family member and compare its breaking time to the bound."""
     report = assess(u0, params, simulate(u0, params, config))
     row = SweepRow(family_id, alpha, **asdict(report.bound))
-    if report.t_star is not None:
-        row = replace(row, t_star=report.t_star, t_star_spread=report.t_star_spread,
-                      ratio=report.t_star / report.bound.t_lower, censored=False)
+    if (breaking := report.breaking) is not None:
+        row = replace(row, t_star=breaking.t_star, t_star_spread=breaking.spread,
+                      ratio=breaking.t_star / report.bound.t_lower, censored=False)
     return row
 
 
@@ -255,10 +256,7 @@ def sharpness_experiment(members: Sequence[tuple[float, Field]], params: PdePara
     rows = []
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # 20-26 ms to import; only pools need it
-        context = ProcessPoolExecutor(max_workers=workers)
-    else:
-        context = nullcontext()
-    with context as pool:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         if pool is None:
             calls = [partial(run_member, *job) for job in jobs]
         else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -70,15 +70,16 @@ def _bound_fields(bound: ExistenceBound) -> dict:
 
 def _summary_payload(rc: RunConfig, u0: Field, result: SimulationResult) -> dict:
     report = assess(u0, rc.params, result)
+    t_star, spread = astuple(report.breaking) if report.breaking else (None, None)
     payload: dict = {
-        "stop_reason": report.stop_reason,
+        "stop_reason": result.stop_reason,
         "t_stop": result.t_stop,
         "energy_initial": result.samples[0].energy,
         "energy_final": result.samples[-1].energy,
         "energy_drift": result.energy_drift,
         "existence_bound": _bound_fields(report.bound),
-        "t_star": report.t_star,
-        "t_star_spread": report.t_star_spread,
+        "t_star": t_star,
+        "t_star_spread": spread,
         "warnings": list(result.warnings),
         "config": config_dict(rc),
         "breaking": ({"note": _GLOBAL_NOTE} if report.verdict is None

@@ -60,7 +60,8 @@ class TraceRow:
     """One recorded sample: the slope minimum m = min_x gamma*u_x at the grid
     point xi (smallest index on ties), its Riccati rate m_rhs there, E, max|u|,
     min u_x, the step dt that reached it and the resolution measure `tail`, the
-    largest |u_hat_j| with j >= 0.9*band over the band's largest. `trace_row` builds every row."""
+    largest |u_hat_j| with j >= min(0.9*band, band - 1) over the band's largest.
+    `trace_row` builds every row."""
 
     t: float
     energy: float
@@ -306,7 +307,8 @@ def trace_row(t: float, dt: float, u: np.ndarray, ux: np.ndarray, squares_hat,
     and none is written to. At gamma = 0, by convention, m = m_rhs = 0 at grid point 0."""
     i, m = slope_argmin(ux, params.gamma)
     moduli = np.abs(u_hat[:grid.band])  # the tail of zero data is 0
-    tail = float(moduli[-(-9 * grid.band // 10):].max()) / max(float(moduli.max()), 1e-300)
+    edge = min(-(-9 * grid.band // 10), grid.band - 1)  # a band under 10 modes keeps its last
+    tail = float(moduli[edge:].max()) / max(float(moduli.max()), 1e-300)
     return TraceRow(t=t, energy=energy_sum(u, ux, grid), m=m, xi=float(grid.x[i]), tail=tail,
                     m_rhs=riccati_rate(u_hat, squares_hat, u, i, m, grid, params),
                     max_u=max(float(u.max()), -float(u.min())), min_ux=float(ux.min()), dt=dt)

@@ -261,6 +261,20 @@ class TestExtrapolation:
         assert estimate.t_star == pytest.approx(1.1, rel=1e-14)
         assert estimate.spread == pytest.approx(0.5, rel=1e-14)
 
+    def test_single_resolved_sample_has_no_spread(self):
+        # one estimate gives t* but no error bar: spread is nan, not 0
+        rows = [slope_row(0.0, -2.0, -2.0), slope_row(0.1, -4.0, -8.0, tail=2e-7)]
+        estimate = extrapolate_blowup_time(rows)
+        assert estimate.t_star == pytest.approx(1.0, rel=1e-14)
+        assert math.isnan(estimate.spread)
+
+    def test_forcing_next_to_no_collapse(self):
+        # m = -1, m_rhs = -1e-17 leaves f = 0.5 and rate*z = 1 after rounding;
+        # exactly, rate*z = sqrt(1 - eps) with eps = 2e-17, so the time is
+        # artanh(sqrt(1 - eps))/0.5 = ln(4/eps) + O(eps) = ln(2e17)
+        estimate = extrapolate_blowup_time([slope_row(0.0, -1.0, -1e-17)])
+        assert estimate.t_star == pytest.approx(math.log(2e17), rel=1e-14)
+
     def test_rejects_non_breaking_trace(self):
         rows = [slope_row(0.1 * i, 1.0, 0.0) for i in range(5)]
         with pytest.raises(ValueError, match="no collapsing sample is resolved"):

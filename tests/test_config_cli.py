@@ -280,6 +280,14 @@ class TestSimulateCommand:
         assert summary["existence_bound"]["T_lower"] == "infinite"
         assert summary["t_star"] is None
 
+    def test_smallest_grid_runs(self, tmp_path):
+        # N = 16 is the smallest grid a config accepts; its band has 6 modes
+        cfg = write_config(tmp_path / "c.json", grid={"L": 20.0, "N": 16})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stop_reason"] == "reached_t_end"
+
     def test_deterministic_artifacts(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         out1, out2 = tmp_path / "a", tmp_path / "b"

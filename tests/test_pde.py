@@ -326,6 +326,16 @@ class TestSlopeSample:
             u = Field(g, np.cos(k * g.x) + 0.5 * np.cos(j * k * g.x))
             assert slope_sample(u, PdeParams(1.0, 0.0)).tail == pytest.approx(expected, abs=1e-13)
 
+    @pytest.mark.parametrize("n", [16, 20, 26])
+    def test_tail_keeps_the_last_mode_of_a_band_under_ten(self, n):
+        # band = 6, 7 and 9: the top tenth of the band rounds to no mode, so
+        # the tail reads the band's last mode alone
+        g = Grid(6.0, n)
+        k = np.pi / g.half_width
+        for j, expected in ((g.band - 1, 0.5), (g.band - 2, 0.0)):
+            u = Field(g, np.cos(k * g.x) + 0.5 * np.cos(j * k * g.x))
+            assert slope_sample(u, PdeParams(1.0, 0.0)).tail == pytest.approx(expected, abs=1e-13)
+
     def test_gamma_zero_convention(self, grid_small):
         u = band_limited_field(grid_small, seed=10)
         s = slope_sample(u, PdeParams(0.0, 0.5))
