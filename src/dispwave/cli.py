@@ -81,6 +81,7 @@ def _summary_payload(rc: RunConfig, u0: Field, result: SimulationResult) -> dict
         "t_star": t_star,
         "t_star_spread": spread,
         "warnings": list(result.warnings),
+        "stats": {"steps": result.steps, "rhs_evaluations": result.rhs_evaluations},
         "config": config_dict(rc),
         "breaking": ({"note": _GLOBAL_NOTE} if report.verdict is None
                      else {**asdict(report.verdict), "triggered": report.verdict.triggered}),

@@ -88,7 +88,7 @@ class SpectralRhs:
 
     with A, B and C built once from -ik, 1/(1 + k^2) and (gamma, omega); C runs
     only when omega != 0. States and results hold the band's modes only. A
-    call costs 4 transforms in 2 FFT calls, numpy's 2-row passes, into arrays
+    call costs 4 transforms in 2 FFT calls, pocketfft's 2-row passes, into arrays
     made once: `physical` fills `u` and `ux` (rows of one array) from the
     state in `stage`, the band of a zero-padded 2-row irfft input; `finish`
     squares them and transforms the squares into `pair` (`u`, `ux` and `pair`
@@ -120,6 +120,7 @@ class SpectralRhs:
         self._terms = np.empty((2, band), dtype=complex)
         self.k = np.empty(band, dtype=complex)  # the stage slope `step` reads and writes
         self._n = n
+        self.evaluations = 0  # calls to `finish`, which every evaluation makes
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """The state of grid values: their band's rfft coefficients."""
@@ -136,6 +137,7 @@ class SpectralRhs:
 
     def finish(self, out: np.ndarray) -> np.ndarray:
         """Write u_t_hat of the state in `stage`, whose values `u` and `ux` hold, into out."""
+        self.evaluations += 1
         np.multiply(self._fields, self._fields, out=self._squares)
         rfft(self._squares, out=self.pair)
         terms = np.multiply(self._pair_band, self._mults, out=self._terms)

@@ -88,6 +88,8 @@ class SimulationResult:
     stop_reason: str
     t_stop: float
     final_state: Field
+    steps: int  # RK4 steps taken, the last one too when it overflowed
+    rhs_evaluations: int
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -150,6 +152,7 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
     rhs(u_hat, rhs.k)  # each state's k1, whose transforms its trace row reuses
     new_hat = np.empty_like(u_hat)
     t = 0.0
+    steps = 0
     samples: list[TraceRow] = []
     checkpoints: list[tuple[float, Field]] = []
     warnings: list[str] = []
@@ -198,6 +201,7 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
             # overflow/NaN here is a detected outcome, not a numerical bug
             rhs.step(u_hat, dt, new_hat)
             rhs(new_hat, rhs.k)
+        steps += 1
         t_new = t_event if dt >= t_event - t else t + dt
         if not np.isfinite(new_hat).all():
             stop_reason = "blowup_nonfinite"
@@ -223,6 +227,8 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
         stop_reason=stop_reason,
         t_stop=t,
         final_state=final,
+        steps=steps,
+        rhs_evaluations=rhs.evaluations,
         warnings=warnings,
     )
     if stop_reason == "reached_t_end" and result.energy_drift > config.energy_drift_tol:

@@ -333,6 +333,8 @@ class TestSimulateCommand:
         assert summary["breaking"]["triggered"] is True
         assert summary["t_star"] >= 0.98 * summary["existence_bound"]["T_lower"]
         assert 0.0 <= summary["t_star_spread"] <= 1e-2
+        stats = summary["stats"]
+        assert stats["steps"] > 0 and stats["rhs_evaluations"] == 1 + 4 * stats["steps"]
 
     def test_checkpoints_written_when_enabled(self, tmp_path):
         cfg = write_config(tmp_path / "c.json",

@@ -13,6 +13,7 @@ from dispwave import (
     helmholtz_inverse,
     hs_norm,
 )
+from dispwave.spectral import irfft, rfft
 
 from conftest import band_limited_field
 
@@ -202,6 +203,46 @@ for n in (16384, 65536):
         rhs(u_hat, out)
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+
+
+class TestTransforms:
+    """dispwave's rfft/irfft call pocketfft's gufuncs; numpy.fft's are the reference."""
+
+    @pytest.mark.parametrize("n", [16, 17, 1024, 1025])
+    @pytest.mark.parametrize("rows", [(), (2,)])
+    def test_match_numpy_fft(self, n, rows):
+        # an odd n needs the odd gufunc: the even one would read 17 points as 16
+        values = np.random.default_rng(n).normal(size=rows + (n,))
+        spectrum = np.fft.rfft(values)
+        assert np.array_equal(rfft(values), spectrum)
+        assert np.array_equal(irfft(spectrum, n=n), np.fft.irfft(spectrum, n=n))
+        assert np.array_equal(irfft(spectrum), np.fft.irfft(spectrum))
+
+    @pytest.mark.parametrize("n", [48, 1024])
+    @pytest.mark.parametrize("rows", [(), (2,)])
+    def test_band_input_is_zero_padded(self, n, rows):
+        # SpectralRhs.values and the Riccati bracket pass the band's modes with n = N
+        band = Grid(6.0, n).band
+        values = np.random.default_rng(n).normal(size=rows + (n,))
+        band_hat = np.fft.rfft(values)[..., :band]
+        assert np.array_equal(irfft(band_hat, n=n), np.fft.irfft(band_hat, n=n))
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_out_is_filled_and_returned(self, n):
+        values = np.random.default_rng(n).normal(size=(2, n))
+        spectrum = np.empty((2, n // 2 + 1), dtype=complex)
+        assert rfft(values, out=spectrum) is spectrum
+        assert np.array_equal(spectrum, np.fft.rfft(values))
+        back = np.empty((2, n))
+        assert irfft(spectrum, n=n, out=back) is back
+        assert np.array_equal(back, np.fft.irfft(spectrum, n=n))
+
+    def test_non_contiguous_input(self):
+        values = np.random.default_rng(5).normal(size=(1024, 2)).T
+        spectrum = np.fft.rfft(values.T, axis=0).T
+        assert not values.flags.c_contiguous and not spectrum.flags.c_contiguous
+        assert np.array_equal(rfft(values), np.fft.rfft(values))
+        assert np.array_equal(irfft(spectrum, n=1024), np.fft.irfft(spectrum, n=1024))
 
 
 class TestMallocPin:

@@ -254,6 +254,24 @@ class TestSimulate:
         assert list(per_sample) == [1, 1]
         assert list(counts(8, 4) - counts(8, 2)) == list(2 * per_sample)
 
+    @pytest.mark.parametrize("gamma, threshold, t_end, stop", [
+        (1.0, 1e6, 0.3, "reached_t_end"),
+        (1.0, 4.0, 1.2, "blowup_slope"),
+        (0.0, 1e6, 0.3, "reached_t_end"),
+    ])
+    def test_reported_counts_account_for_every_transform(self, gamma, threshold, t_end, stop,
+                                                         transform_count):
+        g = Grid(6.0, 256)
+        cfg = SolverConfig(t_end=t_end, sample_interval=0.01, blowup_m_threshold=threshold)
+        before = transform_count["transforms"]
+        res = simulate(steep_bump(g, 1.0, 3.0), PdeParams(gamma, 0.0), cfg)
+        assert res.stop_reason == stop and res.steps > 0
+        # the k1 stage of u0, then the 3 stages of each step and the k1 of its result
+        assert res.rhs_evaluations == 1 + 4 * res.steps
+        # 4 per evaluation, the projection of u0, and the Riccati bracket of each row
+        rows = len(res.samples) if gamma != 0.0 else 0
+        assert transform_count["transforms"] - before == 4 * res.rhs_evaluations + 1 + rows
+
 
 @pytest.fixture(scope="module")
 def breaking_run():
