@@ -186,17 +186,17 @@ def extrapolate_blowup_time(trace: Sequence[TraceRow]) -> BreakingTime:
 
 @dataclass(frozen=True)
 class RunReport:
-    """The analysis of a finished run: verdict None at gamma = 0, breaking None if censored."""
+    """Analysis of u0 and its run: verdict None at gamma = 0, breaking None without a run or t*."""
 
     bound: ExistenceBound
     verdict: BlowupVerdict | None
     breaking: BreakingTime | None
 
 
-def assess(u0: Field, params: PdeParams, result: SimulationResult) -> RunReport:
-    """Bound and criterion for u0, and the breaking time of the run result from u0."""
+def assess(u0: Field, params: PdeParams, result: SimulationResult | None = None) -> RunReport:
+    """Bound and criterion for u0, and the breaking time of the run result from u0, if given."""
     breaking = None
-    if result.stop_reason in BREAKING_STOPS:
+    if result is not None and result.stop_reason in BREAKING_STOPS:
         with suppress(ValueError):  # no resolved collapsing sample: censored
             breaking = extrapolate_blowup_time(result.samples)
     return RunReport(bound=existence_bound(u0, params),

@@ -20,8 +20,6 @@ from .blowup import (
     ARTIFACT_NAMES,
     ExistenceBound,
     assess,
-    blowup_condition,
-    existence_bound,
     sharpness_experiment,
     write_comparison_csv,
 )
@@ -151,11 +149,11 @@ def _cmd_bound(args) -> int:
             u0 = field_from_csv(None, args.data)
     except (ValueError, OSError) as err:
         return _fail(str(err))
-    payload = _bound_fields(existence_bound(u0, params))
-    if params.gamma == 0.0:
+    report = assess(u0, params)
+    payload = _bound_fields(report.bound)
+    if (verdict := report.verdict) is None:
         payload["note"] = _GLOBAL_NOTE
     else:
-        verdict = blowup_condition(u0, params)
         payload.update(breaking_threshold=verdict.threshold, triggered=verdict.triggered)
         if verdict.witness_x0 is not None:
             payload["witness_x0"] = verdict.witness_x0

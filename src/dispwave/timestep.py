@@ -47,9 +47,9 @@ class SolverConfig:
     dt_init doubles as the step-size ceiling: the CFL and Riccati bounds
     only ever shrink it. decay_tolerance gates the initial data at |x| = L;
     energy_drift_tol is a monitoring level (drift beyond it is recorded as
-    a warning, never silently ignored). t_end is finite. The event clock lands
-    within 1e-14*max(1, t_end) of an event and adds an interval to reach the
-    next, so sample_interval and checkpoint_interval must exceed that.
+    a warning, never silently ignored). t_end is finite. A step that would end
+    within one `tick` of t_end or of a sample or checkpoint time, an exact
+    multiple k*interval, lands on it; intervals at or below tick stall the clock.
     """
 
     t_end: float
@@ -74,11 +74,15 @@ class SolverConfig:
         for name in ("blowup_m_threshold", "energy_drift_tol", "decay_tolerance"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        tick = 1e-14 * max(1.0, self.t_end)
         for name in ("sample_interval", "checkpoint_interval"):
             value = getattr(self, name)
-            if not ((value is None and name == "checkpoint_interval") or value > tick):
-                raise ValueError(f"{name} must exceed 1e-14*max(1, t_end) = {tick:g}, got {value}")
+            if not ((value is None and name == "checkpoint_interval") or value > self.tick):
+                raise ValueError(f"{name} must exceed the clock's tick {self.tick:g}, got {value}")
+
+    @property
+    def tick(self) -> float:
+        """The event clock's resolution: times this close count as equal."""
+        return 1e-14 * max(1.0, self.t_end)
 
 
 @dataclass
@@ -131,6 +135,11 @@ def _controlled_dt(config: SolverConfig, grid: Grid, params: PdeParams,
     return dt
 
 
+def _on_clock(t: float, interval: float | None, tick: float) -> bool:
+    """Whether t is within tick of a multiple of interval; None has no multiples."""
+    return interval is not None and abs(t - round(t / interval) * interval) <= tick
+
+
 def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationResult:
     """Integrate u_t = rhs_nonlocal(u) until t_end or termination.
 
@@ -159,9 +168,8 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
     boundary_warned = False
     stop_reason = None
 
-    next_sample = config.sample_interval
-    next_checkpoint = config.checkpoint_interval if config.checkpoint_interval else math.inf
-    sample_due, checkpoint_due = True, bool(config.checkpoint_interval)
+    tick = config.tick
+    clocks = [d for d in (config.sample_interval, config.checkpoint_interval) if d is not None]
     while True:
         m = slope_argmin(ux, params.gamma)[1]
         # max |u| taken without the temporary abs(u) would allocate
@@ -169,19 +177,19 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
         dt_ctrl = _controlled_dt(config, grid, params, max_u, m)
         if not samples:
             last_dt = dt_ctrl
-        if checkpoint_due:
+        if _on_clock(t, config.checkpoint_interval, tick):
             checkpoints.append((t, Field(grid, u)))
 
         if m <= -config.blowup_m_threshold:
             stop_reason = "blowup_slope"
-        elif t >= config.t_end - 1e-14 * config.t_end:
+        elif t >= config.t_end - tick:
             t = config.t_end
             stop_reason = "reached_t_end"
         elif dt_ctrl < config.dt_min:
             stop_reason = "dt_underflow"
 
         # the initial row, every due sample, and the final row
-        if sample_due or (stop_reason and samples[-1].t < t):
+        if _on_clock(t, config.sample_interval, tick) or (stop_reason and samples[-1].t < t):
             samples.append(trace_row(t, last_dt, u, ux, rhs.pair, u_hat, grid, params))
             edge = max(abs(float(u[0])), abs(float(u[-1])))
             if not boundary_warned and edge > 1e-6 * max(max_u, 1e-300):
@@ -193,16 +201,18 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
             final = Field(grid, u)
             break
 
-        # land exactly on the next event time
-        t_event = min(config.t_end, next_sample, next_checkpoint)
-        dt = min(dt_ctrl, t_event - t)
+        # the next event is the first multiple of an interval a tick past t; a step
+        # that would end within a tick of it lands on it exactly
+        t_event = min([config.t_end] + [(math.floor((t + tick) / d) + 1) * d for d in clocks])
+        landing = dt_ctrl >= t_event - t - tick
+        dt = t_event - t if landing else dt_ctrl
 
         with np.errstate(over="ignore", invalid="ignore"):
             # overflow/NaN here is a detected outcome, not a numerical bug
             rhs.step(u_hat, dt, new_hat)
             rhs(new_hat, rhs.k)
         steps += 1
-        t_new = t_event if dt >= t_event - t else t + dt
+        t_new = t_event if landing else t + dt
         if not np.isfinite(new_hat).all():
             stop_reason = "blowup_nonfinite"
             t = t_new
@@ -212,14 +222,6 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
         u_hat, new_hat = new_hat, u_hat
         t = t_new
         last_dt = dt
-
-        # a due sample is recorded by the next pass, once its state is on the grid
-        sample_due = t >= next_sample - 1e-14
-        checkpoint_due = t >= next_checkpoint - 1e-14
-        while next_sample <= t + 1e-14:
-            next_sample += config.sample_interval
-        while next_checkpoint <= t + 1e-14:
-            next_checkpoint += config.checkpoint_interval
 
     result = SimulationResult(
         samples=samples,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dispwave import Field, Grid
+from dispwave import Field, Grid, PdeParams, SolverConfig, simulate, steep_bump
 
 
 def band_limited_field(grid: Grid, seed: int, amplitude: float = 0.5,
@@ -18,6 +18,27 @@ def band_limited_field(grid: Grid, seed: int, amplitude: float = 0.5,
     vals = np.fft.irfft(spec, n=grid.n_points)
     vals *= amplitude / np.max(np.abs(vals))
     return Field(grid, vals)
+
+
+@pytest.fixture(scope="session")
+def breaking_run():
+    """Acceptance 7's run: (u0, params, result) for steep_bump(1, 3) at gamma = 1,
+    simulated to |m| = 20; the suite's longest run, so it is simulated once."""
+    # resolution chosen so the slope minimum is faithful down to the
+    # threshold and the argmin sawtooth stays below the per-sample collapse
+    u0 = steep_bump(Grid(6.0, 16384), 1.0, 3.0)
+    p = PdeParams(1.0, 0.0)
+    cfg = SolverConfig(t_end=2.0, sample_interval=0.004,
+                       blowup_m_threshold=20.0, dt_min=1e-10)
+    return u0, p, simulate(u0, p, cfg)
+
+
+@pytest.fixture(scope="session")
+def gamma_zero_twin():
+    """The result of breaking_run's initial function with gamma switched off, to t = 50."""
+    u0 = steep_bump(Grid(6.0, 4096), 1.0, 3.0)
+    cfg = SolverConfig(t_end=50.0, dt_init=0.05, sample_interval=1.0)
+    return simulate(u0, PdeParams(0.0, 0.0), cfg)
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the configurations and tolerances are pinned here and nowhere else.
+lines; the configurations and tolerances are pinned here and nowhere else,
+except acceptance 7's two runs, which conftest.py pins and shares.
 """
 
 import json
@@ -175,16 +176,12 @@ def test_acceptance_6_existence_time_formulas():
     report(6, "existence-time formulas")
 
 
-def test_acceptance_7_breaking_end_to_end():
-    g = Grid(6.0, 16384)
-    u0 = steep_bump(g, 1.0, 3.0)
-    p = PdeParams(1.0, 0.0)
+def test_acceptance_7_breaking_end_to_end(breaking_run, gamma_zero_twin):
+    # both runs are conftest.py's, shared with test_timestep.py
+    u0, p, res = breaking_run
     verdict = blowup_condition(u0, p)
     assert verdict.triggered  # guaranteed-breaking data
 
-    cfg = SolverConfig(t_end=2.0, sample_interval=0.004,
-                       blowup_m_threshold=20.0, dt_min=1e-10)
-    res = simulate(u0, p, cfg)
     assert res.stop_reason == "blowup_slope"
     bound = existence_bound(u0, p)
     fit = extrapolate_blowup_time(res.samples)
@@ -192,10 +189,7 @@ def test_acceptance_7_breaking_end_to_end():
     assert res.t_stop >= 0.98 * bound.t_lower
 
     # the gamma = 0 twin of the same data is global
-    g_twin = Grid(6.0, 4096)
-    twin = steep_bump(g_twin, 1.0, 3.0)
-    cfg_twin = SolverConfig(t_end=50.0, dt_init=0.05, sample_interval=1.0)
-    res_twin = simulate(twin, PdeParams(0.0, 0.0), cfg_twin)
+    res_twin = gamma_zero_twin
     assert res_twin.stop_reason == "reached_t_end"
     m0 = res_twin.samples[0].min_ux
     assert all(r.min_ux >= 3.0 * m0 for r in res_twin.samples)

@@ -47,8 +47,8 @@ class TestSolverConfig:
     @pytest.mark.parametrize("t_end,interval", [(0.1, 1e-16), (0.1, 1e-14), (100.0, 1e-12)])
     @pytest.mark.parametrize("name", ["sample_interval", "checkpoint_interval"])
     def test_rejects_intervals_the_event_clock_cannot_resolve(self, name, t_end, interval):
-        # the clock lands within 1e-14*max(1, t_end) of an event and adds the
-        # interval to reach the next; at or below that it never gets past t
+        # an interval at or below the clock's tick 1e-14*max(1, t_end) puts the
+        # next event at most two ticks past t, so t_end would be 1e14 steps away
         with pytest.raises(ValueError, match=name):
             SolverConfig(t_end=t_end, **{name: interval})
         SolverConfig(t_end=t_end, **{name: 1.01 * max(1.0, t_end) * 1e-14})
@@ -199,6 +199,24 @@ class TestSimulate:
         times = [t for t, _ in res.checkpoints]
         assert times == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
+    @pytest.mark.parametrize("checkpoint_interval", [0.5, 0.3])
+    def test_event_times_are_exact_multiples(self, grid_small, checkpoint_interval):
+        # t_end is past 10.5, where a running sum of 0.05 strays more than 1e-14
+        # from k*0.05, and some 0.01 ceiling steps end within a tick of an event:
+        # each event is landed on at k*interval, with no sliver step after it
+        u0 = gaussian_bump(grid_small, 0.2, 2.0)
+        cfg = SolverConfig(t_end=12.0, sample_interval=0.05,
+                           checkpoint_interval=checkpoint_interval)
+        res = simulate(u0, PdeParams(0.5, 0.2), cfg)
+        times = [t for t, _ in res.checkpoints]
+        count = round(12.0 / checkpoint_interval) + 1
+        assert times == [j * checkpoint_interval for j in range(count)]
+        assert len(res.samples) == 241
+        for k, row in enumerate(res.samples[:-1]):
+            # a time both clocks share is the smaller product, here j*0.3 one ulp below k*0.05
+            assert row.t == k * 0.05 or (row.t in times and abs(row.t - k * 0.05) <= cfg.tick)
+        assert min(r.dt for r in res.samples) >= 1e-9 * cfg.dt_init
+
     def test_dt_underflow_verdict(self, grid_small):
         u0 = gaussian_bump(grid_small, 0.5, 2.0)
         cfg = SolverConfig(t_end=1.0, dt_min=1e-4, cfl_fraction=1e-6,
@@ -274,18 +292,6 @@ class TestSimulate:
 
 
 @pytest.fixture(scope="module")
-def breaking_run():
-    # resolution chosen so the slope minimum is faithful down to the
-    # threshold and the argmin sawtooth stays below the per-sample collapse
-    g = Grid(6.0, 16384)
-    u0 = steep_bump(g, 1.0, 3.0)
-    p = PdeParams(1.0, 0.0)
-    cfg = SolverConfig(t_end=2.0, sample_interval=0.004,
-                       blowup_m_threshold=20.0, dt_min=1e-10)
-    return u0, p, simulate(u0, p, cfg)
-
-
-@pytest.fixture(scope="module")
 def probe_setup():
     g = Grid(20.0, 512)
     u0 = gaussian_bump(g, 0.1, 1.5)
@@ -310,12 +316,8 @@ class TestBreakingRuns:
         bound = existence_bound(u0, p)
         assert res.t_stop >= 0.98 * bound.t_lower
 
-    def test_gamma_zero_twin_is_global(self):
-        # same initial function as the breaking run, gamma switched off
-        g = Grid(6.0, 4096)
-        u0 = steep_bump(g, 1.0, 3.0)
-        cfg = SolverConfig(t_end=50.0, dt_init=0.05, sample_interval=1.0)
-        res = simulate(u0, PdeParams(0.0, 0.0), cfg)
+    def test_gamma_zero_twin_is_global(self, gamma_zero_twin):
+        res = gamma_zero_twin
         assert res.stop_reason == "reached_t_end"
         m0 = res.samples[0].min_ux
         assert all(r.min_ux >= 3.0 * m0 for r in res.samples)
