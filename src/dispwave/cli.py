@@ -31,7 +31,7 @@ from .config import (
     load_run_config,
     load_sweep_config,
 )
-from .fileio import fmt, json_text, write_csv, write_json
+from .fileio import fmt, json_text, write_csv, write_field_csvs, write_json
 from .initial import field_from_csv
 from .pde import PdeParams
 from .solitary import (
@@ -54,12 +54,10 @@ def _fail(message: str, code: int = 2) -> int:
 
 def _write_checkpoints(result: SimulationResult, directory: Path) -> list[float]:
     directory.mkdir(parents=True, exist_ok=True)
-    times = []
-    for i, (t, field) in enumerate(result.checkpoints):
-        write_csv(directory / f"checkpoint_{i:04d}.csv", ("x", "u"),
-                  zip(field.grid.x, field.values))
-        times.append(t)
-    return times
+    write_field_csvs(result.final_state.grid.x,
+                     ((directory / f"checkpoint_{i:04d}.csv", field.values)
+                      for i, (_, field) in enumerate(result.checkpoints)))
+    return [t for t, _ in result.checkpoints]
 
 
 def _bound_fields(bound: ExistenceBound) -> dict:
@@ -79,7 +77,8 @@ def _summary_payload(rc: RunConfig, u0: Field, result: SimulationResult) -> dict
         "t_star": t_star,
         "t_star_spread": spread,
         "warnings": list(result.warnings),
-        "stats": {"steps": result.steps, "rhs_evaluations": result.rhs_evaluations},
+        "stats": {"steps": result.steps, "rhs_evaluations": result.rhs_evaluations,
+                  "dt_limiters": result.dt_limiters},
         "config": config_dict(rc),
         "breaking": ({"note": _GLOBAL_NOTE} if report.verdict is None
                      else {**asdict(report.verdict), "triggered": report.verdict.triggered}),

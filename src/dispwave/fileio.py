@@ -13,6 +13,8 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 def fmt(x: float) -> str:
     """Full round-trip decimal text (17 significant digits)."""
@@ -46,6 +48,15 @@ def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence],
         row_template = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in first)
         text += (row_template + "\n") * len(rows) % cells
     Path(path).write_text(text)
+
+
+def write_field_csvs(x: np.ndarray, fields: Iterable[tuple[Path | str, np.ndarray]]) -> None:
+    """Write each (path, u) of fields as the `x,u` CSV `write_csv(path, ("x", "u"),
+    zip(x, u))` writes. The x column, shared by every file, is formatted once;
+    each file then fills in its u column with one `%`."""
+    template = "x,u\n" + ("%.17g,%%.17g\n" * len(x)) % tuple(x.tolist())
+    for path, u in fields:
+        Path(path).write_text(template % tuple(u.tolist()))
 
 
 def jsonable(obj):

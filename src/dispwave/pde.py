@@ -27,9 +27,10 @@ which obeys a Riccati-type equation
     m' = -m^2/2 + (3-gamma)*gamma/2*u^2 + 2*omega*gamma*u - conv   (at the argmin)
 
 where conv is the Helmholtz convolution of the same quadratic bracket.
-`trace_row`, the one builder of every `TraceRow`, evaluates both sides (via
-`slope_argmin`, `riccati_rate`); `gamma_utx_field` the whole-field version
-(which retains the gamma^2*u*u_xx term that vanishes at the argmin).
+`trace_row`, the one builder of every `TraceRow`, records both sides (m from
+`slope_argmin`, which its caller has already run, and `riccati_rate`);
+`gamma_utx_field` the whole-field version (which retains the gamma^2*u*u_xx
+term that vanishes at the argmin).
 """
 
 from __future__ import annotations
@@ -91,10 +92,10 @@ class SpectralRhs:
     call costs 4 transforms in 2 FFT calls, pocketfft's 2-row passes, into arrays
     made once: `physical` fills `u` and `ux` (rows of one array) from the
     state in `stage`, the band of a zero-padded 2-row irfft input; `finish`
-    squares them and transforms the squares into `pair` (`u`, `ux` and `pair`
-    stay readable until the next call, and a trace row reads only those) and
-    takes one 2-row multiply and one add. Each row is bit-identical to a
-    single-row transform of it.
+    squares them into `squares` (rows u^2, u_x^2) and transforms those into
+    `pair` (`u`, `ux`, `squares` and `pair` stay readable until the next call,
+    and a trace row reads only those) and takes one 2-row multiply and one
+    add. Each row is bit-identical to a single-row transform of it.
 
     An RK4 step costs 16 transforms in 8 FFT calls: 4 in the caller's k1 stage
     `self(u_hat, k)`, whose arrays step control and trace rows read, and 12 in
@@ -114,7 +115,7 @@ class SpectralRhs:
         self.stage, self._stage_x = self._padded[:, :band]  # the state `physical` transforms
         self._fields = np.empty((2, n))
         self.u, self.ux = self._fields  # row views, still readable after `finish`
-        self._squares = np.empty_like(self._fields)
+        self.squares = np.empty_like(self._fields)  # rows (u^2, u_x^2)
         self.pair = np.empty_like(self._padded)  # rows (F(u^2), F(u_x^2))
         self._pair_band = self.pair[:, :band]
         self._terms = np.empty((2, band), dtype=complex)
@@ -138,8 +139,8 @@ class SpectralRhs:
     def finish(self, out: np.ndarray) -> np.ndarray:
         """Write u_t_hat of the state in `stage`, whose values `u` and `ux` hold, into out."""
         self.evaluations += 1
-        np.multiply(self._fields, self._fields, out=self._squares)
-        rfft(self._squares, out=self.pair)
+        np.multiply(self._fields, self._fields, out=self.squares)
+        rfft(self.squares, out=self.pair)
         terms = np.multiply(self._pair_band, self._mults, out=self._terms)
         np.add(terms[0], terms[1], out=out)
         if self._mult_u is not None:
@@ -265,10 +266,15 @@ def slope_argmin(ux: np.ndarray, gamma: float) -> tuple[int, float]:
     return i, gamma * float(ux[i])
 
 
-def _squares_hat(u: Field) -> tuple[np.ndarray, np.ndarray]:
-    """rfft(u^2) and rfft(u_x^2) of a Field, the rows `SpectralRhs.pair` holds."""
+def _squares(u: Field) -> np.ndarray:
+    """The rows (u^2, u_x^2) of a Field, as `SpectralRhs.squares` holds them."""
     ux = u.derivative
-    return rfft(u.values * u.values), rfft(ux * ux)
+    return np.stack((u.values * u.values, ux * ux))
+
+
+def _squares_hat(squares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The single-row rffts of the squares' rows, the rows `SpectralRhs.pair` holds."""
+    return rfft(squares[0]), rfft(squares[1])
 
 
 def _convolution_bracket(u_hat: np.ndarray, squares_hat, grid: Grid,
@@ -302,24 +308,35 @@ def riccati_rate(u_hat: np.ndarray, squares_hat, u: np.ndarray, i: int, m: float
             - float(conv[i]))
 
 
-def trace_row(t: float, dt: float, u: np.ndarray, ux: np.ndarray, squares_hat,
-              u_hat: np.ndarray, grid: Grid, params: PdeParams) -> TraceRow:
+def trace_row(t: float, dt: float, u: np.ndarray, ux: np.ndarray, squares: np.ndarray,
+              squares_hat, u_hat: np.ndarray, slope: tuple[int, float], max_u: float,
+              grid: Grid, params: PdeParams) -> TraceRow:
     """The row of the state with grid values u, ux at time t, reached by a step dt.
-    squares_hat holds the rows (rfft(u^2), rfft(u_x^2)), u_hat is rfft(u) or its band,
-    and none is written to. At gamma = 0, by convention, m = m_rhs = 0 at grid point 0."""
-    i, m = slope_argmin(ux, params.gamma)
+    squares holds the rows (u^2, u_x^2) and squares_hat their rffts, u_hat is rfft(u)
+    or its band, slope = (i, m) is `slope_argmin(ux, gamma)` and max_u = max|u|; none
+    is written to. At gamma = 0, by convention, m = m_rhs = 0 at grid point 0."""
+    i, m = slope
     moduli = np.abs(u_hat[:grid.band])  # the tail of zero data is 0
     edge = min(-(-9 * grid.band // 10), grid.band - 1)  # a band under 10 modes keeps its last
     tail = float(moduli[edge:].max()) / max(float(moduli.max()), 1e-300)
-    return TraceRow(t=t, energy=energy_sum(u, ux, grid), m=m, xi=float(grid.x[i]), tail=tail,
+    # `energy_sum` of u and ux, from the squares it would form
+    energy = float(grid.spacing * np.sum(np.add(squares[0], squares[1])))
+    # at gamma > 0, i is the argmin of ux
+    min_ux = float(ux[i]) if params.gamma > 0.0 else float(ux.min())
+    return TraceRow(t=t, energy=energy, m=m, xi=float(grid.x[i]), tail=tail,
                     m_rhs=riccati_rate(u_hat, squares_hat, u, i, m, grid, params),
-                    max_u=max(float(u.max()), -float(u.min())), min_ux=float(ux.min()), dt=dt)
+                    max_u=max_u, min_ux=min_ux, dt=dt)
 
 
 def slope_sample(u: Field, params: PdeParams, t: float = 0.0) -> TraceRow:
-    """The Field oracle of a trace row: `trace_row` on u's own values, derivative
-    and the single-row rffts of their squares, with dt = 0."""
-    return trace_row(t, 0.0, u.values, u.derivative, _squares_hat(u), u.spectrum, u.grid, params)
+    """The Field oracle of a trace row: `trace_row` on u's own values, derivative,
+    their squares and the squares' single-row rffts, its own slope argmin and
+    max|u|, with dt = 0."""
+    ux = u.derivative
+    squares = _squares(u)
+    max_u = max(float(u.values.max()), -float(u.values.min()))
+    return trace_row(t, 0.0, u.values, ux, squares, _squares_hat(squares), u.spectrum,
+                     slope_argmin(ux, params.gamma), max_u, u.grid, params)
 
 
 def gamma_utx_field(u: Field, params: PdeParams) -> Field:
@@ -332,7 +349,7 @@ def gamma_utx_field(u: Field, params: PdeParams) -> Field:
     gamma, omega, grid = params.gamma, params.omega, u.grid
     ux = u.derivative
     uxx = differentiate(u, 2).values
-    conv = _convolution_bracket(u.spectrum, _squares_hat(u), grid, params)
+    conv = _convolution_bracket(u.spectrum, _squares_hat(_squares(u)), grid, params)
     out = -0.5 * gamma * gamma * _project(ux * ux, grid)
     out -= gamma * gamma * _project(u.values * uxx, grid)
     out += 0.5 * (3.0 - gamma) * gamma * _project(u.values * u.values, grid)

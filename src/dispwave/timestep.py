@@ -10,7 +10,8 @@ owns the band state: it projects u0 once onto u's rfft coefficients in the
 2/3 band, steps them and returns grid values, so here a state is an opaque
 array. Step control, trace rows, checkpoints and the final state all read
 the first stage's arrays of the state; `pde.trace_row`, the one row builder,
-writes none of them and adds 1 transform.
+takes the slope argmin and max|u| that step control found, writes none of the
+arrays and adds 1 transform.
 
 A run terminates for exactly one of four reasons:
 
@@ -94,6 +95,7 @@ class SimulationResult:
     final_state: Field
     steps: int  # RK4 steps taken, the last one too when it overflowed
     rhs_evaluations: int
+    dt_limiters: dict[str, int]  # steps per DT_LIMITERS entry that set their dt
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -125,14 +127,23 @@ def rk4_step(u: Field, dt: float, params: PdeParams) -> Field:
     return Field(u.grid, rhs.values(out))
 
 
+# what set a step's dt: the ceiling dt_init, the CFL bound, the Riccati cap or
+# landing on the next sample, checkpoint or t_end
+DT_LIMITERS = ("ceiling", "cfl", "riccati", "landing")
+
+
 def _controlled_dt(config: SolverConfig, grid: Grid, params: PdeParams,
-                   max_u: float, m: float) -> float:
-    """Step bound: CFL on the transport speed plus the Riccati 1/|m| cap."""
+                   max_u: float, m: float) -> tuple[float, str]:
+    """Step bound, the ceiling cut by CFL on the transport speed and the Riccati
+    1/|m| cap, and which of the three set it (the first of them on a tie)."""
     speed = abs(params.gamma) * max_u + 2.0 * params.omega
-    dt = min(config.dt_init, config.cfl_fraction * grid.spacing / max(speed, 1e-12))
-    if m < 0.0:
-        dt = min(dt, 0.5 / abs(m))
-    return dt
+    dt, limiter = config.dt_init, "ceiling"
+    cfl = config.cfl_fraction * grid.spacing / max(speed, 1e-12)
+    if cfl < dt:
+        dt, limiter = cfl, "cfl"
+    if m < 0.0 and 0.5 / abs(m) < dt:
+        dt, limiter = 0.5 / abs(m), "riccati"
+    return dt, limiter
 
 
 def _on_clock(t: float, interval: float | None, tick: float) -> bool:
@@ -162,6 +173,7 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
     new_hat = np.empty_like(u_hat)
     t = 0.0
     steps = 0
+    dt_limiters = dict.fromkeys(DT_LIMITERS, 0)
     samples: list[TraceRow] = []
     checkpoints: list[tuple[float, Field]] = []
     warnings: list[str] = []
@@ -171,10 +183,11 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
     tick = config.tick
     clocks = [d for d in (config.sample_interval, config.checkpoint_interval) if d is not None]
     while True:
-        m = slope_argmin(ux, params.gamma)[1]
+        slope = slope_argmin(ux, params.gamma)
+        m = slope[1]
         # max |u| taken without the temporary abs(u) would allocate
         max_u = max(float(u.max()), -float(u.min()))
-        dt_ctrl = _controlled_dt(config, grid, params, max_u, m)
+        dt_ctrl, limiter = _controlled_dt(config, grid, params, max_u, m)
         if not samples:
             last_dt = dt_ctrl
         if _on_clock(t, config.checkpoint_interval, tick):
@@ -190,7 +203,8 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
 
         # the initial row, every due sample, and the final row
         if _on_clock(t, config.sample_interval, tick) or (stop_reason and samples[-1].t < t):
-            samples.append(trace_row(t, last_dt, u, ux, rhs.pair, u_hat, grid, params))
+            samples.append(trace_row(t, last_dt, u, ux, rhs.squares, rhs.pair, u_hat, slope,
+                                     max_u, grid, params))
             edge = max(abs(float(u[0])), abs(float(u[-1])))
             if not boundary_warned and edge > 1e-6 * max(max_u, 1e-300):
                 warnings.append(
@@ -212,6 +226,7 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
             rhs.step(u_hat, dt, new_hat)
             rhs(new_hat, rhs.k)
         steps += 1
+        dt_limiters["landing" if landing else limiter] += 1
         t_new = t_event if landing else t + dt
         if not np.isfinite(new_hat).all():
             stop_reason = "blowup_nonfinite"
@@ -231,6 +246,7 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
         final_state=final,
         steps=steps,
         rhs_evaluations=rhs.evaluations,
+        dt_limiters=dt_limiters,
         warnings=warnings,
     )
     if stop_reason == "reached_t_end" and result.energy_drift > config.energy_drift_tol:

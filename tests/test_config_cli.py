@@ -21,6 +21,7 @@ from dispwave.config import (
     parse_run_config,
 )
 from dispwave.fileio import fmt, write_csv
+from dispwave.timestep import simulate
 
 
 def write_config(path, **overrides):
@@ -297,12 +298,21 @@ class TestSimulateCommand:
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
     def test_rerun_from_summary_reproduces_trace(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json")
+        cfg = write_config(tmp_path / "c.json",
+                           solver={"t_end": 0.5, "sample_interval": 0.1,
+                                   "checkpoint_interval": 0.25},
+                           outputs={"write_checkpoints": True})
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--config", str(cfg), "--out", str(out1)])
         assert main(["simulate", "--config", str(out1 / "summary.json"),
                      "--out", str(out2)]) == 0
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+        names = sorted(f.name for f in (out1 / "checkpoints").iterdir())
+        assert names == sorted(f.name for f in (out2 / "checkpoints").iterdir())
+        assert len(names) == 3
+        for name in names:
+            assert ((out1 / "checkpoints" / name).read_bytes()
+                    == (out2 / "checkpoints" / name).read_bytes())
 
     def test_soliton_run_reports_shape_error(self, tmp_path):
         cfg = write_config(
@@ -349,6 +359,17 @@ class TestSimulateCommand:
         assert header == "x,u"
         summary = json.loads((out / "summary.json").read_text())
         assert summary["checkpoint_times"] == pytest.approx([0.0, 0.2, 0.4])
+        # each file is the x,u table of that checkpoint's values on the grid,
+        # 17 digits per cell, and reads back to those values bit for bit
+        rc = load_run_config(cfg)
+        checkpoints = simulate(build_initial_field(rc), rc.params, rc.solver).checkpoints
+        assert len(checkpoints) == len(files)
+        for path, (_, field) in zip(files, checkpoints):
+            expected = "x,u\n" + "".join(f"{fmt(x)},{fmt(u)}\n"
+                                         for x, u in zip(field.grid.x, field.values))
+            assert path.read_text() == expected
+            back = field_from_csv(None, path)
+            assert back.grid == field.grid and np.array_equal(back.values, field.values)
 
     def test_bad_config_is_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", grid={"L": 20.0, "N": 999})

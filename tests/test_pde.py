@@ -23,7 +23,7 @@ from dispwave import (
     steep_bump,
 )
 
-from dispwave.pde import SpectralRhs, energy_sum, riccati_rate, trace_row
+from dispwave.pde import SpectralRhs, energy_sum, riccati_rate, slope_argmin, trace_row
 
 from conftest import band_limited_field
 
@@ -36,7 +36,7 @@ def zero_field(grid):
 
 def _refined_minimum_sample(field, p):
     """Sub-grid minimum of gamma*u_x and the Riccati rate evaluated there."""
-    from dispwave.pde import _convolution_bracket, _squares_hat
+    from dispwave.pde import _convolution_bracket, _squares, _squares_hat
 
     g = field.grid
     n = g.n_points
@@ -52,7 +52,7 @@ def _refined_minimum_sample(field, p):
         return (arr[(i - 1) % n] * (d * (d - 1) / 2) + arr[i] * (1 - d * d)
                 + arr[(i + 1) % n] * (d * (d + 1) / 2))
 
-    conv = _convolution_bracket(field.spectrum, _squares_hat(field), g, p)
+    conv = _convolution_bracket(field.spectrum, _squares_hat(_squares(field)), g, p)
     uval = interp(field.values)
     rate = (-0.5 * m * m + 0.5 * (3.0 - p.gamma) * p.gamma * uval * uval
             + 2.0 * p.omega * p.gamma * uval - interp(conv))
@@ -440,15 +440,26 @@ class TestSolverSamples:
     @pytest.mark.parametrize("gamma,omega", PARAM_PAIRS)
     def test_trace_row_writes_none_of_the_kernels_arrays(self, grid_medium, gamma, omega):
         # simulate builds each row from the k1 stage's arrays in place; the
-        # row must leave them, and the state, as the kernel left them
+        # row must leave them, and the state, as the kernel left them, and
+        # what it takes from the squares, the slope argmin and max|u| must
+        # equal those values recomputed from u and u_x bit for bit
         g, p = grid_medium, PdeParams(gamma, omega)
         u_hat = np.fft.rfft(steep_bump(g, 1.0, 3.0).values)[:g.band]
         rhs = SpectralRhs(g, p)
         rhs(u_hat, np.empty(g.band, dtype=complex))
-        read = (rhs.u, rhs.ux, rhs.pair, rhs.stage, u_hat)
+        read = (rhs.u, rhs.ux, rhs.squares, rhs.pair, rhs.stage, u_hat)
         before = [a.copy() for a in read]
-        trace_row(0.0, 0.01, rhs.u, rhs.ux, rhs.pair, u_hat, g, p)
+        u, ux = before[:2]
+        # the slope and max|u| as simulate's step control forms them
+        slope = slope_argmin(rhs.ux, gamma)
+        max_u = max(float(rhs.u.max()), -float(rhs.u.min()))
+        row = trace_row(0.0, 0.01, rhs.u, rhs.ux, rhs.squares, rhs.pair, u_hat, slope, max_u,
+                        g, p)
         assert all(np.array_equal(a, b) for a, b in zip(read, before))
+        i, m = slope_argmin(ux, gamma)
+        assert row.energy == energy_sum(u, ux, g)
+        assert (row.m, row.xi) == (m, g.x[i])
+        assert row.max_u == np.max(np.abs(u)) and row.min_ux == ux.min()
 
 
 class TestGammaUtxField:

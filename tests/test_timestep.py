@@ -20,6 +20,7 @@ from dispwave import (
     steep_bump,
 )
 from dispwave.pde import SpectralRhs
+from dispwave.timestep import DT_LIMITERS, _controlled_dt
 
 
 def zero_field(grid):
@@ -316,12 +317,34 @@ class TestBreakingRuns:
         bound = existence_bound(u0, p)
         assert res.t_stop >= 0.98 * bound.t_lower
 
+    def test_every_step_is_cfl_limited_or_lands(self, breaking_run):
+        # at N = 16384 the CFL bound (about 2.2e-4) sits far below the 0.01
+        # ceiling and the Riccati cap 0.5/|m| >= 0.5/20
+        _, _, res = breaking_run
+        limiters = res.dt_limiters
+        assert tuple(limiters) == DT_LIMITERS
+        assert sum(limiters.values()) == res.steps
+        assert limiters["ceiling"] == limiters["riccati"] == 0
+        assert limiters["cfl"] > 0 and limiters["landing"] > 0
+
     def test_gamma_zero_twin_is_global(self, gamma_zero_twin):
         res = gamma_zero_twin
         assert res.stop_reason == "reached_t_end"
         m0 = res.samples[0].min_ux
         assert all(r.min_ux >= 3.0 * m0 for r in res.samples)
         assert all(r.m == 0.0 for r in res.samples)
+
+
+def test_dt_limiter_is_the_smallest_bound():
+    g, p = Grid(6.0, 256), PdeParams(1.0, 0.0)
+    cfg = SolverConfig(t_end=1.0, dt_init=0.01)
+    cfl_at = 0.3 * g.spacing  # the CFL bound at max|u| = 1
+    assert _controlled_dt(cfg, g, p, 1.0, 0.0) == (0.01, "ceiling")
+    assert _controlled_dt(cfg, g, p, 10.0, -1.0) == (cfl_at / 10.0, "cfl")
+    assert _controlled_dt(cfg, g, p, 1.0, -100.0) == (0.005, "riccati")
+    # a tie goes to the first bound in DT_LIMITERS' order
+    tied = SolverConfig(t_end=1.0, dt_init=cfl_at)
+    assert _controlled_dt(tied, g, p, 1.0, -0.5 / cfl_at) == (cfl_at, "ceiling")
 
 
 class TestTimeStepRobustness:
