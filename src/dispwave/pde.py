@@ -15,11 +15,19 @@ law,
     u_t + gamma*u*u_x
         + d/dx (1 - d2/dx2)^{-1} [ (3-gamma)/2*u^2 + gamma/2*u_x^2 + 2*omega*u ] = 0,
 
-which `SpectralRhs` evaluates on the solver's band-limited spectra and
-`rhs_nonlocal` on a Field. `rhs_momentum` evaluates the same
-dynamics through the momentum variable y = u - u_xx and serves as an
-independent cross-check; `pde_residual` measures how well a candidate u_t
-satisfies the original third-derivative form.
+whose Fourier multipliers `_rhs_multipliers` writes once; `SpectralRhs`
+applies them on the solver's band-limited spectra and `rhs_nonlocal` on a
+Field. `rhs_momentum` evaluates the same dynamics through the momentum
+variable y = u - u_xx and serves as an independent cross-check;
+`pde_residual` measures how well a candidate u_t satisfies the original
+third-derivative form.
+
+Besides E = int(u^2 + u_x^2) dx the equation conserves H = int(u^3 + gamma*u*u_x^2
++ 2*omega*u^2) dx, at omega = 0 the rod equation's second Hamiltonian. It reads
+(1 - d2/dx2) u_t = -1/2 d/dx f with f = dH/du = 3u^2 - gamma*u_x^2 - 2*gamma*u*u_xx
++ 4*omega*u, so dH/dt = int f*u_t dx = -1/2 int f * d/dx (1 - d2/dx2)^{-1} f dx = 0,
+that operator being skew-adjoint. E holds whatever the omega term's coefficient;
+H checks it.
 
 Wave breaking is governed by the slope minimum m(t) = min_x gamma*u_x(t, x),
 which obeys a Riccati-type equation
@@ -80,22 +88,35 @@ def _project(values: np.ndarray, grid: Grid) -> np.ndarray:
     return irfft(dealias(rfft(values), grid), n=grid.n_points)
 
 
+def _rhs_multipliers(grid: Grid, params: PdeParams) -> np.ndarray:
+    """The rows (A, B[, C]) of u_t_hat = A*F(u^2) + B*F(u_x^2) + C*u_hat on the rfft
+    layout, A and B 0 from the 2/3 band up; C is a row only when omega != 0."""
+    gamma, omega = params.gamma, params.omega
+    ik = grid.derivative_multiplier
+    ikh = ik * grid.helmholtz_multiplier
+    mults = np.stack((-(0.5 * gamma * ik + 0.5 * (3.0 - gamma) * ikh), -(0.5 * gamma * ikh),
+                      -2.0 * omega * ikh))
+    mults[:2, grid.band:] = 0.0
+    return mults if omega != 0.0 else mults[:2]
+
+
 class SpectralRhs:
     """u_t of the nonlocal form on the 2/3 band's rfft coefficients, and RK4 on them.
 
     On a band-limited state the dealiased u*u_x equals (u^2)_x/2 exactly, so
 
-        u_t_hat = A*rfft(u^2) + B*rfft(u_x^2) + C*u_hat,
+        u_t_hat = A*rfft(u^2) + B*rfft(u_x^2) + C*u_hat
 
-    with A, B and C built once from -ik, 1/(1 + k^2) and (gamma, omega); C runs
-    only when omega != 0. States and results hold the band's modes only. A
-    call costs 4 transforms in 2 FFT calls, pocketfft's 2-row passes, into arrays
-    made once: `physical` fills `u` and `ux` (rows of one array) from the
-    state in `stage`, the band of a zero-padded 2-row irfft input; `finish`
-    squares them into `squares` (rows u^2, u_x^2) and transforms those into
-    `pair` (`u`, `ux`, `squares` and `pair` stay readable until the next call,
-    and a trace row reads only those) and takes one 2-row multiply and one
-    add. Each row is bit-identical to a single-row transform of it.
+    with the band of `_rhs_multipliers`' rows. States and results hold the
+    band's modes only. An evaluation costs 4 transforms in 2 FFT calls,
+    pocketfft's 2-row passes, into arrays made once: an irfft of the state in
+    `stage` and its derivative (the band of a zero-padded input) into `u` and
+    `ux`, and an rfft of their `squares` into `pair`. `pair` and `stage` are
+    rows of one complex block, so one multiply of the operand rows
+    (F(u^2), F(u_x^2)[, u_hat]) and one sum, in that order, give u_t_hat.
+    `u`, `ux`, `squares` and `pair` stay readable until the next evaluation,
+    and a trace row reads only those. Each row is bit-identical to a
+    single-row transform of it.
 
     An RK4 step costs 16 transforms in 8 FFT calls: 4 in the caller's k1 stage
     `self(u_hat, k)`, whose arrays step control and trace rows read, and 12 in
@@ -103,25 +124,23 @@ class SpectralRhs:
     """
 
     def __init__(self, grid: Grid, params: PdeParams) -> None:
-        gamma, omega = params.gamma, params.omega
         band, n = grid.band, grid.n_points
-        ik = grid.derivative_multiplier
-        ikh = ik * grid.helmholtz_multiplier
-        mults = -np.stack((0.5 * gamma * ik + 0.5 * (3.0 - gamma) * ikh, 0.5 * gamma * ikh))
-        self._ik, self._mults = ik[:band], mults[:, :band].copy()
-        self._mult_u = (-2.0 * omega * ikh)[:band] if omega != 0.0 else None
-        # rows (u_hat, ik*u_hat) going in, zero-padded: modes from `band` up stay 0
-        self._padded = np.zeros((2, n // 2 + 1), dtype=complex)
-        self.stage, self._stage_x = self._padded[:, :band]  # the state `physical` transforms
+        self._mults = _rhs_multipliers(grid, params)[:, :band].copy()
+        self._ik = grid.derivative_multiplier[:band]
+        # rows (F(u^2), F(u_x^2)), the rfft's output, then (u_hat, ik*u_hat), the
+        # irfft's zero-padded input: its modes from `band` up stay 0
+        block = np.zeros((4, n // 2 + 1), dtype=complex)
+        self.pair, self._padded = block[:2], block[2:]
+        self.stage, self._stage_x = self._padded[:, :band]
+        self._operands = block[:len(self._mults), :band]  # F(u^2), F(u_x^2)[, u_hat]
+        self._terms = np.empty_like(self._mults)
+        self._c_term = tuple(self._terms[2:])  # C*u_hat's row, where omega != 0
         self._fields = np.empty((2, n))
-        self.u, self.ux = self._fields  # row views, still readable after `finish`
+        self.u, self.ux = self._fields  # row views, still readable after the evaluation
         self.squares = np.empty_like(self._fields)  # rows (u^2, u_x^2)
-        self.pair = np.empty_like(self._padded)  # rows (F(u^2), F(u_x^2))
-        self._pair_band = self.pair[:, :band]
-        self._terms = np.empty((2, band), dtype=complex)
         self.k = np.empty(band, dtype=complex)  # the stage slope `step` reads and writes
         self._n = n
-        self.evaluations = 0  # calls to `finish`, which every evaluation makes
+        self.evaluations = 0
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """The state of grid values: their band's rfft coefficients."""
@@ -131,27 +150,24 @@ class SpectralRhs:
         """The grid values of a state, in one transform."""
         return irfft(u_hat, n=self._n)
 
-    def physical(self) -> None:
-        """Fill `u` and `ux` with the grid values of the state in `stage` and its derivative."""
+    def _evaluate(self, out: np.ndarray) -> np.ndarray:
+        """Write u_t_hat of the state in `stage` into out."""
+        self.evaluations += 1
         np.multiply(self.stage, self._ik, out=self._stage_x)
         irfft(self._padded, n=self._n, out=self._fields)
-
-    def finish(self, out: np.ndarray) -> np.ndarray:
-        """Write u_t_hat of the state in `stage`, whose values `u` and `ux` hold, into out."""
-        self.evaluations += 1
         np.multiply(self._fields, self._fields, out=self.squares)
         rfft(self.squares, out=self.pair)
-        terms = np.multiply(self._pair_band, self._mults, out=self._terms)
+        terms = np.multiply(self._operands, self._mults, out=self._terms)
+        # np.add of two rows, not np.add.reduce: about 50% faster at band 5462
         np.add(terms[0], terms[1], out=out)
-        if self._mult_u is not None:
-            out += np.multiply(self.stage, self._mult_u, out=terms[1])
+        for term in self._c_term:
+            out += term
         return out
 
     def __call__(self, u_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write u_t_hat of u_hat's band (modes above it are not read) into out."""
         self.stage[...] = u_hat[:self.stage.size]
-        self.physical()
-        return self.finish(out)
+        return self._evaluate(out)
 
     def step(self, u_hat: np.ndarray, dt: float, out: np.ndarray) -> None:
         """Write u_hat stepped by dt (RK4) into out; `k` must hold `self(u_hat, k)`."""
@@ -161,35 +177,29 @@ class SpectralRhs:
         for stage_frac, weight in ((0.5, 1.0 / 3.0), (0.5, 1.0 / 3.0), (1.0, 1.0 / 6.0)):
             np.multiply(k, stage_frac * dt, out=stage)
             stage += u_hat
-            self.physical()
-            self.finish(k)
+            self._evaluate(k)
             out += np.multiply(k, weight * dt, out=stage)
 
 
 def rhs_nonlocal(u: Field, params: PdeParams) -> Field:
     """Time derivative u_t from the nonlocal (convolution) formulation.
 
-    Evaluates `SpectralRhs`, the solver's kernel, on the full spectrum of u
-    (6 transforms). On u in the 2/3 band, as every state the solver steps
-    is, it equals the formula that dealiases u*u_x as a product of its own.
-    u is not projected: for u with content above the band, -gamma*u*u_x
-    is taken as the dealiased (u^2)_x/2, and `pde_residual(u, rhs_nonlocal(u))`
-    still measures u itself. That is by design: the residual then falls with
-    the resolution of u. Evaluated on u's projection it stalls on coarse grids,
-    and with the projection in place of u too it is roundoff at every N.
+    Applies `_rhs_multipliers`' rows to the rffts of u^2 and u_x^2, with u and
+    u_x from every mode of u, and to u_hat (6 transforms). On u in the 2/3
+    band, as every state the solver steps is, it equals `SpectralRhs` and the
+    formula that dealiases u*u_x as a product of its own. u is not projected:
+    for u with content above the band, -gamma*u*u_x is taken as the dealiased
+    (u^2)_x/2, and `pde_residual(u, rhs_nonlocal(u))` still measures u itself.
+    That is by design: the residual then falls with the resolution of u.
+    Evaluated on u's projection it stalls on coarse grids, and with the
+    projection in place of u too it is roundoff at every N.
     """
     grid = u.grid
     u_hat = rfft(u.values)
-    rhs, band = SpectralRhs(grid, params), grid.band
-    # u and u_x from every mode: `physical` would read only the band's
-    rhs.u[...], rhs.ux[...] = irfft(np.stack((u_hat, u_hat * grid.derivative_multiplier)),
-                                    n=grid.n_points)
-    rhs.stage[...] = u_hat[:band]
-    ut_hat = np.empty_like(u_hat)
-    rhs.finish(ut_hat[:band])
-    # above the band only C*u_hat is left
-    ikh = grid.derivative_multiplier[band:] * grid.helmholtz_multiplier[band:]
-    np.multiply(u_hat[band:], -2.0 * params.omega * ikh, out=ut_hat[band:])
+    fields = irfft(np.stack((u_hat, u_hat * grid.derivative_multiplier)), n=grid.n_points)
+    mults = _rhs_multipliers(grid, params)
+    operands = np.vstack((rfft(fields * fields), u_hat))[:len(mults)]
+    ut_hat = np.add.reduce(operands * mults)  # row by row, in the kernel's order
     return Field(grid, irfft(ut_hat, n=grid.n_points))
 
 
@@ -246,12 +256,12 @@ def energy(u: Field) -> float:
     On the periodic grid the trapezoid rule is the plain h-weighted sum and
     coincides with hs_norm(u, 1)^2 by Parseval.
     """
-    return energy_sum(u.values, u.derivative, u.grid)
+    return _energy_sum(_squares(u), u.grid)
 
 
-def energy_sum(u: np.ndarray, ux: np.ndarray, grid: Grid) -> float:
-    """`energy` from the grid values of u and u_x."""
-    return float(grid.spacing * np.sum(u * u + ux * ux))
+def _energy_sum(squares: np.ndarray, grid: Grid) -> float:
+    """E from the rows (u^2, u_x^2) of the grid values."""
+    return float(grid.spacing * np.sum(np.add(squares[0], squares[1])))
 
 
 def slope_argmin(ux: np.ndarray, gamma: float) -> tuple[int, float]:
@@ -267,14 +277,10 @@ def slope_argmin(ux: np.ndarray, gamma: float) -> tuple[int, float]:
 
 
 def _squares(u: Field) -> np.ndarray:
-    """The rows (u^2, u_x^2) of a Field, as `SpectralRhs.squares` holds them."""
+    """The rows (u^2, u_x^2) of a Field, as `SpectralRhs.squares` holds them; their
+    2-row rfft is `SpectralRhs.pair`."""
     ux = u.derivative
     return np.stack((u.values * u.values, ux * ux))
-
-
-def _squares_hat(squares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The single-row rffts of the squares' rows, the rows `SpectralRhs.pair` holds."""
-    return rfft(squares[0]), rfft(squares[1])
 
 
 def _convolution_bracket(u_hat: np.ndarray, squares_hat, grid: Grid,
@@ -319,23 +325,20 @@ def trace_row(t: float, dt: float, u: np.ndarray, ux: np.ndarray, squares: np.nd
     moduli = np.abs(u_hat[:grid.band])  # the tail of zero data is 0
     edge = min(-(-9 * grid.band // 10), grid.band - 1)  # a band under 10 modes keeps its last
     tail = float(moduli[edge:].max()) / max(float(moduli.max()), 1e-300)
-    # `energy_sum` of u and ux, from the squares it would form
-    energy = float(grid.spacing * np.sum(np.add(squares[0], squares[1])))
     # at gamma > 0, i is the argmin of ux
     min_ux = float(ux[i]) if params.gamma > 0.0 else float(ux.min())
-    return TraceRow(t=t, energy=energy, m=m, xi=float(grid.x[i]), tail=tail,
-                    m_rhs=riccati_rate(u_hat, squares_hat, u, i, m, grid, params),
+    return TraceRow(t=t, energy=_energy_sum(squares, grid), m=m, xi=float(grid.x[i]),
+                    tail=tail, m_rhs=riccati_rate(u_hat, squares_hat, u, i, m, grid, params),
                     max_u=max_u, min_ux=min_ux, dt=dt)
 
 
 def slope_sample(u: Field, params: PdeParams, t: float = 0.0) -> TraceRow:
     """The Field oracle of a trace row: `trace_row` on u's own values, derivative,
-    their squares and the squares' single-row rffts, its own slope argmin and
-    max|u|, with dt = 0."""
+    their squares and the squares' rfft, its own slope argmin and max|u|, with dt = 0."""
     ux = u.derivative
     squares = _squares(u)
     max_u = max(float(u.values.max()), -float(u.values.min()))
-    return trace_row(t, 0.0, u.values, ux, squares, _squares_hat(squares), u.spectrum,
+    return trace_row(t, 0.0, u.values, ux, squares, rfft(squares), u.spectrum,
                      slope_argmin(ux, params.gamma), max_u, u.grid, params)
 
 
@@ -347,12 +350,12 @@ def gamma_utx_field(u: Field, params: PdeParams) -> Field:
     where u_xx vanishes.
     """
     gamma, omega, grid = params.gamma, params.omega, u.grid
-    ux = u.derivative
+    squares = _squares(u)
     uxx = differentiate(u, 2).values
-    conv = _convolution_bracket(u.spectrum, _squares_hat(_squares(u)), grid, params)
-    out = -0.5 * gamma * gamma * _project(ux * ux, grid)
+    conv = _convolution_bracket(u.spectrum, rfft(squares), grid, params)
+    out = -0.5 * gamma * gamma * _project(squares[1], grid)
     out -= gamma * gamma * _project(u.values * uxx, grid)
-    out += 0.5 * (3.0 - gamma) * gamma * _project(u.values * u.values, grid)
+    out += 0.5 * (3.0 - gamma) * gamma * _project(squares[0], grid)
     out += 2.0 * omega * gamma * u.values
     out -= conv
     return Field(grid, out)

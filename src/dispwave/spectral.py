@@ -79,10 +79,6 @@ class NonFiniteFieldError(ValueError):
     """A field contains NaN or infinity where a finite value is required."""
 
 
-def _first_bad_index(values: np.ndarray) -> int:
-    return int(np.flatnonzero(~np.isfinite(values))[0])
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [-L, L) with its wavenumber set.
@@ -174,7 +170,7 @@ class Field:
                 f"values must have shape ({self.grid.n_points},), got {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
-            i = _first_bad_index(vals)
+            i = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise NonFiniteFieldError(
                 f"non-finite value {vals[i]} at index {i} (x = {self.grid.x[i]:g})"
             )

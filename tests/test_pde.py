@@ -23,7 +23,7 @@ from dispwave import (
     steep_bump,
 )
 
-from dispwave.pde import SpectralRhs, energy_sum, riccati_rate, slope_argmin, trace_row
+from dispwave.pde import SpectralRhs, riccati_rate, slope_argmin, trace_row
 
 from conftest import band_limited_field
 
@@ -36,7 +36,7 @@ def zero_field(grid):
 
 def _refined_minimum_sample(field, p):
     """Sub-grid minimum of gamma*u_x and the Riccati rate evaluated there."""
-    from dispwave.pde import _convolution_bracket, _squares, _squares_hat
+    from dispwave.pde import _convolution_bracket, _squares
 
     g = field.grid
     n = g.n_points
@@ -52,7 +52,7 @@ def _refined_minimum_sample(field, p):
         return (arr[(i - 1) % n] * (d * (d - 1) / 2) + arr[i] * (1 - d * d)
                 + arr[(i + 1) % n] * (d * (d + 1) / 2))
 
-    conv = _convolution_bracket(field.spectrum, _squares_hat(_squares(field)), g, p)
+    conv = _convolution_bracket(field.spectrum, np.fft.rfft(_squares(field)), g, p)
     uval = interp(field.values)
     rate = (-0.5 * m * m + 0.5 * (3.0 - p.gamma) * p.gamma * uval * uval
             + 2.0 * p.omega * p.gamma * uval - interp(conv))
@@ -184,6 +184,20 @@ def _single_row_rhs(u_hat, grid, p):
 
 
 class TestSpectralRhs:
+    @pytest.mark.parametrize("gamma,omega", PARAM_PAIRS)
+    def test_rhs_nonlocal_bit_identical_to_single_rows(self, gamma, omega):
+        # rhs_nonlocal applies the kernel's multipliers to every mode of u, which
+        # is not projected: u and u_x come from its full spectrum and C*u_hat
+        # acts above the band too
+        p = PdeParams(gamma, omega)
+        g = Grid(6.0, 1024)
+        fields = [steep_bump(g, 1.0, 3.0), Field(g, np.exp(-(g.x / 0.3) ** 2))]
+        for u in fields:
+            u_hat = np.fft.rfft(u.values)
+            assert np.any(u_hat[g.band:])
+            ref = np.fft.irfft(_single_row_rhs(u_hat, g, p)[2], n=g.n_points)
+            assert np.array_equal(rhs_nonlocal(u, p).values, ref)
+
     @pytest.mark.parametrize("n", [48, 64, 1024, 16384, 32768])
     @pytest.mark.parametrize("gamma,omega", PARAM_PAIRS)
     def test_paired_transforms_bit_identical_to_single_rows(self, n, gamma, omega):
@@ -433,7 +447,7 @@ class TestSolverSamples:
                      for spec in (u_hat, u_hat * g.derivative_multiplier[:g.band]))
             squares = [Field(g, f.values * f.values) for f in (u, ux)]
             i = int(np.flatnonzero(g.x == row.xi)[0])
-            assert row.energy == energy_sum(u.values, ux.values, g)
+            assert row.energy == float(g.spacing * np.sum(u.values**2 + ux.values**2))
             assert row.m_rhs == riccati_rate(u_hat, [s.spectrum for s in squares], u.values,
                                              i, row.m, g, p)
 
@@ -457,7 +471,7 @@ class TestSolverSamples:
                         g, p)
         assert all(np.array_equal(a, b) for a, b in zip(read, before))
         i, m = slope_argmin(ux, gamma)
-        assert row.energy == energy_sum(u, ux, g)
+        assert row.energy == float(g.spacing * np.sum(u * u + ux * ux))
         assert (row.m, row.xi) == (m, g.x[i])
         assert row.max_u == np.max(np.abs(u)) and row.min_ux == ux.min()
 

@@ -169,6 +169,23 @@ class TestSimulate:
         assert res.stop_reason == "reached_t_end"
         assert res.energy_drift <= 1e-6
 
+    @pytest.mark.parametrize("omega", [0.0, 0.5])
+    @pytest.mark.parametrize("gamma", [-1.0, 0.5, 2.0, 3.5])
+    def test_energy_and_hamiltonian_conserved(self, gamma, omega):
+        # H(u) = int(u^3 + gamma*u*u_x^2 + 2*omega*u^2) dx is conserved with E;
+        # E holds whatever the omega term's coefficient, H checks it
+        g = Grid(30.0, 1024)
+        cfg = SolverConfig(t_end=2.0, checkpoint_interval=0.5)
+        res = simulate(gaussian_bump(g, 0.2, 2.0), PdeParams(gamma, omega), cfg)
+        assert res.stop_reason == "reached_t_end" and len(res.checkpoints) == 5
+
+        def hamiltonian(f):
+            u, ux = f.values, f.derivative
+            return g.spacing * float(np.sum(u**3 + gamma * u * ux**2 + 2.0 * omega * u**2))
+        for invariant in (energy, hamiltonian):
+            values = [invariant(f) for _, f in res.checkpoints]
+            assert max(abs(v - values[0]) for v in values) <= 1e-6 * abs(values[0])
+
     def test_uniform_boundedness_constant(self):
         # periodic embedding bound: max u^2 <= E(0) * (1/2 + 1/(2 tanh L))
         g = Grid(30.0, 1024)
