@@ -21,10 +21,10 @@ from .blowup import (
     existence_time_lower_bound,
     extrapolate_blowup_time,
     gamma_regime,
+    report_fields,
     riccati_bracket,
     run_member,
     sharpness_experiment,
-    slope_minimum,
     write_comparison_csv,
 )
 from .initial import field_from_csv, gaussian_bump, steep_bump

@@ -48,6 +48,7 @@ _WINDOW = 5  # t* is the median over this many resolved samples nearest breaking
 BREAKING_STOPS = ("blowup_slope", "blowup_nonfinite")  # runs whose trace carries a t*
 # field names that comparison.csv, summary.json and `dispwave bound` write otherwise
 ARTIFACT_NAMES = {"e0": "E0", "bracket": "K", "t_lower": "T_lower"}
+GLOBAL_NOTE = "gamma = 0: all solutions are global"
 
 
 def gamma_regime(gamma: float) -> str:
@@ -108,11 +109,6 @@ class BlowupVerdict:
         return self.witness_x0 is not None
 
 
-def slope_minimum(u0: Field, params: PdeParams) -> float:
-    """m(0) = min over the grid of gamma * u0'."""
-    return slope_argmin(u0.derivative, params.gamma)[1]
-
-
 def blowup_condition(u0: Field, params: PdeParams) -> BlowupVerdict:
     """Scan gamma*u0' for a point below the guaranteed-breaking threshold."""
     threshold = breaking_threshold(energy(u0), params)
@@ -148,7 +144,8 @@ def existence_time_lower_bound(e0: float, m0: float, params: PdeParams) -> Exist
 
 def existence_bound(u0: Field, params: PdeParams) -> ExistenceBound:
     """The time bound evaluated from gridded initial data."""
-    return existence_time_lower_bound(energy(u0), slope_minimum(u0, params), params)
+    m0 = slope_argmin(u0.derivative, params.gamma)[1]
+    return existence_time_lower_bound(energy(u0), m0, params)
 
 
 @dataclass(frozen=True)
@@ -202,6 +199,20 @@ def assess(u0: Field, params: PdeParams, result: SimulationResult | None = None)
     return RunReport(bound=existence_bound(u0, params),
                      verdict=blowup_condition(u0, params) if params.gamma != 0.0 else None,
                      breaking=breaking)
+
+
+def report_fields(report: RunReport) -> dict:
+    """The report's one artifact layout, flat under comparison.csv's names: the bound,
+    then breaking_threshold, triggered and witness_x0 (None when untriggered) or, at
+    gamma = 0, GLOBAL_NOTE as note, then t_star and t_star_spread (None without a t*)."""
+    out = {ARTIFACT_NAMES.get(name, name): value for name, value in asdict(report.bound).items()}
+    if (verdict := report.verdict) is None:
+        out["note"] = GLOBAL_NOTE
+    else:
+        out.update(breaking_threshold=verdict.threshold, triggered=verdict.triggered,
+                   witness_x0=verdict.witness_x0)
+    t_star, spread = astuple(report.breaking) if report.breaking else (None, None)
+    return {**out, "t_star": t_star, "t_star_spread": spread}
 
 
 @dataclass(frozen=True)

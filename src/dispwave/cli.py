@@ -11,20 +11,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
 
 from .blowup import (
-    ARTIFACT_NAMES,
-    ExistenceBound,
+    GLOBAL_NOTE,
     assess,
+    report_fields,
     sharpness_experiment,
     write_comparison_csv,
 )
 from .config import (
-    RunConfig,
     build_family,
     build_initial_field,
     config_dict,
@@ -41,10 +39,8 @@ from .solitary import (
     shape_error,
     write_profile_csv,
 )
-from .spectral import Field, Grid
+from .spectral import Grid
 from .timestep import SimulationResult, simulate
-
-_GLOBAL_NOTE = "gamma = 0: all solutions are global"
 
 
 def _fail(message: str, code: int = 2) -> int:
@@ -58,35 +54,6 @@ def _write_checkpoints(result: SimulationResult, directory: Path) -> list[float]
                      ((directory / f"checkpoint_{i:04d}.csv", field.values)
                       for i, (_, field) in enumerate(result.checkpoints)))
     return [t for t, _ in result.checkpoints]
-
-
-def _bound_fields(bound: ExistenceBound) -> dict:
-    return {ARTIFACT_NAMES.get(name, name): value for name, value in asdict(bound).items()}
-
-
-def _summary_payload(rc: RunConfig, u0: Field, result: SimulationResult) -> dict:
-    report = assess(u0, rc.params, result)
-    t_star, spread = astuple(report.breaking) if report.breaking else (None, None)
-    payload: dict = {
-        "stop_reason": result.stop_reason,
-        "t_stop": result.t_stop,
-        "energy_initial": result.samples[0].energy,
-        "energy_final": result.samples[-1].energy,
-        "energy_drift": result.energy_drift,
-        "existence_bound": _bound_fields(report.bound),
-        "t_star": t_star,
-        "t_star_spread": spread,
-        "warnings": list(result.warnings),
-        "stats": {"steps": result.steps, "rhs_evaluations": result.rhs_evaluations,
-                  "dt_limiters": result.dt_limiters},
-        "config": config_dict(rc),
-        "breaking": ({"note": _GLOBAL_NOTE} if report.verdict is None
-                     else {**asdict(report.verdict), "triggered": report.verdict.triggered}),
-    }
-    if rc.initial["kind"] == "soliton":
-        payload["shape_error"] = shape_error(u0, rc.initial["c"], result.final_state,
-                                             result.t_stop)
-    return payload
 
 
 def _cmd_simulate(args) -> int:
@@ -105,7 +72,21 @@ def _cmd_simulate(args) -> int:
     except ValueError as err:
         return _fail(str(err))
 
-    payload = _summary_payload(rc, u0, result)
+    payload: dict = {
+        **report_fields(assess(u0, rc.params, result)),
+        "stop_reason": result.stop_reason,
+        "t_stop": result.t_stop,
+        "energy_initial": result.samples[0].energy,
+        "energy_final": result.samples[-1].energy,
+        "energy_drift": result.energy_drift,
+        "warnings": list(result.warnings),
+        "stats": {"steps": result.steps, "rhs_evaluations": result.rhs_evaluations,
+                  "dt_limiters": result.dt_limiters},
+        "config": config_dict(rc),
+    }
+    if rc.initial["kind"] == "soliton":
+        payload["shape_error"] = shape_error(u0, rc.initial["c"], result.final_state,
+                                             result.t_stop)
     if rc.outputs.write_checkpoints and result.checkpoints:
         payload["checkpoint_times"] = _write_checkpoints(result, out_dir / "checkpoints")
     if rc.outputs.write_trace:
@@ -137,29 +118,22 @@ def _cmd_soliton(args) -> int:
 
 def _cmd_bound(args) -> int:
     try:
-        if args.config is not None:
-            rc = load_run_config(args.config)
-            params = rc.params
-            u0 = build_initial_field(rc)
-        else:
+        if args.config is None:
             if args.gamma is None:
                 return _fail("--data requires --gamma (and optionally --omega)")
-            params = PdeParams(gamma=args.gamma, omega=args.omega)
+            params = PdeParams(gamma=args.gamma, omega=args.omega or 0.0)
             u0 = field_from_csv(None, args.data)
+        elif args.gamma is not None or args.omega is not None:
+            return _fail("--gamma and --omega apply only to --data")
+        else:
+            rc = load_run_config(args.config)
+            params, u0 = rc.params, build_initial_field(rc)
     except (ValueError, OSError) as err:
         return _fail(str(err))
-    report = assess(u0, params)
-    payload = _bound_fields(report.bound)
-    if (verdict := report.verdict) is None:
-        payload["note"] = _GLOBAL_NOTE
-    else:
-        payload.update(breaking_threshold=verdict.threshold, triggered=verdict.triggered)
-        if verdict.witness_x0 is not None:
-            payload["witness_x0"] = verdict.witness_x0
-    text = json_text(payload)
-    print(text)
+    payload = report_fields(assess(u0, params))
+    print(json_text(payload))
     if args.out is not None:
-        Path(args.out).write_text(text + "\n")
+        write_json(args.out, payload)
     return 0
 
 
@@ -172,7 +146,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as err:
         return _fail(str(err))
     if sc.params.gamma == 0.0:
-        return _fail(f"sweep requires gamma != 0 ({_GLOBAL_NOTE})")
+        return _fail(f"sweep requires gamma != 0 ({GLOBAL_NOTE})")
     out = args.out if args.out is not None else sc.directory
     if out is None:
         return _fail("no output directory: set --out or outputs.directory")
@@ -211,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--config", help="run config JSON")
     group.add_argument("--data", help="field CSV with columns x,u")
     p_bound.add_argument("--gamma", type=float, default=None)
-    p_bound.add_argument("--omega", type=float, default=0.0)
+    p_bound.add_argument("--omega", type=float, default=None, help="default 0 (--data only)")
     p_bound.add_argument("--out", default=None, help="also write the JSON here")
     p_bound.set_defaults(func=_cmd_bound)
 

@@ -350,12 +350,13 @@ def gamma_utx_field(u: Field, params: PdeParams) -> Field:
     where u_xx vanishes.
     """
     gamma, omega, grid = params.gamma, params.omega, u.grid
-    squares = _squares(u)
-    uxx = differentiate(u, 2).values
-    conv = _convolution_bracket(u.spectrum, rfft(squares), grid, params)
-    out = -0.5 * gamma * gamma * _project(squares[1], grid)
-    out -= gamma * gamma * _project(u.values * uxx, grid)
-    out += 0.5 * (3.0 - gamma) * gamma * _project(squares[0], grid)
+    squares_hat = rfft(_squares(u))
+    squares_hat[:, grid.band:] = 0.0  # the bracket reads only the band
+    uu, xx = irfft(squares_hat, n=grid.n_points)  # the dealiased squares
+    conv = _convolution_bracket(u.spectrum, squares_hat, grid, params)
+    out = -0.5 * gamma * gamma * xx
+    out -= gamma * gamma * _project(u.values * differentiate(u, 2).values, grid)
+    out += 0.5 * (3.0 - gamma) * gamma * uu
     out += 2.0 * omega * gamma * u.values
     out -= conv
     return Field(grid, out)

@@ -23,10 +23,11 @@ from dispwave import (
     riccati_bracket,
     sharpness_experiment,
     simulate,
-    slope_minimum,
     steep_bump,
     write_comparison_csv,
 )
+
+from dispwave.pde import slope_argmin
 
 from conftest import band_limited_field
 
@@ -113,7 +114,7 @@ class TestBlowupCondition:
         u0 = unit_energy_bump(g)
         p = PdeParams(1.0, 0.0)
         assert energy(u0) == pytest.approx(1.0, rel=1e-13)
-        assert slope_minimum(u0, p) < -1.2
+        assert existence_bound(u0, p).m0 < -1.2
         verdict = blowup_condition(u0, p)
         assert verdict.threshold == pytest.approx(-1.0, rel=1e-13)
         assert verdict.triggered
@@ -133,7 +134,7 @@ class TestBlowupCondition:
             u0 = band_limited_field(grid_small, seed=seed, amplitude=1.5)
             verdict = blowup_condition(u0, p)
             if verdict.triggered:
-                assert slope_minimum(u0, p) < verdict.threshold
+                assert existence_bound(u0, p).m0 < verdict.threshold
 
 
 class TestExistenceBound:
@@ -195,7 +196,7 @@ class TestExistenceBound:
         p = PdeParams(1.0, 0.2)
         b = existence_bound(u0, p)
         assert b.e0 == pytest.approx(energy(u0), rel=1e-14)
-        assert b.m0 == pytest.approx(slope_minimum(u0, p), rel=1e-14)
+        assert b.m0 == pytest.approx(slope_argmin(u0.derivative, p.gamma)[1], rel=1e-14)
 
 
 def slope_row(t: float, m: float, m_rhs: float, tail: float = 0.0) -> TraceRow:

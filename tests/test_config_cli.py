@@ -278,7 +278,7 @@ class TestSimulateCommand:
         assert all(row.split(",")[1] == "0" for row in trace[1:])
         summary = json.loads((out / "summary.json").read_text())
         assert summary["stop_reason"] == "reached_t_end"
-        assert summary["existence_bound"]["T_lower"] == "infinite"
+        assert summary["T_lower"] == "infinite"
         assert summary["t_star"] is None
 
     def test_smallest_grid_runs(self, tmp_path):
@@ -340,8 +340,8 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["stop_reason"] == "blowup_slope"
-        assert summary["breaking"]["triggered"] is True
-        assert summary["t_star"] >= 0.98 * summary["existence_bound"]["T_lower"]
+        assert summary["triggered"] is True
+        assert summary["t_star"] >= 0.98 * summary["T_lower"]
         assert 0.0 <= summary["t_star_spread"] <= 1e-2
         stats = summary["stats"]
         assert stats["steps"] > 0 and stats["rhs_evaluations"] == 1 + 4 * stats["steps"]
@@ -448,6 +448,22 @@ class TestBoundCommand:
         assert payload["K"] == pytest.approx(expected.bracket, rel=1e-14)
         assert payload["triggered"] is True
 
+    @pytest.mark.parametrize("flag", ["--gamma", "--omega"])
+    def test_config_rejects_data_only_flag(self, tmp_path, capsys, flag):
+        # the config's params hold; a flag that would be ignored is an error
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["bound", "--config", str(cfg), flag, "3"]) == 2
+        assert "--gamma and --omega apply only to --data" in capsys.readouterr().err
+
+    def test_data_omega_defaults_to_zero(self, tmp_path, capsys):
+        g = Grid(20.0, 256)
+        data = tmp_path / "u.csv"
+        write_csv(data, ("x", "u"), zip(g.x, steep_bump(g, 1.0, 3.0).values))
+        assert main(["bound", "--data", str(data), "--gamma", "1"]) == 0
+        implicit = capsys.readouterr().out
+        assert main(["bound", "--data", str(data), "--gamma", "1", "--omega", "0"]) == 0
+        assert capsys.readouterr().out == implicit
+
     def test_data_requires_gamma(self, tmp_path, capsys):
         g = Grid(20.0, 256)
         data = tmp_path / "u.csv"
@@ -471,6 +487,58 @@ class TestBoundCommand:
         write_csv(data, ("x", "u", "v")[:len(columns)], zip(*columns))
         assert main(["bound", "--data", str(data), "--gamma", "1"]) == 2
         assert str(data) in capsys.readouterr().err
+
+
+# acceptance 7's data at N = 2048, stopped at |m| = 11 as in CI's breaking run
+BREAKING_CONFIG = {
+    "params": {"gamma": 1.0, "omega": 0.0},
+    "grid": {"L": 6.0, "N": 2048},
+    "solver": {"t_end": 2.0, "sample_interval": 0.004, "blowup_m_threshold": 11.0,
+               "dt_min": 1e-10},
+}
+STEEP_DATA = {"kind": "steep", "amplitude": 1.0, "steepness": 3.0}
+
+
+class TestOneReportLayout:
+    """`dispwave bound`, summary.json and comparison.csv write one report vocabulary."""
+
+    @staticmethod
+    def _bound_and_summary(tmp_path, capsys, cfg):
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["bound", "--config", str(cfg)]) == 0
+        bound = json.loads(capsys.readouterr().out)
+        summary = json.loads((out / "summary.json").read_text())
+        assert bound["t_star"] is None and bound["t_star_spread"] is None
+        for key, value in bound.items():
+            if key not in ("t_star", "t_star_spread"):
+                assert summary[key] == value, key
+        return bound, summary
+
+    def test_breaking_data_in_all_three(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", **BREAKING_CONFIG, initial=STEEP_DATA)
+        bound, summary = self._bound_and_summary(tmp_path, capsys, cfg)
+        assert bound["triggered"] is True and "witness_x0" in bound
+        assert summary["t_star"] is not None
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({**BREAKING_CONFIG, "family": {
+            "kind": "steepness", "amplitude": 1.0, "steepnesses": [3.0]}}))
+        assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "s")]) == 0
+        header, row = (tmp_path / "s" / "comparison.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        for key in ("E0", "m0", "gamma_case", "K", "T_lower", "t_star", "t_star_spread"):
+            value = summary[key]
+            assert cells[key] == (value if isinstance(value, str) else fmt(value)), key
+
+    def test_gamma_zero_notes_global(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", params={"gamma": 0.0, "omega": 0.0},
+                           grid={"L": 6.0, "N": 2048},
+                           solver={"t_end": 0.1, "sample_interval": 0.05},
+                           initial=STEEP_DATA)
+        bound, _ = self._bound_and_summary(tmp_path, capsys, cfg)
+        assert bound["note"] == "gamma = 0: all solutions are global"
+        assert "triggered" not in bound
 
 
 class TestSweepCommand:

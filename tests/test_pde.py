@@ -501,6 +501,34 @@ class TestGammaUtxField:
         field_rate = gamma_utx_field(u, p).values[i]
         assert field_rate == pytest.approx(s.m_rhs - correction, abs=1e-8)
 
+    @pytest.mark.parametrize("gamma,omega", [(1.0, 0.5), (2.0, 0.0), (-1.0, 0.8)])
+    def test_eight_transforms_and_the_projected_squares_bits(self, transform_count,
+                                                              gamma, omega):
+        # the squares' one 2-row rfft serves the bracket and their dealiased values;
+        # the formula below projects each square with its own numpy.fft round trip
+        from dispwave.pde import _convolution_bracket
+
+        grid, p = Grid(6.0, 1024), PdeParams(gamma, omega)
+        u = steep_bump(grid, 1.0, 3.0)
+        ux = u.derivative  # caches u.spectrum too
+        before = transform_count["transforms"]
+        got = gamma_utx_field(u, p).values
+        assert transform_count["transforms"] - before == 8
+
+        def project(values):
+            spectrum = np.fft.rfft(values)
+            return np.fft.irfft(np.where(grid.dealias_keep, spectrum, 0.0), n=grid.n_points)
+
+        squares = np.stack((u.values * u.values, ux * ux))
+        uxx = differentiate(u, 2).values
+        conv = _convolution_bracket(u.spectrum, np.fft.rfft(squares), grid, p)
+        expected = -0.5 * gamma * gamma * project(squares[1])
+        expected -= gamma * gamma * project(u.values * uxx)
+        expected += 0.5 * (3.0 - gamma) * gamma * project(squares[0])
+        expected += 2.0 * omega * gamma * u.values
+        expected -= conv
+        assert np.array_equal(got, expected)
+
 
 class TestPdeParams:
     def test_rejects_negative_omega(self):
