@@ -40,7 +40,7 @@ from .solitary import (
     write_profile_csv,
 )
 from .spectral import Grid
-from .timestep import SimulationResult, simulate
+from .timestep import simulate
 
 
 def _fail(message: str, code: int = 2) -> int:
@@ -48,25 +48,19 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def _write_checkpoints(result: SimulationResult, directory: Path) -> list[float]:
-    directory.mkdir(parents=True, exist_ok=True)
-    write_field_csvs(result.final_state.grid.x,
-                     ((directory / f"checkpoint_{i:04d}.csv", field.values)
-                      for i, (_, field) in enumerate(result.checkpoints)))
-    return [t for t, _ in result.checkpoints]
+def _output_directory(out: str | None, directory: str | None) -> Path:
+    """--out, else the config's outputs.directory, created if missing."""
+    if out is None and directory is None:
+        raise ValueError("no output directory: set --out or outputs.directory")
+    path = Path(out if out is not None else directory)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _cmd_simulate(args) -> int:
     try:
         rc = load_run_config(args.config)
-    except ValueError as err:
-        return _fail(str(err))
-    out = args.out if args.out is not None else rc.outputs.directory
-    if out is None:
-        return _fail("no output directory: set --out or outputs.directory")
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+        out_dir = _output_directory(args.out, rc.directory)
         u0 = build_initial_field(rc)
         result = simulate(u0, rc.params, rc.solver)
     except ValueError as err:
@@ -87,11 +81,14 @@ def _cmd_simulate(args) -> int:
     if rc.initial["kind"] == "soliton":
         payload["shape_error"] = shape_error(u0, rc.initial["c"], result.final_state,
                                              result.t_stop)
-    if rc.outputs.write_checkpoints and result.checkpoints:
-        payload["checkpoint_times"] = _write_checkpoints(result, out_dir / "checkpoints")
-    if rc.outputs.write_trace:
-        write_csv(out_dir / "trace.csv", ("t", "E", "m", "xi", "max_u", "dt"),
-                  [(r.t, r.energy, r.m, r.xi, r.max_u, r.dt) for r in result.samples])
+    if result.checkpoints:  # exactly when solver.checkpoint_interval is set
+        (out_dir / "checkpoints").mkdir(exist_ok=True)
+        write_field_csvs(u0.grid.x,
+                         ((out_dir / "checkpoints" / f"checkpoint_{i:04d}.csv", field.values)
+                          for i, (_, field) in enumerate(result.checkpoints)))
+        payload["checkpoint_times"] = [t for t, _ in result.checkpoints]
+    write_csv(out_dir / "trace.csv", ("t", "E", "m", "xi", "max_u", "dt"),
+              [(r.t, r.energy, r.m, r.xi, r.max_u, r.dt) for r in result.samples])
     write_json(out_dir / "summary.json", payload)
     print(f"{result.stop_reason} at t = {fmt(result.t_stop)}; artifacts in {out_dir}")
     return 0
@@ -143,15 +140,11 @@ def _cmd_sweep(args) -> int:
     try:
         sc = load_sweep_config(args.config)
         members = build_family(sc)
+        if sc.params.gamma == 0.0:
+            return _fail(f"sweep requires gamma != 0 ({GLOBAL_NOTE})")
+        out_dir = _output_directory(args.out, sc.directory)
     except ValueError as err:
         return _fail(str(err))
-    if sc.params.gamma == 0.0:
-        return _fail(f"sweep requires gamma != 0 ({GLOBAL_NOTE})")
-    out = args.out if args.out is not None else sc.directory
-    if out is None:
-        return _fail("no output directory: set --out or outputs.directory")
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = sharpness_experiment(members, sc.params, sc.solver, workers=args.workers)
     write_comparison_csv(rows, out_dir / "comparison.csv")

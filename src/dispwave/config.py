@@ -8,8 +8,9 @@ in) is what gets embedded into summary artifacts.
 Both config types go through one parser. Each has `params`, `grid`, `solver`
 and optional `outputs`; a run adds `initial` and a sweep adds `family`,
 objects whose `kind` key selects their schema from a table. An `amplitude`
-family's `base` is initial data under the run's schema. A sweep writes only
-`comparison.csv`, so its `outputs` takes only `directory`.
+family's `base` is initial data under the run's schema. `outputs` takes only
+`directory`: a run always writes its trace, and its checkpoints exactly when
+`solver.checkpoint_interval` is set.
 """
 
 from __future__ import annotations
@@ -139,29 +140,16 @@ def _parse_kind(spec, base_dir: Path, path: str, schemas: dict) -> dict:
     return resolved
 
 
-@dataclass(frozen=True)
-class OutputOptions:
-    directory: str | None = None
-    write_trace: bool = True
-    write_checkpoints: bool = False
+def _parse_directory(data) -> str | None:
+    _check_keys(data, "outputs", (), ("directory",))
+    directory = data.get("directory")
+    if directory is not None and not isinstance(directory, str):
+        raise ConfigError(f"outputs.directory: expected a string, got {directory!r}")
+    return directory
 
 
-def _parse_outputs(data, keys: tuple[str, ...]) -> dict:
-    _check_keys(data, "outputs", (), keys)
-    for key, v in data.items():
-        if key == "directory" and v is not None and not isinstance(v, str):
-            raise ConfigError(f"outputs.directory: expected a string, got {v!r}")
-        if key != "directory" and not isinstance(v, bool):
-            raise ConfigError(f"outputs.{key}: expected true/false, got {v!r}")
-    return data
-
-
-def _parse_sections(data, base_dir: Path, kind_key: str, schemas: dict,
-                    output_keys: tuple[str, ...]) -> dict:
-    """Sections of a RunConfig (kind_key "initial") or SweepConfig ("family").
-
-    `outputs` stays a dict: a run builds OutputOptions from it, a sweep keeps the directory.
-    """
+def _parse_sections(data, base_dir: Path, kind_key: str, schemas: dict) -> dict:
+    """Fields of a RunConfig (kind_key "initial") or SweepConfig ("family")."""
     # older configs and summaries carry a "seed"; nothing is random, so it is ignored
     _check_keys(data, "config", ("params", "grid", "solver", kind_key), ("outputs", "seed"))
     return {
@@ -169,7 +157,7 @@ def _parse_sections(data, base_dir: Path, kind_key: str, schemas: dict,
         "grid": _parse_grid(data["grid"]),
         "solver": _parse_solver(data["solver"]),
         kind_key: _parse_kind(data[kind_key], base_dir, kind_key, schemas),
-        "outputs": _parse_outputs(data.get("outputs", {}), output_keys),
+        "directory": _parse_directory(data.get("outputs", {})),
     }
 
 
@@ -179,7 +167,7 @@ class RunConfig:
     grid: Grid
     solver: SolverConfig
     initial: dict
-    outputs: OutputOptions
+    directory: str | None
 
 
 @dataclass(frozen=True)
@@ -191,19 +179,33 @@ class SweepConfig:
     directory: str | None
 
 
+# switches of older run configs and summaries, accepted only at the value the run implies
+_OLD_OUTPUT_KEYS = ("write_trace", "write_checkpoints")
+
+
 def parse_run_config(data, base_dir: Path) -> RunConfig:
     if isinstance(data, dict) and "config" in data and "stop_reason" in data:
         # a summary artifact embeds its resolved config; allow re-running from it
         data = data["config"]
-    sections = _parse_sections(data, base_dir, "initial", _INITIAL_SCHEMAS,
-                               tuple(f.name for f in fields(OutputOptions)))
-    return RunConfig(outputs=OutputOptions(**sections.pop("outputs")), **sections)
+    outputs = data.get("outputs") if isinstance(data, dict) else None
+    old = {}
+    if isinstance(outputs, dict):
+        old = {k: outputs[k] for k in _OLD_OUTPUT_KEYS if k in outputs}
+        data = {**data, "outputs": {k: v for k, v in outputs.items() if k not in old}}
+    rc = RunConfig(**_parse_sections(data, base_dir, "initial", _INITIAL_SCHEMAS))
+    checkpointed = rc.solver.checkpoint_interval is not None
+    for key, value in old.items():
+        if value is not (key == "write_trace" or checkpointed):
+            raise ConfigError(
+                f"outputs.{key}: got {json.dumps(value)}, but trace.csv is always written "
+                f"and checkpoints exactly when solver.checkpoint_interval is set (here "
+                f"{'set' if checkpointed else 'unset'}); drop the key")
+    return rc
 
 
 def parse_sweep_config(data, base_dir: Path) -> SweepConfig:
-    # a sweep writes only comparison.csv, so the trace and checkpoint switches are rejected
-    sections = _parse_sections(data, base_dir, "family", _FAMILY_SCHEMAS, ("directory",))
-    return SweepConfig(directory=sections.pop("outputs").get("directory"), **sections)
+    # a sweep writes only comparison.csv; the old run switches are unknown keys here
+    return SweepConfig(**_parse_sections(data, base_dir, "family", _FAMILY_SCHEMAS))
 
 
 def _load_json(path: Path):
@@ -227,7 +229,7 @@ def config_dict(rc: RunConfig) -> dict:
         "grid": {"L": rc.grid.half_width, "N": rc.grid.n_points},
         "solver": asdict(rc.solver),
         "initial": dict(rc.initial),
-        "outputs": asdict(rc.outputs),
+        "outputs": {"directory": rc.directory},
     }
 
 
@@ -264,6 +266,6 @@ def build_family(sc: SweepConfig) -> list[tuple[float, Field]]:
             for s in fam["steepnesses"]
         ]
     base_rc = RunConfig(params=sc.params, grid=sc.grid, solver=sc.solver,
-                        initial=fam["base"], outputs=OutputOptions())
+                        initial=fam["base"], directory=None)
     base = build_initial_field(base_rc)
     return [(a, Field(sc.grid, a * base.values)) for a in fam["alphas"]]

@@ -155,7 +155,7 @@ class SpectralRhs:
         self.evaluations += 1
         np.multiply(self.stage, self._ik, out=self._stage_x)
         irfft(self._padded, n=self._n, out=self._fields)
-        np.multiply(self._fields, self._fields, out=self.squares)
+        np.square(self._fields, out=self.squares)
         rfft(self.squares, out=self.pair)
         terms = np.multiply(self._operands, self._mults, out=self._terms)
         # np.add of two rows, not np.add.reduce: about 50% faster at band 5462

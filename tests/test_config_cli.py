@@ -44,7 +44,8 @@ class TestRunConfigParsing:
         assert rc.solver.dt_init == 1e-2
         assert rc.initial == {"kind": "gaussian", "amplitude": 0.1, "width": 2.0,
                               "center": 0.0}
-        assert rc.outputs.write_trace and not rc.outputs.write_checkpoints
+        assert rc.directory is None
+        assert config_dict(rc)["outputs"] == {"directory": None}
 
     def test_legacy_seed_key_accepted_and_dropped(self, tmp_path):
         rc = load_run_config(write_config(tmp_path / "c.json", seed=0))
@@ -118,6 +119,41 @@ class TestRunConfigParsing:
         rc = load_run_config(write_config(tmp_path / "c.json"))
         again = parse_run_config(config_dict(rc), tmp_path)
         assert config_dict(again) == config_dict(rc)
+
+    @pytest.mark.parametrize("interval,outputs", [
+        (None, {"write_trace": True, "write_checkpoints": False, "directory": None}),
+        (None, {"write_checkpoints": False}),
+        (0.25, {"write_checkpoints": True}),
+        (0.25, {"write_trace": True, "write_checkpoints": True, "directory": "out"}),
+    ])
+    def test_old_output_switches_accepted_at_the_implied_value(self, tmp_path, interval,
+                                                               outputs):
+        # older configs and summaries carry the switches; they parse to the same run
+        solver = {"t_end": 0.5, "checkpoint_interval": interval}
+        data = json.loads(write_config(tmp_path / "c.json", solver=solver,
+                                       outputs=outputs).read_text())
+        rc = parse_run_config(data, tmp_path)
+        assert data["outputs"] == outputs  # the caller's dict is left as it was
+        plain = write_config(tmp_path / "plain.json", solver=solver,
+                             outputs={"directory": outputs.get("directory")})
+        assert rc == load_run_config(plain)
+        assert config_dict(rc)["outputs"] == {"directory": outputs.get("directory")}
+
+    @pytest.mark.parametrize("interval,key,value,state", [
+        (None, "write_checkpoints", True, "unset"),
+        (0.25, "write_checkpoints", False, "set"),
+        (None, "write_trace", False, "unset"),
+        (0.25, "write_trace", "yes", "set"),
+        (None, "write_checkpoints", 0, "unset"),
+    ])
+    def test_old_output_switch_at_another_value_rejected(self, tmp_path, interval, key,
+                                                         value, state):
+        path = write_config(tmp_path / "c.json",
+                            solver={"t_end": 0.5, "checkpoint_interval": interval},
+                            outputs={key: value})
+        with pytest.raises(ConfigError, match=rf"^outputs\.{key}: got {json.dumps(value)}, "
+                           rf".*solver\.checkpoint_interval is set \(here {state}\)"):
+            load_run_config(path)
 
 
 class TestInitialData:
@@ -347,10 +383,10 @@ class TestSimulateCommand:
         assert stats["steps"] > 0 and stats["rhs_evaluations"] == 1 + 4 * stats["steps"]
 
     def test_checkpoints_written_when_enabled(self, tmp_path):
+        # checkpoint_interval alone enables them
         cfg = write_config(tmp_path / "c.json",
                            solver={"t_end": 0.4, "sample_interval": 0.1,
-                                   "checkpoint_interval": 0.2},
-                           outputs={"write_checkpoints": True})
+                                   "checkpoint_interval": 0.2})
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         files = sorted((out / "checkpoints").glob("checkpoint_*.csv"))
@@ -390,6 +426,21 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path / "c.json")
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "output directory" in capsys.readouterr().err
+
+    def test_config_directory_used_without_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", outputs={"directory": "from_config"})
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert sorted(f.name for f in (tmp_path / "from_config").iterdir()) == [
+            "summary.json", "trace.csv"]
+
+    def test_checkpoint_switch_without_interval_is_exit_2(self, tmp_path, capsys):
+        # the switch asks for checkpoints that the run, with no interval, never records
+        cfg = write_config(tmp_path / "c.json", outputs={"write_checkpoints": True})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "solver.checkpoint_interval" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSolitonCommand:

@@ -23,6 +23,7 @@ from dispwave import (
     verify_traveling,
     write_profile_csv,
 )
+from dispwave.solitary import shape_error
 
 CANONICAL = SolitonParams(2.0, PdeParams(1.0, 0.5))
 BRANCHES = [  # (c, gamma, omega)
@@ -194,6 +195,14 @@ class TestTraveling:
         report = verify_traveling(canonical_profile, t_end=2.0)
         assert report.max_l2_error <= 1e-4
         assert report.measured_speed == pytest.approx(2.0, rel=1e-3)
+
+    def test_shape_error_is_one_transform(self, canonical_profile, transform_count):
+        # u0's spectrum cached, the translate is one irfft through solitary's binding
+        u0 = canonical_profile.as_field()
+        u0.spectrum
+        before = transform_count["transforms"]
+        assert shape_error(u0, 2.0, u0, 0.0) <= 1e-12  # the Nyquist mode is dropped
+        assert transform_count["transforms"] - before == 1
 
     def test_degenerate_profile_rejected(self, canonical_profile):
         degenerate = SolitonProfile(
