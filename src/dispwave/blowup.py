@@ -256,7 +256,7 @@ def sharpness_experiment(members: Sequence[tuple[float, Field]], params: PdePara
     in a process pool of at most one process per member.
     """
     if params.gamma == 0.0:
-        raise ValueError("sharpness experiment requires gamma != 0")
+        raise ValueError(f"sweep requires gamma != 0 ({GLOBAL_NOTE})")
     if not members:
         raise ValueError("family has no members")
     if workers < 1:

@@ -1,10 +1,12 @@
 """Command-line front end: simulate, soliton, bound, sweep.
 
-Exit-code policy: wave breaking is science, not failure, so a run that blows
-up still exits 0 with the verdict recorded in its artifacts. Nonzero exits
-are reserved for configuration problems, inadmissible parameters and I/O
-errors. All artifacts are deterministic: the same config produces
-byte-identical files.
+Exit codes, for every command: 0 for every finished run, breaking included,
+since wave breaking is science, not failure, and its verdict is recorded in
+the artifacts; 2 for bad input or an I/O error, mapped once in `main`; 1 only
+for `soliton`'s inadmissible speed or grid and for a sweep whose every member
+fails. Nothing is written and no directory is made before a command's write
+step, so an unwritable --out is reported after the run. All artifacts are
+deterministic: the same config produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,13 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blowup import (
-    GLOBAL_NOTE,
-    assess,
-    report_fields,
-    sharpness_experiment,
-    write_comparison_csv,
-)
+from .blowup import assess, report_fields, sharpness_experiment, write_comparison_csv
 from .config import (
     build_family,
     build_initial_field,
@@ -49,22 +45,17 @@ def _fail(message: str, code: int = 2) -> int:
 
 
 def _output_directory(out: str | None, directory: str | None) -> Path:
-    """--out, else the config's outputs.directory, created if missing."""
+    """--out, else the config's outputs.directory; the write step creates it."""
     if out is None and directory is None:
         raise ValueError("no output directory: set --out or outputs.directory")
-    path = Path(out if out is not None else directory)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(out if out is not None else directory)
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        rc = load_run_config(args.config)
-        out_dir = _output_directory(args.out, rc.directory)
-        u0 = build_initial_field(rc)
-        result = simulate(u0, rc.params, rc.solver)
-    except ValueError as err:
-        return _fail(str(err))
+    rc = load_run_config(args.config)
+    out_dir = _output_directory(args.out, rc.directory)
+    u0 = build_initial_field(rc)
+    result = simulate(u0, rc.params, rc.solver)
 
     payload: dict = {
         **report_fields(assess(u0, rc.params, result)),
@@ -81,6 +72,7 @@ def _cmd_simulate(args) -> int:
     if rc.initial["kind"] == "soliton":
         payload["shape_error"] = shape_error(u0, rc.initial["c"], result.final_state,
                                              result.t_stop)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if result.checkpoints:  # exactly when solver.checkpoint_interval is set
         (out_dir / "checkpoints").mkdir(exist_ok=True)
         write_field_csvs(u0.grid.x,
@@ -95,10 +87,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_soliton(args) -> int:
-    try:
-        params = SolitonParams(args.c, PdeParams(gamma=args.gamma, omega=args.omega))
-    except ValueError as err:
-        return _fail(str(err))
+    params = SolitonParams(args.c, PdeParams(gamma=args.gamma, omega=args.omega))
     try:
         grid = Grid(args.L, args.N)
         profile = build_profile(params, grid)
@@ -114,19 +103,16 @@ def _cmd_soliton(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    try:
-        if args.config is None:
-            if args.gamma is None:
-                return _fail("--data requires --gamma (and optionally --omega)")
-            params = PdeParams(gamma=args.gamma, omega=args.omega or 0.0)
-            u0 = field_from_csv(None, args.data)
-        elif args.gamma is not None or args.omega is not None:
-            return _fail("--gamma and --omega apply only to --data")
-        else:
-            rc = load_run_config(args.config)
-            params, u0 = rc.params, build_initial_field(rc)
-    except (ValueError, OSError) as err:
-        return _fail(str(err))
+    if args.config is None:
+        if args.gamma is None:
+            raise ValueError("--data requires --gamma (and optionally --omega)")
+        params = PdeParams(gamma=args.gamma, omega=args.omega or 0.0)
+        u0 = field_from_csv(None, args.data)
+    elif args.gamma is not None or args.omega is not None:
+        raise ValueError("--gamma and --omega apply only to --data")
+    else:
+        rc = load_run_config(args.config)
+        params, u0 = rc.params, build_initial_field(rc)
     payload = report_fields(assess(u0, params))
     print(json_text(payload))
     if args.out is not None:
@@ -136,17 +122,13 @@ def _cmd_bound(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.workers < 1:
-        return _fail(f"--workers must be >= 1, got {args.workers}")
-    try:
-        sc = load_sweep_config(args.config)
-        members = build_family(sc)
-        if sc.params.gamma == 0.0:
-            return _fail(f"sweep requires gamma != 0 ({GLOBAL_NOTE})")
-        out_dir = _output_directory(args.out, sc.directory)
-    except ValueError as err:
-        return _fail(str(err))
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    sc = load_sweep_config(args.config)
+    members = build_family(sc)
+    out_dir = _output_directory(args.out, sc.directory)
 
     rows = sharpness_experiment(members, sc.params, sc.solver, workers=args.workers)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_comparison_csv(rows, out_dir / "comparison.csv")
     print(f"wrote {len(rows)} rows to {out_dir / 'comparison.csv'}")
     return 1 if all(row.gamma_case == "error" for row in rows) else 0
@@ -192,7 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as err:
+        return _fail(str(err))
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+import dispwave.blowup
 from dispwave import (
     Field,
     Grid,
@@ -413,6 +414,17 @@ class TestSharpnessExperiment:
             write_comparison_csv(rows, tmp_path / f"workers{workers}.csv")
             tables.append((tmp_path / f"workers{workers}.csv").read_bytes())
         assert tables[0] == tables[1]
+
+    def test_ratio_below_the_bound_warns(self, monkeypatch, grid_small):
+        # a breaking time under 0.98 of the proved bound means a solver bug
+        monkeypatch.setattr(dispwave.blowup, "run_member",
+                            lambda *job: SweepRow(0, 1.0, ratio=0.5, censored=False))
+        u = gaussian_bump(grid_small, 0.1, 2.0)
+        with pytest.warns(RuntimeWarning, match="member 0: observed breaking time ratio "
+                                                "0.5000 undercuts the proved bound"):
+            rows = sharpness_experiment([(1.0, u)], PdeParams(1.0, 0.0),
+                                        SolverConfig(t_end=1.0), workers=1)
+        assert [(r.ratio, r.censored) for r in rows] == [(0.5, False)]
 
     def test_error_row_is_the_default_row(self, tmp_path):
         # a member that raised is SweepRow(i, alpha): every field after alpha at its default

@@ -20,7 +20,7 @@ from dispwave.config import (
     load_sweep_config,
     parse_run_config,
 )
-from dispwave.fileio import fmt, write_csv
+from dispwave.fileio import fmt, jsonable, write_csv
 from dispwave.timestep import simulate
 
 
@@ -701,6 +701,80 @@ class TestSweepCommand:
         assert not out.exists()
 
 
+class TestErrorBoundary:
+    """`main` maps bad input and I/O errors from any command to exit 2 with one
+    `error:` line, and no command makes its output directory before it writes."""
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"solver": 5}, "solver: expected an object"),
+        ({"grid": {"L": 20.0, "N": 256.0}}, "grid.N: expected an integer"),
+        ({"grid": {"L": -1.0, "N": 256}}, "grid: half_width must be positive"),
+        ({"solver": {"t_end": -1.0}}, "solver: t_end must be positive"),
+        ({"initial": {"kind": "file", "path": 3}}, "initial.path: expected a string"),
+        ({"outputs": {"directory": 3}}, "outputs.directory: expected a string"),
+        (None, "cannot read config"),
+        # the initial data fail only when built, after the config has parsed
+        ({"initial": {"kind": "gaussian", "amplitude": 0.1, "width": 0.0}},
+         "width must be positive"),
+        ({"initial": {"kind": "steep", "amplitude": 1.0, "steepness": 0.0}},
+         "steepness must be positive"),
+        ({"initial": {"kind": "soliton", "c": 0.5}}, "c > 2*omega violated"),
+        ({"grid": {"L": 5.0, "N": 256}, "initial": {"kind": "soliton", "c": 2.0}},
+         "grid too narrow"),
+        ({"params": {"gamma": 1.0, "omega": 0.0}, "grid": {"L": 6.0, "N": 256},
+          "initial": {"kind": "steep", "amplitude": 1.0, "steepness": 0.1}},
+         "initial data must decay below"),
+    ], ids=["solver-not-object", "float-N", "negative-L", "negative-t_end", "file-path-int",
+            "directory-int", "missing-config", "width-0", "steepness-0", "soliton-inadmissible",
+            "soliton-narrow-box", "decay-gate"])
+    def test_simulate_rejection_leaves_no_output(self, tmp_path, capsys, overrides, message):
+        cfg = tmp_path / "c.json"
+        if overrides is not None:
+            write_config(cfg, **overrides)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
+
+    def test_soliton_nonpositive_speed_is_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert main(["soliton", "--c", "-1", "--omega", "0.5", "--gamma", "1",
+                     "--L", "30", "--N", "512", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: speed must be positive and finite, got -1.0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "sweep-under-file", "bound",
+                                         "soliton"])
+    def test_io_error_is_exit_2(self, tmp_path, capsys, command):
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        missing = tmp_path / "missing" / "out.json"
+        if command == "simulate":
+            argv = ["simulate", "--config", str(write_config(tmp_path / "c.json")),
+                    "--out", str(a_file)]
+        elif command.startswith("sweep"):
+            cfg = TestSweepCommand._gaussian_family(tmp_path / "sweep.json", [1.0])
+            out = a_file if command == "sweep" else a_file / "out"
+            argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+        elif command == "bound":
+            argv = ["bound", "--config", str(write_config(tmp_path / "c.json")),
+                    "--out", str(missing)]
+        else:
+            argv = ["soliton", "--c", "2", "--omega", "0.5", "--gamma", "1",
+                    "--L", "30", "--N", "1024", "--out", str(missing)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert a_file.read_text() == "" and not missing.parent.exists()
+
+    def test_bound_out_is_stdout_plus_newline(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", **BREAKING_CONFIG, initial=STEEP_DATA)
+        out = tmp_path / "bound.json"
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
+
+
 def test_unresolved_breaking_run_is_censored_on_both_paths(tmp_path):
     # at N = 128 every sample's band-edge tail exceeds 1e-7, so the run breaks
     # with no sample to estimate t* from: simulate and sweep both censor it
@@ -734,6 +808,12 @@ def test_import_loads_numpy_only():
 
 
 class TestNumericFormatting:
+    def test_jsonable_writes_nonfinite_floats_as_strings(self):
+        # a t_star_spread of nan (one resolved sample) is written as "nan"
+        payload = {"t_star_spread": math.nan, "T_lower": [math.inf, -math.inf, 1.5]}
+        assert jsonable(payload) == {
+            "t_star_spread": "nan", "T_lower": ["infinite", "-infinite", 1.5]}
+
     def test_fmt_round_trips(self):
         for x in (0.1, 1.0 / 3.0, math.pi, 1e-300, 6.02e23, -0.0):
             assert float(fmt(x)) == x
