@@ -64,6 +64,7 @@ def _cmd_simulate(args) -> int:
         "energy_initial": result.samples[0].energy,
         "energy_final": result.samples[-1].energy,
         "energy_drift": result.energy_drift,
+        "hamiltonian_drift": result.hamiltonian_drift,
         "warnings": list(result.warnings),
         "stats": {"steps": result.steps, "rhs_evaluations": result.rhs_evaluations,
                   "dt_limiters": result.dt_limiters},
@@ -95,8 +96,8 @@ def _cmd_soliton(args) -> int:
         return _fail(str(err), code=1)
     write_profile_csv(profile, args.out)
     residual = float(np.max(np.abs(first_integral_residual(profile))))
-    print(f"a = {fmt(profile.amplitude)}")
-    print(f"kappa = {fmt(profile.decay_rate)}")
+    print(f"a = {fmt(params.amplitude)}")
+    print(f"kappa = {fmt(params.decay_rate)}")
     print(f"first_integral_residual_max = {fmt(residual)}")
     print(f"wrote profile to {args.out}")
     return 0

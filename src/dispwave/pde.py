@@ -67,13 +67,14 @@ class PdeParams:
 @dataclass(frozen=True)
 class TraceRow:
     """One recorded sample: the slope minimum m = min_x gamma*u_x at the grid
-    point xi (smallest index on ties), its Riccati rate m_rhs there, E, max|u|,
+    point xi (smallest index on ties), its Riccati rate m_rhs there, E, H, max|u|,
     min u_x, the step dt that reached it and the resolution measure `tail`, the
     largest |u_hat_j| with j >= min(0.9*band, band - 1) over the band's largest.
     `trace_row` builds every row."""
 
     t: float
     energy: float
+    hamiltonian: float
     m: float
     xi: float
     m_rhs: float
@@ -327,7 +328,10 @@ def trace_row(t: float, dt: float, u: np.ndarray, ux: np.ndarray, squares: np.nd
     tail = float(moduli[edge:].max()) / max(float(moduli.max()), 1e-300)
     # at gamma > 0, i is the argmin of ux
     min_ux = float(ux[i]) if params.gamma > 0.0 else float(ux.min())
-    return TraceRow(t=t, energy=_energy_sum(squares, grid), m=m, xi=float(grid.x[i]),
+    density = squares[0] * (u + 2.0 * params.omega)  # H's u^3 + 2*omega*u^2 + gamma*u*u_x^2
+    density += params.gamma * u * squares[1]
+    return TraceRow(t=t, energy=_energy_sum(squares, grid),
+                    hamiltonian=float(grid.spacing * np.sum(density)), m=m, xi=float(grid.x[i]),
                     tail=tail, m_rhs=riccati_rate(u_hat, squares_hat, u, i, m, grid, params),
                     max_u=max_u, min_ux=min_ux, dt=dt)
 
@@ -350,8 +354,7 @@ def gamma_utx_field(u: Field, params: PdeParams) -> Field:
     where u_xx vanishes.
     """
     gamma, omega, grid = params.gamma, params.omega, u.grid
-    squares_hat = rfft(_squares(u))
-    squares_hat[:, grid.band:] = 0.0  # the bracket reads only the band
+    squares_hat = dealias(rfft(_squares(u)), grid)  # the bracket reads only the band
     uu, xx = irfft(squares_hat, n=grid.n_points)  # the dealiased squares
     conv = _convolution_bracket(u.spectrum, squares_hat, grid, params)
     out = -0.5 * gamma * gamma * xx

@@ -99,14 +99,6 @@ class SolitonProfile:
     def as_field(self) -> Field:
         return Field(self.grid, self.values)
 
-    @property
-    def amplitude(self) -> float:
-        return self.params.amplitude
-
-    @property
-    def decay_rate(self) -> float:
-        return self.params.decay_rate
-
 
 def build_profile(p: SolitonParams, grid: Grid, tail_tol: float = 1e-8) -> SolitonProfile:
     """Construct phi on the grid from the closed form of x(theta), inverted by Newton.
@@ -176,7 +168,7 @@ def first_integral_residual(profile: SolitonProfile) -> np.ndarray:
     form, so this genuinely cross-checks the construction.
     """
     c, gamma = profile.params.speed, profile.params.params.gamma
-    a = profile.amplitude
+    a = profile.params.amplitude
     phi = profile.values
     phi_x = profile.as_field().derivative
     return phi_x**2 * (c - gamma * phi) - phi**2 * (a - phi)
@@ -204,7 +196,7 @@ def measure_decay_rate(profile: SolitonProfile) -> float:
     The fit uses samples with phi/a inside _DECAY_WINDOW, where the profile
     is already asymptotic but far above the cutoff floor.
     """
-    a = profile.amplitude
+    a = profile.params.amplitude
     x = profile.grid.x
     phi = profile.values
     lo, hi = _DECAY_WINDOW
@@ -274,7 +266,7 @@ def verify_traveling(profile: SolitonProfile, t_end: float,
     Admissible solitary waves are global, so any stop before t_end is a
     failure and raises.
     """
-    if profile.amplitude <= 0 or np.max(profile.values) <= 0:
+    if profile.params.amplitude <= 0 or np.max(profile.values) <= 0:
         raise ValueError("degenerate profile: nontrivial positive peak required")
     grid = profile.grid
     u0 = profile.as_field()
@@ -333,7 +325,7 @@ def write_profile_csv(profile: SolitonProfile, path) -> None:
     p = profile.params
     preamble = (
         f"# c={fmt(p.speed)} omega={fmt(p.params.omega)} gamma={fmt(p.params.gamma)} "
-        f"a={fmt(profile.amplitude)} kappa={fmt(profile.decay_rate)}"
+        f"a={fmt(p.amplitude)} kappa={fmt(p.decay_rate)}"
     )
     rows = zip(profile.grid.x, profile.values, profile.slope)
     write_csv(path, ("x", "phi", "phi_x"), rows, preamble=preamble)

@@ -121,19 +121,12 @@ class Grid:
 
     @cached_property
     def band(self) -> int:
-        """Number of modes the 2/3 rule keeps: j < N/3, the first ceil(N/3)."""
-        return -(-self.n_points // 3)
-
-    @cached_property
-    def dealias_keep(self) -> np.ndarray:
-        """Boolean 2/3-rule mask on the real-FFT layout: keep |j| < N/3.
+        """Number of modes the 2/3 rule keeps: j < N/3, the first ceil(N/3).
 
         The product of two kept modes then aliases only onto dropped modes,
         also when 3 divides N.
         """
-        mask = np.arange(self.n_points // 2 + 1) < self.band
-        mask.flags.writeable = False
-        return mask
+        return -(-self.n_points // 3)
 
     @cached_property
     def helmholtz_multiplier(self) -> np.ndarray:
@@ -219,16 +212,19 @@ def helmholtz_inverse(f: Field) -> Field:
 
 
 def dealias(spectrum: np.ndarray, grid: Grid) -> np.ndarray:
-    """Zero all modes above the 2/3-rule cutoff. Idempotent.
+    """A copy with every mode from `grid.band` up zeroed (the 2/3 rule). Idempotent.
 
-    Operates on the real-FFT layout (length N/2 + 1).
+    Operates on the real-FFT layout (length N/2 + 1) along the last axis, so a
+    stack of spectra is cut row by row.
     """
     spec = np.asarray(spectrum)
-    if spec.shape != (grid.n_points // 2 + 1,):
+    if spec.shape[-1:] != (grid.n_points // 2 + 1,):
         raise ValueError(
             f"expected real-FFT spectrum of length {grid.n_points // 2 + 1}, got {spec.shape}"
         )
-    return np.where(grid.dealias_keep, spec, 0.0)
+    spec = spec.astype(np.result_type(spec, 0.0))
+    spec[..., grid.band:] = 0.0
+    return spec
 
 
 def hs_norm(f: Field, s: float) -> float:

@@ -93,7 +93,6 @@ class SimulationResult:
     stop_reason: str
     t_stop: float
     final_state: Field
-    steps: int  # RK4 steps taken, the last one too when it overflowed
     rhs_evaluations: int
     dt_limiters: dict[str, int]  # steps per DT_LIMITERS entry that set their dt
     warnings: list[str] = field(default_factory=list)
@@ -103,12 +102,24 @@ class SimulationResult:
         return self.samples
 
     @property
+    def steps(self) -> int:
+        """RK4 steps taken, the last one too when it overflowed."""
+        return sum(self.dt_limiters.values())
+
+    def _drift(self, name: str) -> float:
+        """Max |v(t) - v(0)| of the samples' field name over |v(0)|, or absolute if v(0) = 0."""
+        values = [getattr(r, name) for r in self.samples]
+        return max(abs(v - values[0]) for v in values) / (abs(values[0]) or 1.0)
+
+    @property
     def energy_drift(self) -> float:
         """Max relative deviation of E(t) from E(0) over the recorded trace."""
-        e0 = self.samples[0].energy
-        if e0 == 0.0:
-            return 0.0
-        return max(abs(r.energy - e0) / e0 for r in self.samples)
+        return self._drift("energy")
+
+    @property
+    def hamiltonian_drift(self) -> float:
+        """Max relative deviation of H(t) from H(0), absolute where H(0) = 0."""
+        return self._drift("hamiltonian")
 
 
 def rk4_step(u: Field, dt: float, params: PdeParams) -> Field:
@@ -172,7 +183,6 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
     rhs(u_hat, rhs.k)  # each state's k1, whose transforms its trace row reuses
     new_hat = np.empty_like(u_hat)
     t = 0.0
-    steps = 0
     dt_limiters = dict.fromkeys(DT_LIMITERS, 0)
     samples: list[TraceRow] = []
     checkpoints: list[tuple[float, Field]] = []
@@ -225,17 +235,14 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
             # overflow/NaN here is a detected outcome, not a numerical bug
             rhs.step(u_hat, dt, new_hat)
             rhs(new_hat, rhs.k)
-        steps += 1
         dt_limiters["landing" if landing else limiter] += 1
-        t_new = t_event if landing else t + dt
+        t = t_event if landing else t + dt
         if not np.isfinite(new_hat).all():
             stop_reason = "blowup_nonfinite"
-            t = t_new
             # the stages overwrote u, so the last finite state needs a transform
             final = Field(grid, rhs.values(u_hat))
             break
         u_hat, new_hat = new_hat, u_hat
-        t = t_new
         last_dt = dt
 
     result = SimulationResult(
@@ -244,7 +251,6 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
         stop_reason=stop_reason,
         t_stop=t,
         final_state=final,
-        steps=steps,
         rhs_evaluations=rhs.evaluations,
         dt_limiters=dt_limiters,
         warnings=warnings,

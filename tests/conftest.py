@@ -21,6 +21,11 @@ def band_limited_field(grid: Grid, seed: int, amplitude: float = 0.5,
     return Field(grid, vals)
 
 
+def band_mask(grid: Grid) -> np.ndarray:
+    """The 2/3 rule's keep mask on the real-FFT layout: True for the first grid.band modes."""
+    return np.arange(grid.n_points // 2 + 1) < grid.band
+
+
 @pytest.fixture(scope="session")
 def breaking_run():
     """Acceptance 7's run: (u0, params, result) for steep_bump(1, 3) at gamma = 1,

@@ -362,6 +362,7 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["shape_error"] <= 1e-4
+        assert summary["hamiltonian_drift"] <= 1e-9
 
     def test_breaking_run_exits_zero_with_verdict(self, tmp_path):
         cfg = write_config(

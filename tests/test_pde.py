@@ -25,7 +25,7 @@ from dispwave import (
 
 from dispwave.pde import SpectralRhs, riccati_rate, slope_argmin, trace_row
 
-from conftest import band_limited_field
+from conftest import band_limited_field, band_mask
 
 PARAM_PAIRS = [(0.0, 0.5), (1.0, 0.0), (2.0, 0.3), (3.0, 1.0), (-1.0, 0.7)]
 
@@ -80,7 +80,7 @@ def _refined_slope_history():
 def _six_transform_rhs(u, p):
     """Reference u_t with every product dealiased on its own, u*u_x included."""
     g = u.grid
-    n, keep, ik = g.n_points, g.dealias_keep, g.derivative_multiplier
+    n, keep, ik = g.n_points, band_mask(g), g.derivative_multiplier
     u_hat = np.fft.rfft(u.values)
     ux = np.fft.irfft(u_hat * ik, n=n)
     bracket_hat = 0.5 * (3.0 - p.gamma) * keep * np.fft.rfft(u.values * u.values)
@@ -98,7 +98,7 @@ class TestRhsNonlocal:
         p = PdeParams(gamma, omega)
         g = Grid(6.0, 16384)
         steep = steep_bump(g, 1.0, 3.0)
-        projected = Field(g, np.fft.irfft(g.dealias_keep * steep.spectrum, n=g.n_points))
+        projected = Field(g, np.fft.irfft(band_mask(g) * steep.spectrum, n=g.n_points))
         fields = [band_limited_field(grid_medium, seed=seed) for seed in range(4)]
         for u in fields + [projected]:
             ref = _six_transform_rhs(u, p)
@@ -170,7 +170,7 @@ class TestRhsNonlocal:
 
 def _single_row_rhs(u_hat, grid, p):
     """SpectralRhs's arithmetic, in its order, with one FFT call per transform."""
-    n, keep, ik = grid.n_points, grid.dealias_keep, grid.derivative_multiplier
+    n, keep, ik = grid.n_points, band_mask(grid), grid.derivative_multiplier
     ikh = ik * grid.helmholtz_multiplier
     mult_uu = -(0.5 * p.gamma * ik + 0.5 * (3.0 - p.gamma) * ikh) * keep
     mult_xx = -(0.5 * p.gamma * ikh) * keep
@@ -211,7 +211,7 @@ class TestSpectralRhs:
         fields.append(steep_bump(g, 1.0, 3.0))
         rhs = SpectralRhs(g, p)
         for f in fields:
-            u_hat = g.dealias_keep * np.fft.rfft(f.values)
+            u_hat = band_mask(g) * np.fft.rfft(f.values)
             u, ux, ref = _single_row_rhs(u_hat, g, p)
             got = rhs(u_hat, np.empty(g.band, dtype=complex))
             # the kernel returns the band's modes; the full formula is 0 above them
@@ -223,13 +223,13 @@ class TestSpectralRhs:
 
     def test_physical_reads_only_the_band(self):
         g = Grid(6.0, 1024)
-        u_hat = g.dealias_keep * np.fft.rfft(steep_bump(g, 1.0, 3.0).values)
+        u_hat = band_mask(g) * np.fft.rfft(steep_bump(g, 1.0, 3.0).values)
         rhs = SpectralRhs(g, PdeParams(1.0, 0.5))
         out = np.empty(g.band, dtype=complex)
         rhs(u_hat, out)
         u, ux = rhs.u.copy(), rhs.ux.copy()
         # unit modes above the band
-        rhs(u_hat + ~g.dealias_keep, out)
+        rhs(u_hat + ~band_mask(g), out)
         assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
         rhs(u_hat, out)
         assert np.array_equal(rhs.u, u) and np.array_equal(rhs.ux, ux)
@@ -517,7 +517,7 @@ class TestGammaUtxField:
 
         def project(values):
             spectrum = np.fft.rfft(values)
-            return np.fft.irfft(np.where(grid.dealias_keep, spectrum, 0.0), n=grid.n_points)
+            return np.fft.irfft(np.where(band_mask(grid), spectrum, 0.0), n=grid.n_points)
 
         squares = np.stack((u.values * u.values, ux * ux))
         uxx = differentiate(u, 2).values

@@ -15,7 +15,7 @@ from dispwave import (
 )
 from dispwave.spectral import irfft, rfft
 
-from conftest import band_limited_field
+from conftest import band_limited_field, band_mask
 
 
 class TestGrid:
@@ -147,15 +147,41 @@ class TestDealias:
 
     def test_cutoff_position(self, grid_small):
         n = grid_small.n_points
-        keep = grid_small.dealias_keep
+        keep = band_mask(grid_small)
         assert keep[n // 3] and not keep[n // 3 + 1]
 
     @pytest.mark.parametrize("n", [48, 256])
     def test_kept_products_alias_onto_dropped_modes(self, n):
         # modes j1, j2 <= top multiply into j1 + j2, seen on the grid as
         # j1 + j2 - N when above N/2; that must lie below -top
-        top = int(np.flatnonzero(Grid(20.0, n).dealias_keep)[-1])
+        top = Grid(20.0, n).band - 1
         assert 2 * top - n < -top
+
+    @pytest.mark.parametrize("n", [48, 64])  # 3 divides 48
+    def test_rows_cut_from_band(self, n):
+        grid = Grid(20.0, n)
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(2, n // 2 + 1)) + 1j * rng.normal(size=(2, n // 2 + 1))
+        cut = dealias(rows, grid)
+        assert cut.dtype == rows.dtype
+        assert np.array_equal(cut[:, :grid.band], rows[:, :grid.band])
+        assert not np.any(cut[:, grid.band:])
+        assert np.array_equal(cut, [dealias(row, grid) for row in rows])
+        assert np.array_equal(dealias(cut, grid), cut)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_the_band_mask(self, grid_small, dtype):
+        rng = np.random.default_rng(7)
+        spec = rng.normal(size=grid_small.n_points // 2 + 1).astype(dtype)
+        spec[-1] = np.nan  # zeroed as the mask's 0.0
+        ref = np.where(band_mask(grid_small), spec, 0.0)
+        cut = dealias(spec, grid_small)
+        assert cut.dtype == ref.dtype and cut.tobytes() == ref.tobytes()
+        assert not np.shares_memory(cut, spec)
+
+    def test_rejects_wrong_length(self, grid_small):
+        with pytest.raises(ValueError, match="real-FFT spectrum of length 129"):
+            dealias(np.zeros((2, 128)), grid_small)
 
 
 class TestHsNorm:

@@ -19,6 +19,8 @@ from dispwave import (
     simulate,
     steep_bump,
 )
+from dispwave import pde
+from dispwave.config import build_initial_field, parse_run_config
 from dispwave.pde import SpectralRhs
 from dispwave.timestep import DT_LIMITERS, _controlled_dt
 
@@ -185,6 +187,30 @@ class TestSimulate:
         for invariant in (energy, hamiltonian):
             values = [invariant(f) for _, f in res.checkpoints]
             assert max(abs(v - values[0]) for v in values) <= 1e-6 * abs(values[0])
+
+    @pytest.mark.parametrize("run", [
+        {"grid": {"L": 30.0, "N": 1024},  # the README soliton
+         "solver": {"t_end": 5.0, "sample_interval": 0.05, "decay_tolerance": 1e-8},
+         "initial": {"kind": "soliton", "c": 2.0}},
+        {"grid": {"L": 20.0, "N": 256},  # CI's checkpointed Gaussian
+         "solver": {"t_end": 12.0, "sample_interval": 0.05, "checkpoint_interval": 0.5},
+         "initial": {"kind": "gaussian", "amplitude": 0.2, "width": 2.0}},
+    ])
+    def test_hamiltonian_drift_guards_the_omega_row(self, run, monkeypatch, tmp_path):
+        rc = parse_run_config({"params": {"gamma": 1.0, "omega": 0.5}, **run}, tmp_path)
+        u0 = build_initial_field(rc)
+        assert simulate(u0, rc.params, rc.solver).hamiltonian_drift <= 1e-9
+
+        # a 10% error in the omega term: E is still conserved, H is not
+        multipliers = pde._rhs_multipliers
+
+        def wrong_omega_row(grid, params):
+            mults = multipliers(grid, params)
+            mults[2] *= 1.1
+            return mults
+        monkeypatch.setattr(pde, "_rhs_multipliers", wrong_omega_row)
+        res = simulate(u0, rc.params, rc.solver)
+        assert res.energy_drift <= 1e-9 and res.hamiltonian_drift >= 1e-5
 
     def test_uniform_boundedness_constant(self):
         # periodic embedding bound: max u^2 <= E(0) * (1/2 + 1/(2 tanh L))
