@@ -25,7 +25,7 @@ collects the bounded terms through the conserved energy:
 The sharpness experiment tabulates t*/T over a steepening family: the theory
 keeps it >= 1, and it approaches 1 as the data steepen. t* is the median over
 the last resolved collapsing samples of the Riccati blow-up time with the
-forcing m' + m^2/2 frozen (-K/2 gives T); `assess` reports it for a run.
+forcing m' + m^2/2 frozen (-K/2 gives T); `assess` reports it and the outcome.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .timestep import SimulationResult, SolverConfig, simulate
 _SQRT8 = 4.0 * math.sqrt(2.0)
 _TAIL_MAX = 1e-7  # samples whose band-edge tail exceeds this are under-resolved
 _WINDOW = 5  # t* is the median over this many resolved samples nearest breaking
-BREAKING_STOPS = ("blowup_slope", "blowup_nonfinite")  # runs whose trace carries a t*
 # field names that comparison.csv, summary.json and `dispwave bound` write otherwise
 ARTIFACT_NAMES = {"e0": "E0", "bracket": "K", "t_lower": "T_lower"}
 GLOBAL_NOTE = "gamma = 0: all solutions are global"
@@ -183,28 +182,39 @@ def extrapolate_blowup_time(trace: Sequence[TraceRow]) -> BreakingTime:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Analysis of u0 and its run: verdict None at gamma = 0, breaking None without a run or t*."""
+    """`assess`'s analysis of u0 and its run: verdict None at gamma = 0; breaking, outcome
+    and tail_max None without a run, and breaking None also without a t*."""
 
     bound: ExistenceBound
     verdict: BlowupVerdict | None
     breaking: BreakingTime | None
+    outcome: str | None
+    tail_max: float | None
 
 
 def assess(u0: Field, params: PdeParams, result: SimulationResult | None = None) -> RunReport:
-    """Bound and criterion for u0, and the breaking time of the run result from u0, if given."""
-    breaking = None
-    if result is not None and result.stop_reason in BREAKING_STOPS:
-        with suppress(ValueError):  # no resolved collapsing sample: censored
-            breaking = extrapolate_blowup_time(result.samples)
+    """Bound and criterion for u0 and, given its run's result, the largest sample tail and
+    the one verdict: "broke" on a blowup_slope or blowup_nonfinite stop, "resolved" at t_end
+    with every tail <= `_TAIL_MAX`, else "underresolved" (dt_underflow included)."""
+    breaking = outcome = tail_max = None
+    if result is not None:
+        tail_max = max(s.tail for s in result.samples)
+        if result.stop_reason in ("blowup_slope", "blowup_nonfinite"):
+            outcome = "broke"
+            with suppress(ValueError):  # no resolved collapsing sample: censored
+                breaking = extrapolate_blowup_time(result.samples)
+        else:
+            resolved = result.stop_reason == "reached_t_end" and tail_max <= _TAIL_MAX
+            outcome = "resolved" if resolved else "underresolved"
     return RunReport(bound=existence_bound(u0, params),
                      verdict=blowup_condition(u0, params) if params.gamma != 0.0 else None,
-                     breaking=breaking)
+                     breaking=breaking, outcome=outcome, tail_max=tail_max)
 
 
 def report_fields(report: RunReport) -> dict:
     """The report's one artifact layout, flat under comparison.csv's names: the bound,
     then breaking_threshold, triggered and witness_x0 (None when untriggered) or, at
-    gamma = 0, GLOBAL_NOTE as note, then t_star and t_star_spread (None without a t*)."""
+    gamma = 0, GLOBAL_NOTE as note, then t_star, t_star_spread, outcome and tail_max."""
     out = {ARTIFACT_NAMES.get(name, name): value for name, value in asdict(report.bound).items()}
     if (verdict := report.verdict) is None:
         out["note"] = GLOBAL_NOTE
@@ -212,13 +222,14 @@ def report_fields(report: RunReport) -> dict:
         out.update(breaking_threshold=verdict.threshold, triggered=verdict.triggered,
                    witness_x0=verdict.witness_x0)
     t_star, spread = astuple(report.breaking) if report.breaking else (None, None)
-    return {**out, "t_star": t_star, "t_star_spread": spread}
+    return {**out, "t_star": t_star, "t_star_spread": spread, "outcome": report.outcome,
+            "tail_max": report.tail_max}
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One member of the sharpness comparison table, comparison.csv's columns in order;
-    left at their defaults, the fields after alpha make a raising member's error row."""
+    """One sharpness-table member: comparison.csv's columns in order, `assess`'s outcome and
+    tail_max last. At their defaults, the fields after alpha make a raising member's error row."""
 
     family_id: int
     alpha: float
@@ -231,13 +242,16 @@ class SweepRow:
     t_star_spread: float = math.nan
     ratio: float = math.nan
     censored: bool = True
+    outcome: str = "error"
+    tail_max: float = math.nan
 
 
 def run_member(family_id: int, alpha: float, u0: Field, params: PdeParams,
                config: SolverConfig) -> SweepRow:
     """Simulate one family member and compare its breaking time to the bound."""
     report = assess(u0, params, simulate(u0, params, config))
-    row = SweepRow(family_id, alpha, **asdict(report.bound))
+    row = SweepRow(family_id, alpha, **asdict(report.bound), outcome=report.outcome,
+                   tail_max=report.tail_max)
     if (breaking := report.breaking) is not None:
         row = replace(row, t_star=breaking.t_star, t_star_spread=breaking.spread,
                       ratio=breaking.t_star / report.bound.t_lower, censored=False)
@@ -249,8 +263,8 @@ def sharpness_experiment(members: Sequence[tuple[float, Field]], params: PdePara
     """Run every family member and tabulate observed vs guaranteed times.
 
     Members that reach t_end without breaking, or break with no sample that
-    gives a t*, are censored rows, not failures. A member that raises becomes
-    a gamma_case = "error" row and the others still run. Each failure, and
+    gives a t*, are censored rows, not failures; `assess` gives each row its outcome.
+    A member that raises becomes an error row and the others still run. Each failure, and
     each ratio below 0.98, is reported with a RuntimeWarning. Rows are merged
     in member order regardless of worker count. workers > 1 runs the members
     in a process pool of at most one process per member.

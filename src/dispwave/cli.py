@@ -83,7 +83,8 @@ def _cmd_simulate(args) -> int:
     write_csv(out_dir / "trace.csv", ("t", "E", "m", "xi", "max_u", "dt"),
               [(r.t, r.energy, r.m, r.xi, r.max_u, r.dt) for r in result.samples])
     write_json(out_dir / "summary.json", payload)
-    print(f"{result.stop_reason} at t = {fmt(result.t_stop)}; artifacts in {out_dir}")
+    print(f"{result.stop_reason} at t = {fmt(result.t_stop)} ({payload['outcome']}); "
+          f"artifacts in {out_dir}")
     return 0
 
 

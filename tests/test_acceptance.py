@@ -17,6 +17,7 @@ from dispwave import (
     PdeParams,
     SolitonParams,
     SolverConfig,
+    assess,
     build_profile,
     differentiate,
     existence_bound,
@@ -183,6 +184,7 @@ def test_acceptance_7_breaking_end_to_end(breaking_run, gamma_zero_twin):
     assert verdict.triggered  # guaranteed-breaking data
 
     assert res.stop_reason == "blowup_slope"
+    assert assess(u0, p, res).outcome == "broke"
     bound = existence_bound(u0, p)
     fit = extrapolate_blowup_time(res.samples)
     assert fit.t_star >= 0.98 * bound.t_lower

@@ -321,9 +321,11 @@ def small_family_rows():
 
 class TestSharpnessExperiment:
     def test_censoring_and_bound(self, small_family_rows):
+        # alpha = 0.35 is triggered but its t_end = 1.5 is below its T_lower (2.07)
         gentle, steep = small_family_rows
         assert gentle.censored and math.isnan(gentle.t_star)
-        assert not steep.censored
+        assert gentle.outcome == "resolved" and gentle.tail_max <= 1e-7
+        assert not steep.censored and steep.outcome == "broke"
         assert steep.ratio >= 0.98
         assert steep.t_star >= steep.t_lower * 0.98
 
@@ -431,17 +433,18 @@ class TestSharpnessExperiment:
         path = tmp_path / "comparison.csv"
         write_comparison_csv([SweepRow(1, 0.5)], path)
         assert path.read_text().splitlines() == [
-            "family_id,alpha,E0,m0,gamma_case,K,T_lower,t_star,t_star_spread,ratio,censored",
-            "1,0.5,nan,nan,error,nan,nan,nan,nan,nan,true"]
+            "family_id,alpha,E0,m0,gamma_case,K,T_lower,t_star,t_star_spread,ratio,censored,"
+            "outcome,tail_max",
+            "1,0.5,nan,nan,error,nan,nan,nan,nan,nan,true,error,nan"]
 
     def test_comparison_csv_layout(self, small_family_rows, tmp_path):
         path = tmp_path / "comparison.csv"
         write_comparison_csv(small_family_rows, path)
         lines = path.read_text().splitlines()
         assert lines[0] == ("family_id,alpha,E0,m0,gamma_case,K,T_lower,t_star,t_star_spread,"
-                            "ratio,censored")
+                            "ratio,censored,outcome,tail_max")
         assert len(lines) == 3
-        assert lines[1].startswith("0,0.34999999999999998,") and lines[1].endswith(",true")
-        assert lines[2].startswith("1,1,") and lines[2].endswith(",false")
+        assert lines[1].startswith("0,0.34999999999999998,") and ",true,resolved," in lines[1]
+        assert lines[2].startswith("1,1,") and ",false,broke," in lines[2]
         write_comparison_csv(small_family_rows, tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()

@@ -363,6 +363,7 @@ class TestSimulateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["shape_error"] <= 1e-4
         assert summary["hamiltonian_drift"] <= 1e-9
+        assert summary["outcome"] == "resolved" and summary["tail_max"] <= 1e-7
 
     def test_breaking_run_exits_zero_with_verdict(self, tmp_path):
         cfg = write_config(
@@ -562,9 +563,10 @@ class TestOneReportLayout:
         assert main(["bound", "--config", str(cfg)]) == 0
         bound = json.loads(capsys.readouterr().out)
         summary = json.loads((out / "summary.json").read_text())
-        assert bound["t_star"] is None and bound["t_star_spread"] is None
+        run_only = ("t_star", "t_star_spread", "outcome", "tail_max")
+        assert all(bound[key] is None for key in run_only)
         for key, value in bound.items():
-            if key not in ("t_star", "t_star_spread"):
+            if key not in run_only:
                 assert summary[key] == value, key
         return bound, summary
 
@@ -579,7 +581,8 @@ class TestOneReportLayout:
         assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "s")]) == 0
         header, row = (tmp_path / "s" / "comparison.csv").read_text().splitlines()
         cells = dict(zip(header.split(","), row.split(",")))
-        for key in ("E0", "m0", "gamma_case", "K", "T_lower", "t_star", "t_star_spread"):
+        for key in ("E0", "m0", "gamma_case", "K", "T_lower", "t_star", "t_star_spread",
+                    "outcome", "tail_max"):
             value = summary[key]
             assert cells[key] == (value if isinstance(value, str) else fmt(value)), key
 
@@ -630,6 +633,8 @@ class TestSweepCommand:
         rows = (out / "comparison.csv").read_text().splitlines()[1:]
         t_lower = [float(r.split(",")[6]) for r in rows]
         assert t_lower[0] > t_lower[1] > t_lower[2]
+        # every member is triggered, and each is resolved up to the short horizon
+        assert [r.split(",")[-2] for r in rows] == ["resolved"] * 3
 
     @staticmethod
     def _gaussian_family(path, alphas):
@@ -776,25 +781,52 @@ class TestErrorBoundary:
         assert out.read_text() == capsys.readouterr().out
 
 
-def test_unresolved_breaking_run_is_censored_on_both_paths(tmp_path):
-    # at N = 128 every sample's band-edge tail exceeds 1e-7, so the run breaks
-    # with no sample to estimate t* from: simulate and sweep both censor it
-    common = {"params": {"gamma": 1.0, "omega": 0.0}, "grid": {"L": 6.0, "N": 128},
-              "solver": {"t_end": 1.2, "sample_interval": 0.01, "blowup_m_threshold": 3.0}}
-    run = write_config(tmp_path / "run.json", **common,
-                       initial={"kind": "steep", "amplitude": 1.0, "steepness": 3.0})
+def _simulate_and_sweep(tmp_path, common):
+    """summary.json of steep(1, 3) under the run config `common`, and the cells of the
+    comparison.csv row that the one-member steepness family [3] makes under it."""
+    run = write_config(tmp_path / "run.json", **common, initial=STEEP_DATA)
     assert main(["simulate", "--config", str(run), "--out", str(tmp_path / "run")]) == 0
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
-    assert summary["stop_reason"] == "blowup_slope"
-    assert summary["t_star"] is None and summary["t_star_spread"] is None
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps({**common, "family": {"kind": "steepness", "amplitude": 1.0,
                                                       "steepnesses": [3.0]}}))
     assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "sweep")]) == 0
     header, row = (tmp_path / "sweep" / "comparison.csv").read_text().splitlines()
-    fields = dict(zip(header.split(","), row.split(",")))
+    return summary, dict(zip(header.split(","), row.split(",")))
+
+
+def test_unresolved_breaking_run_is_censored_on_both_paths(tmp_path):
+    # at N = 128 every sample's band-edge tail exceeds 1e-7, so the run breaks
+    # with no sample to estimate t* from: simulate and sweep both censor it
+    summary, fields = _simulate_and_sweep(tmp_path, {
+        "params": {"gamma": 1.0, "omega": 0.0}, "grid": {"L": 6.0, "N": 128},
+        "solver": {"t_end": 1.2, "sample_interval": 0.01, "blowup_m_threshold": 3.0}})
+    assert summary["stop_reason"] == "blowup_slope"
+    assert summary["t_star"] is None and summary["t_star_spread"] is None
     assert fields["gamma_case"] == "low" and fields["T_lower"] != "nan"
     assert (fields["t_star"], fields["t_star_spread"], fields["ratio"]) == ("nan",) * 3
+    assert fields["censored"] == "true"
+    assert summary["outcome"] == fields["outcome"] == "broke"
+    assert summary["tail_max"] > 1e-7 and fields["tail_max"] == fmt(summary["tail_max"])
+
+
+@pytest.mark.parametrize("params,half_width,n_points,solver", [
+    # acceptance-7 data at N = 1024: the tail passes 1e-7 and m relaxes before |m| = 11
+    ({"gamma": 1.0, "omega": 0.0}, 6.0, 1024,
+     {"t_end": 2.0, "sample_interval": 0.004, "blowup_m_threshold": 11.0}),
+    # the same data at gamma = 2, omega = 0.5: m reaches -20.9, not -30, then relaxes
+    ({"gamma": 2.0, "omega": 0.5}, 8.0, 2048, {"t_end": 3.0, "blowup_m_threshold": 30.0}),
+], ids=["acceptance-7-N1024", "gamma2-omega0.5"])
+def test_triggered_run_ending_unbroken_is_underresolved_on_both_paths(
+        tmp_path, params, half_width, n_points, solver):
+    # the criterion guarantees breaking, so a clean reached_t_end would contradict
+    # it; the grid lost the front instead, and both paths say so
+    summary, fields = _simulate_and_sweep(tmp_path, {
+        "params": params, "grid": {"L": half_width, "N": n_points},
+        "solver": {**solver, "dt_min": 1e-10}})
+    assert summary["triggered"] is True and summary["stop_reason"] == "reached_t_end"
+    assert summary["outcome"] == fields["outcome"] == "underresolved"
+    assert summary["tail_max"] > 1e-7 and fields["tail_max"] == fmt(summary["tail_max"])
     assert fields["censored"] == "true"
 
 
