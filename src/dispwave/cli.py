@@ -65,6 +65,7 @@ def _cmd_simulate(args) -> int:
         "energy_final": result.samples[-1].energy,
         "energy_drift": result.energy_drift,
         "hamiltonian_drift": result.hamiltonian_drift,
+        "boundary_max": result.boundary_max,
         "warnings": list(result.warnings),
         "stats": {"steps": result.steps, "rhs_evaluations": result.rhs_evaluations,
                   "dt_limiters": result.dt_limiters},

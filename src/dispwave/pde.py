@@ -68,9 +68,10 @@ class PdeParams:
 class TraceRow:
     """One recorded sample: the slope minimum m = min_x gamma*u_x at the grid
     point xi (smallest index on ties), its Riccati rate m_rhs there, E, H, max|u|,
-    min u_x, the step dt that reached it and the resolution measure `tail`, the
-    largest |u_hat_j| with j >= min(0.9*band, band - 1) over the band's largest.
-    `trace_row` builds every row."""
+    min u_x, the step dt that reached it, the resolution measure `tail` (the
+    largest |u_hat_j| with j >= min(0.9*band, band - 1) over the band's largest)
+    and `boundary` = max(|u[0]|, |u[-1]|), the larger |u| at the box edge. `trace_row`
+    builds every row."""
 
     t: float
     energy: float
@@ -82,6 +83,7 @@ class TraceRow:
     min_ux: float
     dt: float
     tail: float
+    boundary: float
 
 
 def _project(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -330,10 +332,10 @@ def trace_row(t: float, dt: float, u: np.ndarray, ux: np.ndarray, squares: np.nd
     min_ux = float(ux[i]) if params.gamma > 0.0 else float(ux.min())
     density = squares[0] * (u + 2.0 * params.omega)  # H's u^3 + 2*omega*u^2 + gamma*u*u_x^2
     density += params.gamma * u * squares[1]
-    return TraceRow(t=t, energy=_energy_sum(squares, grid),
+    return TraceRow(t=t, dt=dt, energy=_energy_sum(squares, grid), max_u=max_u,
                     hamiltonian=float(grid.spacing * np.sum(density)), m=m, xi=float(grid.x[i]),
                     tail=tail, m_rhs=riccati_rate(u_hat, squares_hat, u, i, m, grid, params),
-                    max_u=max_u, min_ux=min_ux, dt=dt)
+                    min_ux=min_ux, boundary=max(abs(float(u[0])), abs(float(u[-1]))))
 
 
 def slope_sample(u: Field, params: PdeParams, t: float = 0.0) -> TraceRow:

@@ -11,7 +11,8 @@ owns the band state: it projects u0 once onto u's rfft coefficients in the
 array. Step control, trace rows, checkpoints and the final state all read
 the first stage's arrays of the state; `pde.trace_row`, the one row builder,
 takes the slope argmin and max|u| that step control found, writes none of the
-arrays and adds 1 transform.
+arrays and adds 1 transform. The loop keeps no warning state: the run's
+warnings are derived from the samples after it.
 
 A run terminates for exactly one of four reasons:
 
@@ -121,6 +122,11 @@ class SimulationResult:
         """Max relative deviation of H(t) from H(0), absolute where H(0) = 0."""
         return self._drift("hamiltonian")
 
+    @property
+    def boundary_max(self) -> float:
+        """The largest |u| at |x| = L, max(|u[0]|, |u[-1]|), over the recorded trace."""
+        return max(r.boundary for r in self.samples)
+
 
 def rk4_step(u: Field, dt: float, params: PdeParams) -> Field:
     """One classical four-stage Runge-Kutta step of the nonlocal form.
@@ -172,10 +178,8 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
     grid = u0.grid
     boundary0 = max(abs(float(u0.values[0])), abs(float(u0.values[-1])))
     if boundary0 > config.decay_tolerance:
-        raise BoundaryDecayError(
-            f"initial data must decay below {config.decay_tolerance:g} at |x| = L, "
-            f"found {boundary0:g}"
-        )
+        raise BoundaryDecayError(f"initial data must decay below {config.decay_tolerance:g} "
+                                 f"at |x| = L, found {boundary0:g}")
 
     rhs = SpectralRhs(grid, params)
     u, ux = rhs.u, rhs.ux  # u_hat's grid values after each rhs(u_hat, rhs.k)
@@ -186,8 +190,6 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
     dt_limiters = dict.fromkeys(DT_LIMITERS, 0)
     samples: list[TraceRow] = []
     checkpoints: list[tuple[float, Field]] = []
-    warnings: list[str] = []
-    boundary_warned = False
     stop_reason = None
 
     tick = config.tick
@@ -215,12 +217,6 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
         if _on_clock(t, config.sample_interval, tick) or (stop_reason and samples[-1].t < t):
             samples.append(trace_row(t, last_dt, u, ux, rhs.squares, rhs.pair, u_hat, slope,
                                      max_u, grid, params))
-            edge = max(abs(float(u[0])), abs(float(u[-1])))
-            if not boundary_warned and edge > 1e-6 * max(max_u, 1e-300):
-                warnings.append(
-                    f"boundary contamination at t = {t:g}: |u| = {edge:g} at |x| = L"
-                )
-                boundary_warned = True
         if stop_reason:
             final = Field(grid, u)
             break
@@ -253,13 +249,14 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
         final_state=final,
         rhs_evaluations=rhs.evaluations,
         dt_limiters=dt_limiters,
-        warnings=warnings,
     )
+    crossed = next((r for r in samples if r.boundary > 1e-6 * max(r.max_u, 1e-300)), None)
+    if crossed is not None:
+        result.warnings.append(f"boundary contamination at t = {crossed.t:g}: "
+                               f"|u| = {crossed.boundary:g} at |x| = L")
     if stop_reason == "reached_t_end" and result.energy_drift > config.energy_drift_tol:
-        warnings.append(
-            f"energy drift {result.energy_drift:g} exceeds tolerance "
-            f"{config.energy_drift_tol:g}"
-        )
+        result.warnings.append(f"energy drift {result.energy_drift:g} exceeds tolerance "
+                               f"{config.energy_drift_tol:g}")
     return result
 
 

@@ -203,7 +203,7 @@ class TestExistenceBound:
 def slope_row(t: float, m: float, m_rhs: float, tail: float = 0.0) -> TraceRow:
     """A trace row carrying only the fields the breaking-time estimate reads."""
     return TraceRow(t=t, energy=0.0, hamiltonian=0.0, m=m, xi=0.0, m_rhs=m_rhs, max_u=0.0,
-                    min_ux=0.0, dt=0.0, tail=tail)
+                    min_ux=0.0, dt=0.0, tail=tail, boundary=0.0)
 
 
 class TestExtrapolation:

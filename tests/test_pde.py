@@ -379,6 +379,7 @@ class TestSlopeSample:
         assert s.energy == energy(u)
         assert s.max_u == np.max(np.abs(u.values))
         assert s.min_ux == np.min(u.derivative)
+        assert s.boundary == max(abs(u.values[0]), abs(u.values[-1]))
         res = simulate(u, p, SolverConfig(t_end=0.01, decay_tolerance=1.0))
         assert res.slope_trace is res.samples
 
@@ -474,6 +475,7 @@ class TestSolverSamples:
         assert row.energy == float(g.spacing * np.sum(u * u + ux * ux))
         assert (row.m, row.xi) == (m, g.x[i])
         assert row.max_u == np.max(np.abs(u)) and row.min_ux == ux.min()
+        assert row.boundary == max(abs(u[0]), abs(u[-1]))
 
 
 class TestGammaUtxField:

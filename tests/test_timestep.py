@@ -222,12 +222,36 @@ class TestSimulate:
         bound = e0 * (0.5 + 0.5 / math.tanh(g.half_width))
         assert all(r.max_u**2 <= bound * (1.0 + 1e-10) for r in res.samples)
 
-    def test_boundary_contamination_warning(self):
-        g = Grid(30.0, 1024)
-        u0 = gaussian_bump(g, 0.1, 2.0)
-        cfg = SolverConfig(t_end=10.0, sample_interval=0.5)
+    @pytest.mark.parametrize("half_width, n, amplitude, decay_tolerance, t_end, warned_at", [
+        (30.0, 1024, 0.1, 1e-10, 10.0, None),
+        # the error-row sweeps' data: on this short box the edge |u| is over 1e-6*max|u|
+        # from t = 0, which is why those runs read underresolved from their first sample
+        (6.0, 256, 1.0, 1e-3, 1.0, 0.0),
+        (6.0, 256, 2.0, 1e-3, 1.0, 0.0),
+    ])
+    def test_boundary_contamination_warning(self, half_width, n, amplitude, decay_tolerance,
+                                            t_end, warned_at):
+        # one warning, built after the run from the first row over the threshold
+        g = Grid(half_width, n)
+        u0 = gaussian_bump(g, amplitude, 2.0)
+        cfg = SolverConfig(t_end=t_end, sample_interval=0.5, decay_tolerance=decay_tolerance)
         res = simulate(u0, PdeParams(1.0, 0.5), cfg)
-        assert any("boundary contamination" in w for w in res.warnings)
+        over = [r for r in res.samples if r.boundary > 1e-6 * r.max_u]
+        assert [w for w in res.warnings if "boundary" in w] == [
+            f"boundary contamination at t = {over[0].t:g}: |u| = {over[0].boundary:g} at |x| = L"]
+        if warned_at is not None:
+            assert over[0].t == warned_at
+        assert res.boundary_max == max(r.boundary for r in res.samples) >= over[0].boundary
+
+    def test_boundary_is_the_checkpoints_edge_value(self):
+        # rows and checkpoints both read the kernel's u, so with a checkpoint at
+        # every sample each row's boundary is its checkpoint's edge value bit for bit
+        g = Grid(20.0, 256)
+        cfg = SolverConfig(t_end=2.0, sample_interval=0.05, checkpoint_interval=0.05)
+        res = simulate(gaussian_bump(g, 0.2, 2.0), PdeParams(1.0, 0.5), cfg)
+        assert [r.t for r in res.samples] == [t for t, _ in res.checkpoints]
+        for row, (_, f) in zip(res.samples, res.checkpoints):
+            assert row.boundary == max(abs(float(f.values[0])), abs(float(f.values[-1])))
 
     def test_energy_drift_warning_when_over_tolerance(self):
         g = Grid(20.0, 512)
