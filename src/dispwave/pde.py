@@ -143,7 +143,6 @@ class SpectralRhs:
         self.squares = np.empty_like(self._fields)  # rows (u^2, u_x^2)
         self.k = np.empty(band, dtype=complex)  # the stage slope `step` reads and writes
         self._n = n
-        self.evaluations = 0
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """The state of grid values: their band's rfft coefficients."""
@@ -155,7 +154,6 @@ class SpectralRhs:
 
     def _evaluate(self, out: np.ndarray) -> np.ndarray:
         """Write u_t_hat of the state in `stage` into out."""
-        self.evaluations += 1
         np.multiply(self.stage, self._ik, out=self._stage_x)
         irfft(self._padded, n=self._n, out=self._fields)
         np.square(self._fields, out=self.squares)

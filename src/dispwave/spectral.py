@@ -41,8 +41,11 @@ def _pin_malloc_thresholds(libc) -> bool:
     thresholds turns the adjustment off: blocks below 4 MiB come from the
     heap, and its top is given back only once 4 MiB lie free there. That
     keeps the scratch of the solver's 2-row calls resident up to N = 65536,
-    twice the largest grid `solitary.recommended_grid` returns; at
-    N = 131072 it still faults.
+    twice the largest grid `solitary.recommended_grid` returns. At N = 131072
+    the pin itself makes the faults: each call's freed scratch leaves more than
+    the fixed 4 MiB free at the heap's top, which is trimmed and faulted in
+    again (7,936 faults per RK4 step), where glibc's own sliding thresholds keep
+    it resident (0 faults). A grid past N = 65536 needs the pin raised or dropped.
     """
     mallopt = getattr(libc, "mallopt", None)
     if mallopt is None:

@@ -1,6 +1,6 @@
 import json
 import math
-import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import dispwave
 from dispwave import Field, Grid, PdeParams, energy, existence_bound, field_from_csv, gaussian_bump, steep_bump
 from dispwave.cli import main
 from dispwave.config import (
@@ -23,6 +22,8 @@ from dispwave.config import (
 from dispwave.fileio import fmt, jsonable, write_csv
 from dispwave.timestep import simulate
 
+from conftest import fresh_interpreter_env
+
 
 def write_config(path, **overrides):
     data = {
@@ -34,6 +35,15 @@ def write_config(path, **overrides):
     data.update(overrides)
     path.write_text(json.dumps(data))
     return path
+
+
+# the README's example config: the soliton at gamma = 1, omega = 0.5
+README_SOLITON = {
+    "params": {"gamma": 1.0, "omega": 0.5},
+    "grid": {"L": 30.0, "N": 1024},
+    "solver": {"t_end": 5.0, "sample_interval": 0.05, "decay_tolerance": 1e-8},
+    "initial": {"kind": "soliton", "c": 2.0},
+}
 
 
 class TestRunConfigParsing:
@@ -349,21 +359,23 @@ class TestSimulateCommand:
         for name in names:
             assert ((out1 / "checkpoints" / name).read_bytes()
                     == (out2 / "checkpoints" / name).read_bytes())
+        assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
     def test_soliton_run_reports_shape_error(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "c.json",
-            params={"gamma": 1.0, "omega": 0.5},
-            grid={"L": 30.0, "N": 1024},
-            solver={"t_end": 2.0, "sample_interval": 0.25, "decay_tolerance": 1e-8},
-            initial={"kind": "soliton", "c": 2.0},
-        )
+        cfg = write_config(tmp_path / "c.json", **README_SOLITON)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["shape_error"] <= 1e-4
         assert summary["hamiltonian_drift"] <= 1e-9
         assert summary["outcome"] == "resolved" and summary["tail_max"] <= 1e-7
+        # its one boundary warning names a sample's edge |u| to 6 digits, so
+        # boundary_max, the largest sample's, is finite and at least that
+        named = [float(re.search(r"[|]u[|] = (\S+) at", w).group(1))
+                 for w in summary["warnings"] if w.startswith("boundary contamination")]
+        largest = summary["boundary_max"]
+        assert math.isfinite(largest) and len(named) == 1
+        assert float(f"{largest:g}") >= named[0]
 
     def test_breaking_run_exits_zero_with_verdict(self, tmp_path):
         cfg = write_config(
@@ -382,7 +394,8 @@ class TestSimulateCommand:
         assert summary["t_star"] >= 0.98 * summary["T_lower"]
         assert 0.0 <= summary["t_star_spread"] <= 1e-2
         stats = summary["stats"]
-        assert stats["steps"] > 0 and stats["rhs_evaluations"] == 1 + 4 * stats["steps"]
+        assert stats["steps"] == sum(stats["dt_limiters"].values()) > 0
+        assert stats["rhs_evaluations"] == 1 + 4 * stats["steps"]
 
     def test_checkpoints_written_when_enabled(self, tmp_path):
         # checkpoint_interval alone enables them
@@ -542,7 +555,7 @@ class TestBoundCommand:
         assert str(data) in capsys.readouterr().err
 
 
-# acceptance 7's data at N = 2048, stopped at |m| = 11 as in CI's breaking run
+# acceptance 7's data at N = 2048, stopped at |m| = 11: it breaks, with a finite t_star
 BREAKING_CONFIG = {
     "params": {"gamma": 1.0, "omega": 0.0},
     "grid": {"L": 6.0, "N": 2048},
@@ -585,6 +598,11 @@ class TestOneReportLayout:
                     "outcome", "tail_max"):
             value = summary[key]
             assert cells[key] == (value if isinstance(value, str) else fmt(value)), key
+
+    def test_untriggered_soliton(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", **README_SOLITON)
+        bound, _ = self._bound_and_summary(tmp_path, capsys, cfg)
+        assert bound["triggered"] is False and bound["witness_x0"] is None
 
     def test_gamma_zero_notes_global(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", params={"gamma": 0.0, "omega": 0.0},
@@ -650,12 +668,15 @@ class TestSweepCommand:
         return path
 
     def test_failing_member_becomes_error_row(self, tmp_path):
+        # the member fails in its pool process and is written as the defaulted row
         cfg = self._gaussian_family(tmp_path / "sweep.json", [1.0, 10.0])
         out = tmp_path / "out"
         with pytest.warns(RuntimeWarning, match=r"member 1 \(alpha = 10\) failed"):
-            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+            assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                         "--workers", "2"]) == 0
         rows = (out / "comparison.csv").read_text().splitlines()[1:]
-        assert [r.split(",")[4] for r in rows] == ["low", "error"]
+        assert rows[0].split(",")[4] == "low"
+        assert rows[1] == "1,10,nan,nan,error,nan,nan,nan,nan,nan,true,error,nan"
 
     def test_every_member_failing_exits_one(self, tmp_path):
         cfg = self._gaussian_family(tmp_path / "sweep.json", [10.0, 20.0])
@@ -830,13 +851,89 @@ def test_triggered_run_ending_unbroken_is_underresolved_on_both_paths(
     assert fields["censored"] == "true"
 
 
+# acceptance 9 across processes: each config's runs from two separate interpreters.
+# An artifact that depends on per-process state, such as str hashing or memory
+# addresses, passes the in-process determinism tests and fails here.
+ACROSS_PROCESSES = {
+    "soliton": README_SOLITON,
+    # checkpoints every 0.5 to t = 12, and an older config's outputs switch
+    "checkpointed": {
+        "params": {"gamma": 1.0, "omega": 0.5}, "grid": {"L": 20.0, "N": 256},
+        "solver": {"t_end": 12.0, "sample_interval": 0.05, "checkpoint_interval": 0.5},
+        "initial": {"kind": "gaussian", "amplitude": 0.2, "width": 2.0},
+        "outputs": {"write_checkpoints": True}},
+    # acceptance 7's data at N = 16384, where glibc once faulted pocketfft's scratch in
+    "steep_n16384": {
+        "params": {"gamma": 1.0, "omega": 0.0}, "grid": {"L": 6.0, "N": 16384},
+        "solver": {"t_end": 0.02, "sample_interval": 0.004, "blowup_m_threshold": 20.0,
+                   "dt_min": 1e-10},
+        "initial": STEEP_DATA},
+    # gamma = 2, omega = 0.5: the right-hand side's 3-row multiply at the same N
+    "omega_n16384": {
+        "params": {"gamma": 2.0, "omega": 0.5}, "grid": {"L": 30.0, "N": 16384},
+        "solver": {"t_end": 0.02, "sample_interval": 0.004},
+        "initial": {"kind": "gaussian", "amplitude": 0.2, "width": 2.0}},
+    # a breaking run, so a finite t_star is compared too
+    "breaking": {**BREAKING_CONFIG, "initial": STEEP_DATA},
+    # the process pool's path, run by `dispwave sweep --workers 2`
+    "sweep": {
+        "params": {"gamma": 1.0, "omega": 0.0}, "grid": {"L": 6.0, "N": 256},
+        "solver": {"t_end": 1.2, "sample_interval": 0.01, "blowup_m_threshold": 4.0},
+        "family": {"kind": "steepness", "amplitude": 1.0, "steepnesses": [3.0, 4.0]}},
+}
+
+_RUN_ALL = """
+import sys
+from dispwave.cli import main
+for name in sys.argv[2:]:
+    command = ["sweep", "--workers", "2"] if name == "sweep" else ["simulate"]
+    if main(command + ["--config", name + ".json", "--out", sys.argv[1] + "/" + name]) != 0:
+        sys.exit(f"{name} failed")
+"""
+
+
+@pytest.fixture(scope="module")
+def two_process_runs(tmp_path_factory):
+    """The output directories of ACROSS_PROCESSES from two concurrent interpreters."""
+    root = tmp_path_factory.mktemp("processes")
+    for name, config in ACROSS_PROCESSES.items():
+        (root / f"{name}.json").write_text(json.dumps(config))
+    runs = [subprocess.Popen([sys.executable, "-c", _RUN_ALL, tag, *ACROSS_PROCESSES],
+                             cwd=root, env=fresh_interpreter_env(), stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+            for tag in ("a", "b")]
+    for run in runs:
+        _, err = run.communicate(timeout=300)
+        assert run.returncode == 0, err
+    return root / "a", root / "b"
+
+
+class TestArtifactsAcrossProcesses:
+    def test_every_file_is_byte_identical(self, two_process_runs):
+        first, second = two_process_runs
+        files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
+        # a trace and a summary per run, 25 checkpoints and the sweep's table
+        assert len(files) == 2 * (len(ACROSS_PROCESSES) - 1) + 25 + 1
+        for name in files:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_checkpoint_times_are_exact_multiples(self, two_process_runs):
+        summary = json.loads((two_process_runs[0] / "checkpointed/summary.json").read_text())
+        assert summary["checkpoint_times"] == [j * 0.5 for j in range(25)]
+
+    def test_breaking_run_has_a_finite_t_star(self, two_process_runs):
+        summary = json.loads((two_process_runs[0] / "breaking/summary.json").read_text())
+        assert summary["outcome"] == "broke"
+        assert 0.8 <= summary["t_star"] < 0.9
+
+
 def test_import_loads_numpy_only():
     # scipy is a test-only dependency: the package and its CLI must not import it
-    src = Path(dispwave.__file__).parents[1]
     probe = ("import sys, dispwave, dispwave.cli; "
              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+                          env=fresh_interpreter_env(), timeout=60, check=True)
     assert done.stdout.strip() == "[]"
 
 

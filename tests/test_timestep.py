@@ -304,15 +304,20 @@ class TestSimulate:
         assert np.all(np.isfinite(res.final_state.values))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflow_keeps_last_finite_state(self, grid_small):
+    def test_overflow_keeps_last_finite_state(self, grid_small, transform_count):
         # u^2 overflows in the first step, so the last finite state is the
         # initial data's band projection and the run never records past t = 0
         u0 = gaussian_bump(grid_small, 1e160, 1.0)
         cfg = SolverConfig(t_end=1.0, dt_min=1e-300, sample_interval=0.5,
                            blowup_m_threshold=1e300)
+        before = transform_count["transforms"]
         res = simulate(u0, PdeParams(1.0, 0.0), cfg)
         assert res.stop_reason == "blowup_nonfinite" and res.t_stop > 0.0
         assert [r.t for r in res.samples] == [0.0]
+        # the overflowing step made its 4 evaluations too; besides them, u0's projection,
+        # the row's Riccati bracket and the last finite state's grid values
+        assert res.steps == 1
+        assert transform_count["transforms"] - before == 4 * res.rhs_evaluations + 3
         assert np.max(np.abs(res.final_state.values - u0.values)) <= 1e-12 * 1e160
 
     def test_transform_budget(self, grid_small, transform_count):
@@ -352,9 +357,9 @@ class TestSimulate:
         before = transform_count["transforms"]
         res = simulate(steep_bump(g, 1.0, 3.0), PdeParams(gamma, 0.0), cfg)
         assert res.stop_reason == stop and res.steps > 0
-        # the k1 stage of u0, then the 3 stages of each step and the k1 of its result
-        assert res.rhs_evaluations == 1 + 4 * res.steps
-        # 4 per evaluation, the projection of u0, and the Riccati bracket of each row
+        # rhs_evaluations is the k1 stage of u0, then the 3 stages of each step and
+        # the k1 of its result; 4 transforms per evaluation, the projection of u0,
+        # and the Riccati bracket of each row
         rows = len(res.samples) if gamma != 0.0 else 0
         assert transform_count["transforms"] - before == 4 * res.rhs_evaluations + 1 + rows
 
