@@ -44,16 +44,9 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def _output_directory(out: str | None, directory: str | None) -> Path:
-    """--out, else the config's outputs.directory; the write step creates it."""
-    if out is None and directory is None:
-        raise ValueError("no output directory: set --out or outputs.directory")
-    return Path(out if out is not None else directory)
-
-
 def _cmd_simulate(args) -> int:
     rc = load_run_config(args.config)
-    out_dir = _output_directory(args.out, rc.directory)
+    out_dir = Path(args.out)
     u0 = build_initial_field(rc)
     result = simulate(u0, rc.params, rc.solver)
 
@@ -66,7 +59,7 @@ def _cmd_simulate(args) -> int:
         "energy_drift": result.energy_drift,
         "hamiltonian_drift": result.hamiltonian_drift,
         "boundary_max": result.boundary_max,
-        "warnings": list(result.warnings),
+        "warnings": result.warnings,
         "stats": {"steps": result.steps, "rhs_evaluations": result.rhs_evaluations,
                   "dt_limiters": result.dt_limiters},
         "config": config_dict(rc),
@@ -128,7 +121,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     sc = load_sweep_config(args.config)
     members = build_family(sc)
-    out_dir = _output_directory(args.out, sc.directory)
+    out_dir = Path(args.out)
 
     rows = sharpness_experiment(members, sc.params, sc.solver, workers=args.workers)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -146,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="integrate a configured run and write artifacts")
     p_sim.add_argument("--config", required=True, help="run config JSON (or a summary.json)")
-    p_sim.add_argument("--out", default=None, help="output directory (overrides config)")
+    p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sol = sub.add_parser("soliton", help="build a solitary-wave profile CSV")
@@ -169,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sharpness comparison over an initial-data family")
     p_sweep.add_argument("--config", required=True, help="sweep config JSON")
-    p_sweep.add_argument("--out", default=None, help="output directory (overrides config)")
+    p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser

@@ -5,12 +5,13 @@ every key is checked against a whitelist, types are enforced, referenced
 files must exist at parse time, and the resolved form (all defaults filled
 in) is what gets embedded into summary artifacts.
 
-Both config types go through one parser. Each has `params`, `grid`, `solver`
-and optional `outputs`; a run adds `initial` and a sweep adds `family`,
-objects whose `kind` key selects their schema from a table. An `amplitude`
-family's `base` is initial data under the run's schema. `outputs` takes only
-`directory`: a run always writes its trace, and its checkpoints exactly when
-`solver.checkpoint_interval` is set.
+Both config types go through one parser. Each has `params`, `grid` and
+`solver`; a run adds `initial` and a sweep adds `family`, objects whose `kind`
+key selects their schema from a table. An `amplitude` family's `base` is
+initial data under the run's schema. A config holds only what changes a run's
+numbers: the output directory is the command's `--out`, a run always writes
+its trace and its checkpoints exactly when `solver.checkpoint_interval` is
+set. The keys older configs and summaries carry for those are in `_RETIRED`.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from pathlib import Path
 from .initial import field_from_csv, gaussian_bump, steep_bump
 from .pde import PdeParams
 from .solitary import SolitonParams, build_profile
-from .spectral import Field, Grid
-from .timestep import SolverConfig
+from .spectral import PINNED_N_MAX, Field, Grid
+from .timestep import CFL_FRACTION, ENERGY_DRIFT_TOL, SolverConfig
 
 
 class ConfigError(ValueError):
@@ -35,7 +36,9 @@ def _check_keys(d, path: str, required: tuple[str, ...],
                 optional: tuple[str, ...] = ()) -> None:
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: expected an object, got {type(d).__name__}")
-    unknown = sorted(set(d) - set(required) - set(optional))
+    # a retired key passes here, and _parse_sections checks its value
+    unknown = sorted(k for k in set(d) - set(required) - set(optional)
+                     if f"{path}.{k}" not in _RETIRED)
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {unknown}")
     missing = sorted(set(required) - set(d))
@@ -71,8 +74,9 @@ def _parse_params(data: dict) -> PdeParams:
 def _parse_grid(data: dict) -> Grid:
     _check_keys(data, "grid", ("L", "N"))
     n = _integer(data, "N", "grid")
-    if n < 16 or n & (n - 1) != 0:
-        raise ConfigError(f"grid.N: must be a power of two >= 16, got {n}")
+    if n < 16 or n > PINNED_N_MAX or n & (n - 1) != 0:
+        raise ConfigError(f"grid.N: must be a power of two from 16 to {PINNED_N_MAX}, the "
+                          f"largest grid the malloc pin keeps fault-free, got {n}")
     half_width = _number(data, "L", "grid")
     try:
         return Grid(half_width=half_width, n_points=n)
@@ -140,25 +144,48 @@ def _parse_kind(spec, base_dir: Path, path: str, schemas: dict) -> dict:
     return resolved
 
 
-def _parse_directory(data) -> str | None:
-    _check_keys(data, "outputs", (), ("directory",))
-    directory = data.get("directory")
-    if directory is not None and not isinstance(directory, str):
-        raise ConfigError(f"outputs.directory: expected a string, got {directory!r}")
-    return directory
+_ANY, _CHECKPOINTED = object(), object()
+_SWITCHES = ("trace.csv is always written and checkpoints exactly when "
+             "solver.checkpoint_interval is set (here {})")
+# Keys that older configs and summaries carry, each with the one value a run implies
+# (_CHECKPOINTED: whether solver.checkpoint_interval is set) and why. Each must hold
+# that value, JSON type included, and is then ignored. `seed` and the directory never
+# changed a run's numbers, so they take _ANY value.
+_RETIRED = {
+    "config.seed": (_ANY, ""),
+    "outputs.directory": (_ANY, ""),
+    "outputs.write_trace": (True, _SWITCHES),
+    "outputs.write_checkpoints": (_CHECKPOINTED, _SWITCHES),
+    "solver.cfl_fraction": (CFL_FRACTION, f"the CFL fraction is fixed at {CFL_FRACTION:g}"),
+    "solver.energy_drift_tol": (ENERGY_DRIFT_TOL, "the energy-drift warning level is "
+                                f"fixed at {ENERGY_DRIFT_TOL:g}"),
+}
 
 
 def _parse_sections(data, base_dir: Path, kind_key: str, schemas: dict) -> dict:
     """Fields of a RunConfig (kind_key "initial") or SweepConfig ("family")."""
-    # older configs and summaries carry a "seed"; nothing is random, so it is ignored
-    _check_keys(data, "config", ("params", "grid", "solver", kind_key), ("outputs", "seed"))
-    return {
+    _check_keys(data, "config", ("params", "grid", "solver", kind_key), ("outputs",))
+    _check_keys(data.get("outputs", {}), "outputs", ())
+    sections = {
         "params": _parse_params(data["params"]),
         "grid": _parse_grid(data["grid"]),
         "solver": _parse_solver(data["solver"]),
         kind_key: _parse_kind(data[kind_key], base_dir, kind_key, schemas),
-        "directory": _parse_directory(data.get("outputs", {})),
     }
+    checkpointed = sections["solver"].checkpoint_interval is not None
+    for key, (implied, why) in _RETIRED.items():
+        section, name = key.split(".")
+        holder = data if section == "config" else data.get(section, {})
+        implied = checkpointed if implied is _CHECKPOINTED else implied
+        if name not in holder or implied is _ANY:
+            continue
+        if kind_key == "family" and section == "outputs":
+            why = "a sweep writes only comparison.csv"
+        elif type(holder[name]) is type(implied) and holder[name] == implied:
+            continue
+        raise ConfigError(f"{key}: got {json.dumps(holder[name])}, but "
+                          f"{why.format('set' if checkpointed else 'unset')}; drop the key")
+    return sections
 
 
 @dataclass(frozen=True)
@@ -167,7 +194,6 @@ class RunConfig:
     grid: Grid
     solver: SolverConfig
     initial: dict
-    directory: str | None
 
 
 @dataclass(frozen=True)
@@ -176,35 +202,16 @@ class SweepConfig:
     grid: Grid
     solver: SolverConfig
     family: dict
-    directory: str | None
-
-
-# switches of older run configs and summaries, accepted only at the value the run implies
-_OLD_OUTPUT_KEYS = ("write_trace", "write_checkpoints")
 
 
 def parse_run_config(data, base_dir: Path) -> RunConfig:
     if isinstance(data, dict) and "config" in data and "stop_reason" in data:
         # a summary artifact embeds its resolved config; allow re-running from it
         data = data["config"]
-    outputs = data.get("outputs") if isinstance(data, dict) else None
-    old = {}
-    if isinstance(outputs, dict):
-        old = {k: outputs[k] for k in _OLD_OUTPUT_KEYS if k in outputs}
-        data = {**data, "outputs": {k: v for k, v in outputs.items() if k not in old}}
-    rc = RunConfig(**_parse_sections(data, base_dir, "initial", _INITIAL_SCHEMAS))
-    checkpointed = rc.solver.checkpoint_interval is not None
-    for key, value in old.items():
-        if value is not (key == "write_trace" or checkpointed):
-            raise ConfigError(
-                f"outputs.{key}: got {json.dumps(value)}, but trace.csv is always written "
-                f"and checkpoints exactly when solver.checkpoint_interval is set (here "
-                f"{'set' if checkpointed else 'unset'}); drop the key")
-    return rc
+    return RunConfig(**_parse_sections(data, base_dir, "initial", _INITIAL_SCHEMAS))
 
 
 def parse_sweep_config(data, base_dir: Path) -> SweepConfig:
-    # a sweep writes only comparison.csv; the old run switches are unknown keys here
     return SweepConfig(**_parse_sections(data, base_dir, "family", _FAMILY_SCHEMAS))
 
 
@@ -229,7 +236,6 @@ def config_dict(rc: RunConfig) -> dict:
         "grid": {"L": rc.grid.half_width, "N": rc.grid.n_points},
         "solver": asdict(rc.solver),
         "initial": dict(rc.initial),
-        "outputs": {"directory": rc.directory},
     }
 
 
@@ -265,7 +271,5 @@ def build_family(sc: SweepConfig) -> list[tuple[float, Field]]:
             (s, steep_bump(sc.grid, fam["amplitude"], s, fam["center"]))
             for s in fam["steepnesses"]
         ]
-    base_rc = RunConfig(params=sc.params, grid=sc.grid, solver=sc.solver,
-                        initial=fam["base"], directory=None)
-    base = build_initial_field(base_rc)
+    base = build_initial_field(RunConfig(sc.params, sc.grid, sc.solver, fam["base"]))
     return [(a, Field(sc.grid, a * base.values)) for a in fam["alphas"]]

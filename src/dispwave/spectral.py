@@ -28,6 +28,8 @@ from numpy.fft import _pocketfft_umath as _pocketfft  # the package's one FFT im
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 4 << 20
 _TRIM_THRESHOLD = 4 << 20
+# the largest grid whose FFT scratch the pin keeps resident; configs refuse larger ones
+PINNED_N_MAX = 65536
 
 
 def _pin_malloc_thresholds(libc) -> bool:
@@ -45,7 +47,9 @@ def _pin_malloc_thresholds(libc) -> bool:
     the pin itself makes the faults: each call's freed scratch leaves more than
     the fixed 4 MiB free at the heap's top, which is trimmed and faulted in
     again (7,936 faults per RK4 step), where glibc's own sliding thresholds keep
-    it resident (0 faults). A grid past N = 65536 needs the pin raised or dropped.
+    it resident (0 faults). A larger trim threshold only moves that cliff (at
+    32 MiB, N = 262144 takes 16,400), so run configs refuse N > PINNED_N_MAX;
+    `Grid` itself takes any N.
     """
     mallopt = getattr(libc, "mallopt", None)
     if mallopt is None:

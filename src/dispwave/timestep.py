@@ -12,7 +12,7 @@ array. Step control, trace rows, checkpoints and the final state all read
 the first stage's arrays of the state; `pde.trace_row`, the one row builder,
 takes the slope argmin and max|u| that step control found, writes none of the
 arrays and adds 1 transform. The loop keeps no warning state: the run's
-warnings are derived from the samples after it.
+warnings are derived from its samples and stop reason.
 
 A run terminates for exactly one of four reasons:
 
@@ -26,7 +26,7 @@ A run terminates for exactly one of four reasons:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,24 +42,27 @@ class IncomparableRunsError(RuntimeError):
     """A dependence probe is undefined because one of the runs blew up."""
 
 
+# the CFL bound's share of h/(|gamma|*max|u| + 2*omega), and the energy drift
+# above which a run that reached t_end warns
+CFL_FRACTION = 0.3
+ENERGY_DRIFT_TOL = 1e-5
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Run-control knobs for `simulate`.
 
     dt_init doubles as the step-size ceiling: the CFL and Riccati bounds
-    only ever shrink it. decay_tolerance gates the initial data at |x| = L;
-    energy_drift_tol is a monitoring level (drift beyond it is recorded as
-    a warning, never silently ignored). t_end is finite. A step that would end
-    within one `tick` of t_end or of a sample or checkpoint time, an exact
-    multiple k*interval, lands on it; intervals at or below tick stall the clock.
+    only ever shrink it. decay_tolerance gates the initial data at |x| = L.
+    t_end is finite. A step that would end within one `tick` of t_end or of
+    a sample or checkpoint time, an exact multiple k*interval, lands on it;
+    intervals at or below tick stall the clock.
     """
 
     t_end: float
     dt_init: float = 1e-2
     dt_min: float = 1e-12
-    cfl_fraction: float = 0.3
     blowup_m_threshold: float = 1e6
-    energy_drift_tol: float = 1e-5
     sample_interval: float = 0.05
     decay_tolerance: float = 1e-10
     checkpoint_interval: float | None = None
@@ -71,9 +74,7 @@ class SolverConfig:
             raise ValueError(
                 f"need 0 < dt_min <= dt_init, got dt_min={self.dt_min}, dt_init={self.dt_init}"
             )
-        if not (0 < self.cfl_fraction <= 1):
-            raise ValueError(f"cfl_fraction must lie in (0, 1], got {self.cfl_fraction}")
-        for name in ("blowup_m_threshold", "energy_drift_tol", "decay_tolerance"):
+        for name in ("blowup_m_threshold", "decay_tolerance"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("sample_interval", "checkpoint_interval"):
@@ -87,7 +88,7 @@ class SolverConfig:
         return 1e-14 * max(1.0, self.t_end)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationResult:
     samples: list[TraceRow]
     checkpoints: list[tuple[float, Field]]
@@ -95,7 +96,6 @@ class SimulationResult:
     t_stop: float
     final_state: Field
     dt_limiters: dict[str, int]  # steps per DT_LIMITERS entry that set their dt
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def slope_trace(self) -> list[TraceRow]:  # the samples, under the name perfbench reads
@@ -131,6 +131,18 @@ class SimulationResult:
         """The largest |u| at |x| = L, max(|u[0]|, |u[-1]|), over the recorded trace."""
         return max(r.boundary for r in self.samples)
 
+    @property
+    def warnings(self) -> list[str]:
+        """The boundary warning from the first row whose edge |u| passes 1e-6*max|u|,
+        then the energy drift's, past ENERGY_DRIFT_TOL in a run that reached t_end."""
+        crossed = [r for r in self.samples if r.boundary > 1e-6 * max(r.max_u, 1e-300)][:1]
+        found = [f"boundary contamination at t = {r.t:g}: |u| = {r.boundary:g} at |x| = L"
+                 for r in crossed]
+        if self.stop_reason == "reached_t_end" and self.energy_drift > ENERGY_DRIFT_TOL:
+            found.append(f"energy drift {self.energy_drift:g} exceeds tolerance "
+                         f"{ENERGY_DRIFT_TOL:g}")
+        return found
+
 
 def rk4_step(u: Field, dt: float, params: PdeParams) -> Field:
     """One classical four-stage Runge-Kutta step of the nonlocal form.
@@ -159,7 +171,7 @@ def _controlled_dt(config: SolverConfig, grid: Grid, params: PdeParams,
     1/|m| cap, and which of the three set it (the first of them on a tie)."""
     speed = abs(params.gamma) * max_u + 2.0 * params.omega
     dt, limiter = config.dt_init, "ceiling"
-    cfl = config.cfl_fraction * grid.spacing / max(speed, 1e-12)
+    cfl = CFL_FRACTION * grid.spacing / max(speed, 1e-12)
     if cfl < dt:
         dt, limiter = cfl, "cfl"
     if m < 0.0 and 0.5 / abs(m) < dt:
@@ -245,22 +257,8 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
         u_hat, new_hat = new_hat, u_hat
         last_dt = dt
 
-    result = SimulationResult(
-        samples=samples,
-        checkpoints=checkpoints,
-        stop_reason=stop_reason,
-        t_stop=t,
-        final_state=final,
-        dt_limiters=dt_limiters,
-    )
-    crossed = next((r for r in samples if r.boundary > 1e-6 * max(r.max_u, 1e-300)), None)
-    if crossed is not None:
-        result.warnings.append(f"boundary contamination at t = {crossed.t:g}: "
-                               f"|u| = {crossed.boundary:g} at |x| = L")
-    if stop_reason == "reached_t_end" and result.energy_drift > config.energy_drift_tol:
-        result.warnings.append(f"energy drift {result.energy_drift:g} exceeds tolerance "
-                               f"{config.energy_drift_tol:g}")
-    return result
+    return SimulationResult(samples=samples, checkpoints=checkpoints, stop_reason=stop_reason,
+                            t_stop=t, final_state=final, dt_limiters=dt_limiters)
 
 
 def continuous_dependence_probe(u0: Field, delta: float, params: PdeParams,

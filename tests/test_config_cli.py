@@ -11,6 +11,7 @@ import pytest
 from dispwave import Field, Grid, PdeParams, energy, existence_bound, field_from_csv, gaussian_bump, steep_bump
 from dispwave.cli import main
 from dispwave.config import (
+    _RETIRED,
     ConfigError,
     build_family,
     build_initial_field,
@@ -37,6 +38,22 @@ def write_config(path, **overrides):
     return path
 
 
+# each key of the retired table at the value a run with this checkpoint_interval implies
+RETIRED_AT_IMPLIED = [
+    (None, {"outputs.write_trace": True, "outputs.write_checkpoints": False,
+            "outputs.directory": None}),
+    (None, {"outputs.write_checkpoints": False}),
+    (0.25, {"outputs.write_checkpoints": True}),
+    (0.25, {"outputs.write_trace": True, "outputs.write_checkpoints": True,
+            "outputs.directory": "out"}),
+    # seed and the directory never changed a run's numbers: any value has no effect
+    (None, {"config.seed": 0, "outputs.directory": 3}),
+    (0.25, {"config.seed": "any", "solver.cfl_fraction": 0.3}),
+    (None, {"solver.cfl_fraction": 0.3, "solver.energy_drift_tol": 1e-5}),
+]
+_CHECKPOINTS = ("trace.csv is always written and checkpoints exactly when "
+                "solver.checkpoint_interval is set (here {})")
+
 # the README's example config: the soliton at gamma = 1, omega = 0.5
 README_SOLITON = {
     "params": {"gamma": 1.0, "omega": 0.5},
@@ -54,13 +71,7 @@ class TestRunConfigParsing:
         assert rc.solver.dt_init == 1e-2
         assert rc.initial == {"kind": "gaussian", "amplitude": 0.1, "width": 2.0,
                               "center": 0.0}
-        assert rc.directory is None
-        assert config_dict(rc)["outputs"] == {"directory": None}
-
-    def test_legacy_seed_key_accepted_and_dropped(self, tmp_path):
-        rc = load_run_config(write_config(tmp_path / "c.json", seed=0))
-        assert rc == load_run_config(write_config(tmp_path / "plain.json"))
-        assert "seed" not in config_dict(rc)
+        assert set(config_dict(rc)) == {"params", "grid", "solver", "initial"}
 
     @pytest.mark.parametrize("section,bad", [
         ("params", {"gamma": 1.0, "omega": 0.5, "mystery": 1}),
@@ -83,6 +94,17 @@ class TestRunConfigParsing:
         path = write_config(tmp_path / "c.json", grid={"L": 20.0, "N": 250})
         with pytest.raises(ConfigError, match="power of two"):
             load_run_config(path)
+
+    def test_grid_past_the_malloc_pins_limit_is_exit_2(self, tmp_path, capsys):
+        # above N = 65536 the pinned trim threshold faults every FFT call's scratch in
+        assert load_run_config(write_config(tmp_path / "c.json", grid={"L": 20.0, "N": 65536}))
+        path = write_config(tmp_path / "c.json", grid={"L": 20.0, "N": 131072})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: grid.N: must be a power of two from 16 to 65536, the largest grid "
+            "the malloc pin keeps fault-free, got 131072\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("section,value,message", [
         ("params", {"gamma": "x", "omega": 0.5}, "params.gamma: expected a number, got 'x'"),
@@ -130,40 +152,46 @@ class TestRunConfigParsing:
         again = parse_run_config(config_dict(rc), tmp_path)
         assert config_dict(again) == config_dict(rc)
 
-    @pytest.mark.parametrize("interval,outputs", [
-        (None, {"write_trace": True, "write_checkpoints": False, "directory": None}),
-        (None, {"write_checkpoints": False}),
-        (0.25, {"write_checkpoints": True}),
-        (0.25, {"write_trace": True, "write_checkpoints": True, "directory": "out"}),
-    ])
+    @pytest.mark.parametrize("interval,retired", RETIRED_AT_IMPLIED)
     def test_old_output_switches_accepted_at_the_implied_value(self, tmp_path, interval,
-                                                               outputs):
-        # older configs and summaries carry the switches; they parse to the same run
+                                                               retired):
+        # older configs and summaries carry the retired keys; they parse to the same run
+        assert {key for _, keys in RETIRED_AT_IMPLIED for key in keys} == set(_RETIRED)
         solver = {"t_end": 0.5, "checkpoint_interval": interval}
-        data = json.loads(write_config(tmp_path / "c.json", solver=solver,
-                                       outputs=outputs).read_text())
+        data = json.loads(write_config(tmp_path / "c.json", solver=solver).read_text())
+        for key, value in retired.items():
+            section, name = key.split(".")
+            (data if section == "config" else data.setdefault(section, {}))[name] = value
+        before = json.dumps(data)
         rc = parse_run_config(data, tmp_path)
-        assert data["outputs"] == outputs  # the caller's dict is left as it was
-        plain = write_config(tmp_path / "plain.json", solver=solver,
-                             outputs={"directory": outputs.get("directory")})
-        assert rc == load_run_config(plain)
-        assert config_dict(rc)["outputs"] == {"directory": outputs.get("directory")}
+        assert json.dumps(data) == before  # the caller's dict is left as it was
+        assert rc == load_run_config(write_config(tmp_path / "plain.json", solver=solver))
+        assert config_dict(rc) == config_dict(load_run_config(tmp_path / "plain.json"))
 
-    @pytest.mark.parametrize("interval,key,value,state", [
-        (None, "write_checkpoints", True, "unset"),
-        (0.25, "write_checkpoints", False, "set"),
-        (None, "write_trace", False, "unset"),
-        (0.25, "write_trace", "yes", "set"),
-        (None, "write_checkpoints", 0, "unset"),
+    @pytest.mark.parametrize("interval,key,value,why", [
+        (None, "outputs.write_checkpoints", True, _CHECKPOINTS.format("unset")),
+        (0.25, "outputs.write_checkpoints", False, _CHECKPOINTS.format("set")),
+        (None, "outputs.write_trace", False, _CHECKPOINTS.format("unset")),
+        (0.25, "outputs.write_trace", "yes", _CHECKPOINTS.format("set")),
+        # JSON types are strict: 0 is not false, nor 1 true
+        (None, "outputs.write_checkpoints", 0, _CHECKPOINTS.format("unset")),
+        (0.25, "outputs.write_trace", 1, _CHECKPOINTS.format("set")),
+        (None, "solver.cfl_fraction", 1.5, "the CFL fraction is fixed at 0.3"),
+        (None, "solver.cfl_fraction", "0.3", "the CFL fraction is fixed at 0.3"),
+        (0.25, "solver.energy_drift_tol", 1e-16,
+         "the energy-drift warning level is fixed at 1e-05"),
+        (None, "solver.energy_drift_tol", None,
+         "the energy-drift warning level is fixed at 1e-05"),
     ])
     def test_old_output_switch_at_another_value_rejected(self, tmp_path, interval, key,
-                                                         value, state):
-        path = write_config(tmp_path / "c.json",
-                            solver={"t_end": 0.5, "checkpoint_interval": interval},
-                            outputs={key: value})
-        with pytest.raises(ConfigError, match=rf"^outputs\.{key}: got {json.dumps(value)}, "
-                           rf".*solver\.checkpoint_interval is set \(here {state}\)"):
+                                                         value, why):
+        section, name = key.split(".")
+        sections = {"solver": {"t_end": 0.5, "checkpoint_interval": interval}}
+        sections.setdefault(section, {})[name] = value
+        path = write_config(tmp_path / "c.json", **sections)
+        with pytest.raises(ConfigError) as err:
             load_run_config(path)
+        assert str(err.value) == f"{key}: got {json.dumps(value)}, but {why}; drop the key"
 
 
 class TestInitialData:
@@ -263,12 +291,14 @@ class TestSweepConfig:
 
     @pytest.mark.parametrize("switch", ["write_trace", "write_checkpoints"])
     def test_output_switches_rejected(self, tmp_path, switch):
-        # a sweep writes only comparison.csv, so its outputs take only a directory
+        # a sweep writes only comparison.csv, so no value of a run's output switch fits
         family = {"kind": "steepness", "amplitude": 1.0, "steepnesses": [3.0]}
         path = self._write_sweep(tmp_path / "s.json", family,
                                  outputs={"directory": "out", switch: True})
-        with pytest.raises(ConfigError, match=r"^outputs: unknown key\(s\) \['" + switch):
+        with pytest.raises(ConfigError) as err:
             load_sweep_config(path)
+        assert str(err.value) == (f"outputs.{switch}: got true, but a sweep writes only "
+                                  "comparison.csv; drop the key")
 
     @pytest.mark.parametrize("family,message", [
         ({"amplitude": 1.0, "steepnesses": [3.0]},
@@ -361,6 +391,26 @@ class TestSimulateCommand:
                     == (out2 / "checkpoints" / name).read_bytes())
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
+    def test_rerun_from_an_older_summary_reproduces_trace(self, tmp_path):
+        # a summary written before outputs.directory, cfl_fraction and energy_drift_tol
+        # left the resolved config carries them at their only values
+        cfg = write_config(tmp_path / "c.json",
+                           solver={"t_end": 0.5, "sample_interval": 0.1,
+                                   "checkpoint_interval": 0.25})
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out1)]) == 0
+        summary = json.loads((out1 / "summary.json").read_text())
+        summary["config"]["solver"].update(cfl_fraction=0.3, energy_drift_tol=1e-05)
+        summary["config"]["outputs"] = {"directory": None}
+        older = tmp_path / "older_summary.json"
+        older.write_text(json.dumps(summary))
+        assert main(["simulate", "--config", str(older), "--out", str(out2)]) == 0
+        files = sorted(p.relative_to(out1) for p in out1.rglob("*.csv"))
+        assert len(files) == 4
+        assert files == sorted(p.relative_to(out2) for p in out2.rglob("*.csv"))
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_soliton_run_reports_shape_error(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", **README_SOLITON)
         out = tmp_path / "out"
@@ -437,17 +487,29 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "solver.t_end: expected a finite number" in capsys.readouterr().err
 
-    def test_missing_output_dir_is_exit_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.json")
-        assert main(["simulate", "--config", str(cfg)]) == 2
-        assert "output directory" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_out_is_required(self, tmp_path, monkeypatch, capsys, command):
+        # a config's outputs.directory names no output either
+        monkeypatch.chdir(tmp_path)
+        if command == "simulate":
+            cfg = write_config(tmp_path / "c.json", outputs={"directory": "from_config"})
+        else:
+            cfg = TestSweepCommand._gaussian_family(tmp_path / "s.json", [1.0])
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--config", str(cfg)])
+        assert exit_.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
 
-    def test_config_directory_used_without_out(self, tmp_path, monkeypatch):
+    def test_config_directory_has_no_effect(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path / "c.json", outputs={"directory": "from_config"})
-        assert main(["simulate", "--config", str(cfg)]) == 0
-        assert sorted(f.name for f in (tmp_path / "from_config").iterdir()) == [
-            "summary.json", "trace.csv"]
+        assert main(["simulate", "--config", str(cfg), "--out", "a"]) == 0
+        assert main(["simulate", "--config", str(write_config(tmp_path / "plain.json")),
+                     "--out", "b"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "c.json", "plain.json"]
+        for name in ("trace.csv", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_checkpoint_switch_without_interval_is_exit_2(self, tmp_path, capsys):
         # the switch asks for checkpoints that the run, with no interval, never records
@@ -738,7 +800,7 @@ class TestErrorBoundary:
         ({"grid": {"L": -1.0, "N": 256}}, "grid: half_width must be positive"),
         ({"solver": {"t_end": -1.0}}, "solver: t_end must be positive"),
         ({"initial": {"kind": "file", "path": 3}}, "initial.path: expected a string"),
-        ({"outputs": {"directory": 3}}, "outputs.directory: expected a string"),
+        ({"solver": {"t_end": 0.5, "cfl_fraction": 0.5}}, "solver.cfl_fraction: got 0.5"),
         (None, "cannot read config"),
         # the initial data fail only when built, after the config has parsed
         ({"initial": {"kind": "gaussian", "amplitude": 0.1, "width": 0.0}},
@@ -752,8 +814,8 @@ class TestErrorBoundary:
           "initial": {"kind": "steep", "amplitude": 1.0, "steepness": 0.1}},
          "initial data must decay below"),
     ], ids=["solver-not-object", "float-N", "negative-L", "negative-t_end", "file-path-int",
-            "directory-int", "missing-config", "width-0", "steepness-0", "soliton-inadmissible",
-            "soliton-narrow-box", "decay-gate"])
+            "retired-cfl_fraction", "missing-config", "width-0", "steepness-0",
+            "soliton-inadmissible", "soliton-narrow-box", "decay-gate"])
     def test_simulate_rejection_leaves_no_output(self, tmp_path, capsys, overrides, message):
         cfg = tmp_path / "c.json"
         if overrides is not None:

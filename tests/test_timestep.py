@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from dispwave import (
 from dispwave import pde
 from dispwave.config import build_initial_field, parse_run_config
 from dispwave.pde import SpectralRhs
-from dispwave.timestep import DT_LIMITERS, _controlled_dt
+from dispwave.timestep import CFL_FRACTION, DT_LIMITERS, ENERGY_DRIFT_TOL, _controlled_dt
 
 
 def zero_field(grid):
@@ -33,10 +34,6 @@ class TestSolverConfig:
     def test_rejects_inverted_dt_bounds(self):
         with pytest.raises(ValueError):
             SolverConfig(t_end=1.0, dt_init=1e-4, dt_min=1e-3)
-
-    def test_rejects_bad_cfl(self):
-        with pytest.raises(ValueError):
-            SolverConfig(t_end=1.0, cfl_fraction=1.5)
 
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
@@ -254,11 +251,16 @@ class TestSimulate:
             assert row.boundary == max(abs(float(f.values[0])), abs(float(f.values[-1])))
 
     def test_energy_drift_warning_when_over_tolerance(self):
-        g = Grid(20.0, 512)
-        u0 = gaussian_bump(g, 0.3, 2.0)
-        cfg = SolverConfig(t_end=1.0, sample_interval=0.25, energy_drift_tol=1e-16)
-        res = simulate(u0, PdeParams(1.0, 0.5), cfg)
-        assert any("energy drift" in w for w in res.warnings)
+        # acceptance-7 data at N = 1024 lose their front to the grid and reach t_end
+        # unbroken, with E drifting past the fixed warning level
+        u0 = steep_bump(Grid(6.0, 1024), 1.0, 3.0)
+        cfg = SolverConfig(t_end=2.0, sample_interval=0.004, blowup_m_threshold=11.0,
+                           dt_min=1e-10)
+        res = simulate(u0, PdeParams(1.0, 0.0), cfg)
+        assert res.stop_reason == "reached_t_end" and res.energy_drift > ENERGY_DRIFT_TOL
+        assert res.warnings[-1] == f"energy drift {res.energy_drift:g} exceeds tolerance 1e-05"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.stop_reason = "blowup_slope"  # the warnings are derived from the result
 
     def test_checkpoints_recorded_at_interval(self, grid_small):
         u0 = gaussian_bump(grid_small, 0.2, 2.0)
@@ -286,11 +288,12 @@ class TestSimulate:
         assert min(r.dt for r in res.samples) >= 1e-9 * cfg.dt_init
 
     def test_dt_underflow_verdict(self, grid_small):
+        # the CFL step 0.3*h/max|u| = 0.094 is below dt_min from the start
         u0 = gaussian_bump(grid_small, 0.5, 2.0)
-        cfg = SolverConfig(t_end=1.0, dt_min=1e-4, cfl_fraction=1e-6,
-                           sample_interval=0.5)
+        cfg = SolverConfig(t_end=1.0, dt_init=1.0, dt_min=0.2, sample_interval=0.5)
+        assert CFL_FRACTION * grid_small.spacing / 0.5 < cfg.dt_min
         res = simulate(u0, PdeParams(1.0, 0.0), cfg)
-        assert res.stop_reason == "dt_underflow"
+        assert res.stop_reason == "dt_underflow" and res.t_stop == 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_becomes_nonfinite_verdict(self, grid_small):
