@@ -2,11 +2,12 @@
 
 Exit codes, for every command: 0 for every finished run, breaking included,
 since wave breaking is science, not failure, and its verdict is recorded in
-the artifacts; 2 for bad input or an I/O error, mapped once in `main`; 1 only
-for `soliton`'s inadmissible speed or grid and for a sweep whose every member
-fails. Nothing is written and no directory is made before a command's write
-step, so an unwritable --out is reported after the run. All artifacts are
-deterministic: the same config produces byte-identical files.
+the artifacts; 2 for a bad command line, bad input or an I/O error, mapped
+once in `main`; 1 only for `soliton`'s inadmissible speed or grid and for a
+sweep whose every member fails; only -h leaves by SystemExit. Nothing is
+written and no directory is made before a command's write step, so an
+unwritable --out is reported after the run. All artifacts are deterministic:
+the same config produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .config import (
     load_sweep_config,
 )
 from .fileio import fmt, json_text, write_csv, write_field_csvs, write_json
-from .initial import field_from_csv
 from .pde import PdeParams
 from .solitary import (
     SolitonParams,
@@ -99,17 +99,8 @@ def _cmd_soliton(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    if args.config is None:
-        if args.gamma is None:
-            raise ValueError("--data requires --gamma (and optionally --omega)")
-        params = PdeParams(gamma=args.gamma, omega=args.omega or 0.0)
-        u0 = field_from_csv(None, args.data)
-    elif args.gamma is not None or args.omega is not None:
-        raise ValueError("--gamma and --omega apply only to --data")
-    else:
-        rc = load_run_config(args.config)
-        params, u0 = rc.params, build_initial_field(rc)
-    payload = report_fields(assess(u0, params))
+    rc = load_run_config(args.config)
+    payload = report_fields(assess(build_initial_field(rc), rc.params))
     print(json_text(payload))
     if args.out is not None:
         write_json(args.out, payload)
@@ -117,8 +108,6 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     sc = load_sweep_config(args.config)
     members = build_family(sc)
     out_dir = Path(args.out)
@@ -130,8 +119,15 @@ def _cmd_sweep(args) -> int:
     return 1 if all(row.gamma_case == "error" for row in rows) else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as bad input, for `main` to map to exit 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dispwave",
         description="Numerical laboratory for a family of nonlinearly dispersive wave equations.",
     )
@@ -152,11 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sol.set_defaults(func=_cmd_soliton)
 
     p_bound = sub.add_parser("bound", help="breaking criterion and existence-time bound")
-    group = p_bound.add_mutually_exclusive_group(required=True)
-    group.add_argument("--config", help="run config JSON")
-    group.add_argument("--data", help="field CSV with columns x,u")
-    p_bound.add_argument("--gamma", type=float, default=None)
-    p_bound.add_argument("--omega", type=float, default=None, help="default 0 (--data only)")
+    p_bound.add_argument("--config", required=True, help="run config JSON (or a summary.json)")
     p_bound.add_argument("--out", default=None, help="also write the JSON here")
     p_bound.set_defaults(func=_cmd_bound)
 
@@ -169,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as err:
         return _fail(str(err))

@@ -32,22 +32,14 @@ def steep_bump(grid: Grid, amplitude: float, steepness: float, center: float = 0
     return Field(grid, amplitude / np.cosh(steepness * (grid.x - center)) ** 2)
 
 
-def field_from_csv(grid: Grid | None, path) -> Field:
-    """Read a checkpoint-format CSV (columns x, u) into a Field.
+def field_from_csv(grid: Grid, path) -> Field:
+    """Read a checkpoint-format CSV (columns x, u) on `grid` into a Field.
 
-    With grid=None the grid is inferred from the file: L = -x[0] and N is the
-    row count, which the 17-digit artifacts reproduce exactly. Either way the
-    x column must be the grid's uniform points.
+    The x column must be the grid's uniform points.
     """
     rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    n_rows = len(rows) if grid is None else grid.n_points
-    if rows.shape != (n_rows, 2):
-        raise ValueError(f"{path}: expected {n_rows} rows of x,u, got shape {rows.shape}")
-    if grid is None:
-        try:
-            grid = Grid(-float(rows[0, 0]), n_rows)
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from err
+    if rows.shape != (grid.n_points, 2):
+        raise ValueError(f"{path}: expected {grid.n_points} rows of x,u, got shape {rows.shape}")
     if not np.allclose(rows[:, 0], grid.x, rtol=0.0, atol=1e-9 * grid.spacing):
         raise ValueError(f"{path}: x column does not match the uniform grid with "
                          f"L = {grid.half_width:g}, N = {grid.n_points}")

@@ -469,8 +469,8 @@ class TestSimulateCommand:
             expected = "x,u\n" + "".join(f"{fmt(x)},{fmt(u)}\n"
                                          for x, u in zip(field.grid.x, field.values))
             assert path.read_text() == expected
-            back = field_from_csv(None, path)
-            assert back.grid == field.grid and np.array_equal(back.values, field.values)
+            back = field_from_csv(rc.grid, path)
+            assert np.array_equal(back.values, field.values)
 
     def test_bad_config_is_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", grid={"L": 20.0, "N": 999})
@@ -495,10 +495,9 @@ class TestSimulateCommand:
             cfg = write_config(tmp_path / "c.json", outputs={"directory": "from_config"})
         else:
             cfg = TestSweepCommand._gaussian_family(tmp_path / "s.json", [1.0])
-        with pytest.raises(SystemExit) as exit_:
-            main([command, "--config", str(cfg)])
-        assert exit_.value.code == 2
-        assert "the following arguments are required: --out" in capsys.readouterr().err
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: dispwave {command}: the following arguments are required: --out\n")
         assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
 
     def test_config_directory_has_no_effect(self, tmp_path, monkeypatch):
@@ -567,7 +566,9 @@ class TestBoundCommand:
         u0 = steep_bump(g, 1.0, 3.0)
         data = tmp_path / "u.csv"
         write_csv(data, ("x", "u"), zip(g.x, u0.values))
-        assert main(["bound", "--data", str(data), "--gamma", "1", "--omega", "0"]) == 0
+        cfg = write_config(tmp_path / "c.json", params={"gamma": 1.0, "omega": 0.0},
+                           initial={"kind": "file", "path": "u.csv"})
+        assert main(["bound", "--config", str(cfg)]) == 0
         payload = json.loads(capsys.readouterr().out)
         expected = existence_bound(u0, PdeParams(1.0, 0.0))
         assert payload["E0"] == pytest.approx(expected.e0, rel=1e-14)
@@ -576,45 +577,31 @@ class TestBoundCommand:
         assert payload["K"] == pytest.approx(expected.bracket, rel=1e-14)
         assert payload["triggered"] is True
 
-    @pytest.mark.parametrize("flag", ["--gamma", "--omega"])
-    def test_config_rejects_data_only_flag(self, tmp_path, capsys, flag):
-        # the config's params hold; a flag that would be ignored is an error
-        cfg = write_config(tmp_path / "c.json")
-        assert main(["bound", "--config", str(cfg), flag, "3"]) == 2
-        assert "--gamma and --omega apply only to --data" in capsys.readouterr().err
-
-    def test_data_omega_defaults_to_zero(self, tmp_path, capsys):
-        g = Grid(20.0, 256)
-        data = tmp_path / "u.csv"
-        write_csv(data, ("x", "u"), zip(g.x, steep_bump(g, 1.0, 3.0).values))
-        assert main(["bound", "--data", str(data), "--gamma", "1"]) == 0
-        implicit = capsys.readouterr().out
-        assert main(["bound", "--data", str(data), "--gamma", "1", "--omega", "0"]) == 0
-        assert capsys.readouterr().out == implicit
-
-    def test_data_requires_gamma(self, tmp_path, capsys):
-        g = Grid(20.0, 256)
-        data = tmp_path / "u.csv"
-        write_csv(data, ("x", "u"), zip(g.x, np.zeros(256)))
-        assert main(["bound", "--data", str(data)]) == 2
-        assert "--gamma" in capsys.readouterr().err
-
     @pytest.mark.parametrize("case", ["nonuniform", "odd_rows", "few_rows", "three_columns"])
     def test_malformed_data_file_names_it(self, tmp_path, capsys, case):
-        x = -20.0 + 0.25 * np.arange(160)
+        x = Grid(20.0, 256).x.copy()
         columns = [x, np.zeros_like(x)]
         if case == "nonuniform":
-            x[80] += 0.1
+            x[128] += 0.1
         elif case == "odd_rows":
-            columns = [c[:159] for c in columns]
+            columns = [c[:255] for c in columns]
         elif case == "few_rows":
             columns = [c[:8] for c in columns]
         else:
             columns.append(np.zeros_like(x))
         data = tmp_path / f"{case}.csv"
         write_csv(data, ("x", "u", "v")[:len(columns)], zip(*columns))
-        assert main(["bound", "--data", str(data), "--gamma", "1"]) == 2
-        assert str(data) in capsys.readouterr().err
+        cfg = write_config(tmp_path / "c.json", initial={"kind": "file", "path": data.name})
+        assert main(["bound", "--config", str(cfg)]) == 2
+        assert str(data.resolve()) in capsys.readouterr().err
+
+    def test_help_exits_0_with_usage(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["bound", "-h"])
+        assert exit_.value.code == 0
+        printed = capsys.readouterr()
+        assert printed.out.startswith("usage: dispwave bound [-h] --config CONFIG [--out OUT]\n")
+        assert printed.err == ""
 
 
 # acceptance 7's data at N = 2048, stopped at |m| = 11: it breaks, with a finite t_star
@@ -786,7 +773,7 @@ class TestSweepCommand:
         out = tmp_path / "o"
         assert main(["sweep", "--config", str(cfg), "--out", str(out),
                      "--workers", workers]) == 2
-        assert "error: --workers" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
         assert not out.exists()
 
 
@@ -825,6 +812,24 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--config", "{cfg}"],
+         "dispwave simulate: the following arguments are required: --out"),
+        (["bound", "--config", "{cfg}", "--gamma", "1", "--out", "{out}"],
+         "dispwave: unrecognized arguments: --gamma 1"),
+        (["sweep", "--config", "{cfg}", "--out", "{out}", "--workers", "x"],
+         "dispwave sweep: argument --workers: invalid int value: 'x'"),
+        ([], "dispwave: the following arguments are required: command"),
+        (["run", "--config", "{cfg}", "--out", "{out}"],
+         "dispwave: argument command: invalid choice: 'run'"),
+    ], ids=["missing-flag", "unknown-flag", "bad-int", "no-command", "unknown-command"])
+    def test_bad_command_line_is_exit_2(self, tmp_path, capsys, argv, message):
+        cfg, out = write_config(tmp_path / "c.json"), tmp_path / "out"
+        assert main([a.format(cfg=cfg, out=out) for a in argv]) == 2
+        printed = capsys.readouterr()
+        assert printed.err.startswith(f"error: {message}") and printed.err.count("\n") == 1
+        assert printed.out == "" and not out.exists()
 
     def test_soliton_nonpositive_speed_is_exit_2(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
