@@ -63,10 +63,8 @@ from .spectral import (
 )
 from .timestep import (
     BoundaryDecayError,
-    IncomparableRunsError,
     SimulationResult,
     SolverConfig,
-    continuous_dependence_probe,
     rk4_step,
     simulate,
 )

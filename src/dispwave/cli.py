@@ -19,13 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .blowup import assess, report_fields, sharpness_experiment, write_comparison_csv
-from .config import (
-    build_family,
-    build_initial_field,
-    config_dict,
-    load_run_config,
-    load_sweep_config,
-)
+from .config import build_initial_field, config_dict, load_run_config, load_sweep_config
 from .fileio import fmt, json_text, write_csv, write_field_csvs, write_json
 from .pde import PdeParams
 from .solitary import (
@@ -108,11 +102,11 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    sc = load_sweep_config(args.config)
-    members = build_family(sc)
+    members = load_sweep_config(args.config)
     out_dir = Path(args.out)
-
-    rows = sharpness_experiment(members, sc.params, sc.solver, workers=args.workers)
+    rc = members[0][1]  # the members differ only in their initial data
+    rows = sharpness_experiment([(value, build_initial_field(m)) for value, m in members],
+                                rc.params, rc.solver, workers=args.workers)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_comparison_csv(rows, out_dir / "comparison.csv")
     print(f"wrote {len(rows)} rows to {out_dir / 'comparison.csv'}")

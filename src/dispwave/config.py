@@ -5,10 +5,10 @@ every key is checked against a whitelist, types are enforced, referenced
 files must exist at parse time, and the resolved form (all defaults filled
 in) is what gets embedded into summary artifacts.
 
-Both config types go through one parser. Each has `params`, `grid` and
-`solver`; a run adds `initial` and a sweep adds `family`, objects whose `kind`
-key selects their schema from a table. An `amplitude` family's `base` is
-initial data under the run's schema. A config holds only what changes a run's
+A run config has `params`, `grid`, `solver` and `initial`, whose `kind` key
+selects its schema from a table. A sweep config is a run config in which
+exactly one number of `initial` is a list; each listed value makes one
+member, parsed as a run config. A config holds only what changes a run's
 numbers: the output directory is the command's `--out`, a run always writes
 its trace and its checkpoints exactly when `solver.checkpoint_interval` is
 set. The keys older configs and summaries carry for those are in `_RETIRED`.
@@ -103,44 +103,31 @@ _INITIAL_SCHEMAS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "file": (("path",), ()),
 }
 
-_FAMILY_SCHEMAS = {
-    "steepness": (("steepnesses", "amplitude"), ("center",)),
-    "amplitude": (("alphas", "base"), ()),
-}
 
-
-def _parse_kind(spec, base_dir: Path, path: str, schemas: dict) -> dict:
-    """Resolve an object whose `kind` key picks its schema, defaults filled in."""
+def _parse_initial(spec, base_dir: Path) -> dict:
+    """Resolve `initial` under the schema its `kind` key picks, defaults filled in."""
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"{path}: expected an object with a 'kind' key")
+        raise ConfigError("initial: expected an object with a 'kind' key")
     kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in schemas:
-        raise ConfigError(f"{path}.kind: unknown kind {kind!r}, expected one of {sorted(schemas)}")
-    required, optional = schemas[kind]
-    _check_keys(spec, path, ("kind",) + required, optional)
+    if not isinstance(kind, str) or kind not in _INITIAL_SCHEMAS:
+        raise ConfigError(f"initial.kind: unknown kind {kind!r}, "
+                          f"expected one of {sorted(_INITIAL_SCHEMAS)}")
+    required, optional = _INITIAL_SCHEMAS[kind]
+    _check_keys(spec, "initial", ("kind",) + required, optional)
     resolved: dict = {"kind": kind}
     for key in required + optional:
-        where = f"{path}.{key}"
         if key not in spec:
             resolved[key] = 0.0  # "center" is the only optional key
         elif key == "path":
             raw = spec[key]
             if not isinstance(raw, str):
-                raise ConfigError(f"{where}: expected a string, got {raw!r}")
+                raise ConfigError(f"initial.path: expected a string, got {raw!r}")
             full = (base_dir / raw).resolve()
             if not full.is_file():
-                raise ConfigError(f"{where}: file not found: {full}")
+                raise ConfigError(f"initial.path: file not found: {full}")
             resolved[key] = str(full)
-        elif key == "base":
-            resolved[key] = _parse_kind(spec[key], base_dir, where, _INITIAL_SCHEMAS)
-        elif key in ("steepnesses", "alphas"):
-            values = spec[key]
-            if (not isinstance(values, list) or not values
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values)):
-                raise ConfigError(f"{where}: expected a non-empty list of numbers")
-            resolved[key] = [_number({i: v}, i, where) for i, v in enumerate(values)]
         else:
-            resolved[key] = _number(spec, key, path)
+            resolved[key] = _number(spec, key, "initial")
     return resolved
 
 
@@ -162,32 +149,6 @@ _RETIRED = {
 }
 
 
-def _parse_sections(data, base_dir: Path, kind_key: str, schemas: dict) -> dict:
-    """Fields of a RunConfig (kind_key "initial") or SweepConfig ("family")."""
-    _check_keys(data, "config", ("params", "grid", "solver", kind_key), ("outputs",))
-    _check_keys(data.get("outputs", {}), "outputs", ())
-    sections = {
-        "params": _parse_params(data["params"]),
-        "grid": _parse_grid(data["grid"]),
-        "solver": _parse_solver(data["solver"]),
-        kind_key: _parse_kind(data[kind_key], base_dir, kind_key, schemas),
-    }
-    checkpointed = sections["solver"].checkpoint_interval is not None
-    for key, (implied, why) in _RETIRED.items():
-        section, name = key.split(".")
-        holder = data if section == "config" else data.get(section, {})
-        implied = checkpointed if implied is _CHECKPOINTED else implied
-        if name not in holder or implied is _ANY:
-            continue
-        if kind_key == "family" and section == "outputs":
-            why = "a sweep writes only comparison.csv"
-        elif type(holder[name]) is type(implied) and holder[name] == implied:
-            continue
-        raise ConfigError(f"{key}: got {json.dumps(holder[name])}, but "
-                          f"{why.format('set' if checkpointed else 'unset')}; drop the key")
-    return sections
-
-
 @dataclass(frozen=True)
 class RunConfig:
     params: PdeParams
@@ -196,23 +157,65 @@ class RunConfig:
     initial: dict
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    params: PdeParams
-    grid: Grid
-    solver: SolverConfig
-    family: dict
-
-
 def parse_run_config(data, base_dir: Path) -> RunConfig:
     if isinstance(data, dict) and "config" in data and "stop_reason" in data:
         # a summary artifact embeds its resolved config; allow re-running from it
         data = data["config"]
-    return RunConfig(**_parse_sections(data, base_dir, "initial", _INITIAL_SCHEMAS))
+    _check_keys(data, "config", ("params", "grid", "solver", "initial"), ("outputs",))
+    _check_keys(data.get("outputs", {}), "outputs", ())
+    rc = RunConfig(_parse_params(data["params"]), _parse_grid(data["grid"]),
+                   _parse_solver(data["solver"]), _parse_initial(data["initial"], base_dir))
+    checkpointed = rc.solver.checkpoint_interval is not None
+    for key, (implied, why) in _RETIRED.items():
+        section, name = key.split(".")
+        holder = data if section == "config" else data.get(section, {})
+        implied = checkpointed if implied is _CHECKPOINTED else implied
+        if name not in holder or implied is _ANY or (
+                type(holder[name]) is type(implied) and holder[name] == implied):
+            continue
+        raise ConfigError(f"{key}: got {json.dumps(holder[name])}, but "
+                          f"{why.format('set' if checkpointed else 'unset')}; drop the key")
+    return rc
 
 
-def parse_sweep_config(data, base_dir: Path) -> SweepConfig:
-    return SweepConfig(**_parse_sections(data, base_dir, "family", _FAMILY_SCHEMAS))
+def _list_form(data):
+    """An older sweep config's `steepness` family as its list form: a `steep` initial with
+    its steepness listed. The `amplitude` family, which scaled a base field, is retired."""
+    family = data.get("family") if isinstance(data, dict) and "initial" not in data else None
+    kind = family.get("kind") if isinstance(family, dict) else None
+    if kind == "amplitude":
+        raise ConfigError("family: the amplitude family is retired; list the amplitude of a "
+                          "steep or gaussian initial, or the alpha of a scaled_soliton, instead")
+    if kind != "steepness":
+        return data
+    rest = {key: value for key, value in data.items() if key != "family"}
+    steep = {"steepness" if key == "steepnesses" else key: v for key, v in family.items()}
+    return {**rest, "initial": {**steep, "kind": "steep"}}
+
+
+def parse_sweep_config(data, base_dir: Path) -> list[tuple[float, RunConfig]]:
+    """The members of a sweep: a run config in which exactly one number of `initial`
+    is a list. Each member is that config with one listed value in the list's place,
+    parsed by `parse_run_config`, paired with the value (comparison.csv's `alpha`)."""
+    data = _list_form(data)
+    initial = data.get("initial") if isinstance(data, dict) else None
+    listed = ([key for key, value in initial.items() if isinstance(value, list)]
+              if isinstance(initial, dict) else [])
+    if not listed:
+        parse_run_config(data, base_dir)  # a config malformed elsewhere fails on its own error
+    if len(listed) != 1:
+        raise ConfigError(f"initial: a sweep lists exactly one number, found lists at {listed}")
+    key = listed[0]
+    if not initial[key]:
+        raise ConfigError(f"initial.{key}: expected a non-empty list of numbers")
+    values = [_number({i: v}, i, f"initial.{key}") for i, v in enumerate(initial[key])]
+    outputs = data.get("outputs", {})
+    for name in ("write_trace", "write_checkpoints"):
+        if isinstance(outputs, dict) and name in outputs:
+            raise ConfigError(f"outputs.{name}: got {json.dumps(outputs[name])}, but a sweep "
+                              "writes only comparison.csv; drop the key")
+    return [(value, parse_run_config({**data, "initial": {**initial, key: value}}, base_dir))
+            for value in values]
 
 
 def _load_json(path: Path):
@@ -258,18 +261,6 @@ def build_initial_field(rc: RunConfig) -> Field:
     raise ConfigError(f"initial.kind: unhandled kind {kind!r}")
 
 
-def load_sweep_config(path) -> SweepConfig:
+def load_sweep_config(path) -> list[tuple[float, RunConfig]]:
     path = Path(path)
     return parse_sweep_config(_load_json(path), path.parent)
-
-
-def build_family(sc: SweepConfig) -> list[tuple[float, Field]]:
-    """Instantiate the family members as (alpha, initial field) pairs."""
-    fam = sc.family
-    if fam["kind"] == "steepness":
-        return [
-            (s, steep_bump(sc.grid, fam["amplitude"], s, fam["center"]))
-            for s in fam["steepnesses"]
-        ]
-    base = build_initial_field(RunConfig(sc.params, sc.grid, sc.solver, fam["base"]))
-    return [(a, Field(sc.grid, a * base.values)) for a in fam["alphas"]]

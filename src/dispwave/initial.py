@@ -8,6 +8,8 @@ and a sech^2 bump whose steepness knob concentrates the downhill slope.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .spectral import Field, Grid
@@ -37,7 +39,12 @@ def field_from_csv(grid: Grid, path) -> Field:
 
     The x column must be the grid's uniform points.
     """
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        with warnings.catch_warnings():  # a table with no rows fails the shape check instead
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as err:  # a cell that is not a number
+        raise ValueError(f"{path}: {err}") from err
     if rows.shape != (grid.n_points, 2):
         raise ValueError(f"{path}: expected {grid.n_points} rows of x,u, got shape {rows.shape}")
     if not np.allclose(rows[:, 0], grid.x, rtol=0.0, atol=1e-9 * grid.spacing):

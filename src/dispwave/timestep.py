@@ -31,15 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pde import PdeParams, SpectralRhs, TraceRow, slope_argmin, trace_row
-from .spectral import Field, Grid, hs_norm
+from .spectral import Field, Grid
 
 
 class BoundaryDecayError(ValueError):
     """Initial data does not decay below tolerance at the box boundary."""
-
-
-class IncomparableRunsError(RuntimeError):
-    """A dependence probe is undefined because one of the runs blew up."""
 
 
 # the CFL bound's share of h/(|gamma|*max|u| + 2*omega), and the energy drift
@@ -260,25 +256,3 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
     return SimulationResult(samples=samples, checkpoints=checkpoints, stop_reason=stop_reason,
                             t_stop=t, final_state=final, dt_limiters=dt_limiters)
 
-
-def continuous_dependence_probe(u0: Field, delta: float, params: PdeParams,
-                                config: SolverConfig) -> float:
-    """H1 distance at t_end between runs from u0 and u0 + delta * bump.
-
-    The perturbation is a fixed unit Gaussian bump at the origin. Raises
-    IncomparableRunsError when either run fails to reach t_end.
-    """
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    base = simulate(u0, params, config)
-    # delta = 0 is not short-circuited: identical runs must measure exactly 0
-    bump = np.exp(-u0.grid.x**2)
-    perturbed = simulate(Field(u0.grid, u0.values + delta * bump), params, config)
-    for tag, run in (("base", base), ("perturbed", perturbed)):
-        if run.stop_reason != "reached_t_end":
-            raise IncomparableRunsError(
-                f"{tag} run stopped early ({run.stop_reason} at t = {run.t_stop:g}); "
-                "distance at t_end is undefined"
-            )
-    diff = Field(u0.grid, perturbed.final_state.values - base.final_state.values)
-    return hs_norm(diff, 1.0)

