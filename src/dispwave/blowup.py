@@ -37,10 +37,11 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 from typing import Sequence
 
+from .config import RunConfig, build_initial_field
 from .fileio import write_csv
 from .pde import PdeParams, TraceRow, energy, slope_argmin
 from .spectral import Field
-from .timestep import SimulationResult, SolverConfig, simulate
+from .timestep import SimulationResult, simulate
 
 _SQRT8 = 4.0 * math.sqrt(2.0)
 _TAIL_MAX = 1e-7  # samples whose band-edge tail exceeds this are under-resolved
@@ -246,10 +247,10 @@ class SweepRow:
     tail_max: float = math.nan
 
 
-def run_member(family_id: int, alpha: float, u0: Field, params: PdeParams,
-               config: SolverConfig) -> SweepRow:
-    """Simulate one family member and compare its breaking time to the bound."""
-    report = assess(u0, params, simulate(u0, params, config))
+def run_member(family_id: int, alpha: float, rc: RunConfig) -> SweepRow:
+    """Build and simulate one member's run config and compare its breaking time to the bound."""
+    u0 = build_initial_field(rc)
+    report = assess(u0, rc.params, simulate(u0, rc.params, rc.solver))
     row = SweepRow(family_id, alpha, **asdict(report.bound), outcome=report.outcome,
                    tail_max=report.tail_max)
     if (breaking := report.breaking) is not None:
@@ -258,18 +259,18 @@ def run_member(family_id: int, alpha: float, u0: Field, params: PdeParams,
     return row
 
 
-def sharpness_experiment(members: Sequence[tuple[float, Field]], params: PdeParams,
-                         config: SolverConfig, workers: int = 1) -> list[SweepRow]:
-    """Run every family member and tabulate observed vs guaranteed times.
+def sharpness_experiment(members: Sequence[tuple[float, RunConfig]],
+                         workers: int = 1) -> list[SweepRow]:
+    """Run every member's run config and tabulate observed vs guaranteed times.
 
-    Members that reach t_end without breaking, or break with no sample that
-    gives a t*, are censored rows, not failures; `assess` gives each row its outcome.
-    A member that raises becomes an error row and the others still run. Each failure, and
-    each ratio below 0.98, is reported with a RuntimeWarning. Rows are merged
-    in member order regardless of worker count. workers > 1 runs the members
+    Members that reach t_end without breaking, or break with no sample that gives a t*,
+    are censored rows, not failures; `assess` gives each row its outcome. A member that
+    raises, in building its initial data too, becomes an error row and the others still
+    run. Each failure, and each ratio below 0.98, is reported with a RuntimeWarning. Rows
+    are merged in member order regardless of worker count. workers > 1 runs the members
     in a process pool of at most one process per member.
     """
-    if params.gamma == 0.0:
+    if any(rc.params.gamma == 0.0 for _, rc in members):
         raise ValueError(f"sweep requires gamma != 0 ({GLOBAL_NOTE})")
     if not members:
         raise ValueError("family has no members")
@@ -277,7 +278,7 @@ def sharpness_experiment(members: Sequence[tuple[float, Field]], params: PdePara
         raise ValueError(f"workers must be >= 1, got {workers}")
     # a fork-started pool creates all its processes at the first submit
     workers = min(workers, len(members))
-    jobs = [(i, alpha, u0, params, config) for i, (alpha, u0) in enumerate(members)]
+    jobs = [(i, alpha, rc) for i, (alpha, rc) in enumerate(members)]
     rows = []
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # 20-26 ms to import; only pools need it
@@ -286,7 +287,7 @@ def sharpness_experiment(members: Sequence[tuple[float, Field]], params: PdePara
             calls = [partial(run_member, *job) for job in jobs]
         else:
             calls = [pool.submit(run_member, *job).result for job in jobs]
-        for (i, alpha, *_), call in zip(jobs, calls):
+        for (i, alpha, _), call in zip(jobs, calls):
             try:
                 row = call()
             except Exception as err:  # per-member failure: record and continue

@@ -56,7 +56,7 @@ def _cmd_simulate(args) -> int:
         "warnings": result.warnings,
         "stats": {"steps": result.steps, "rhs_evaluations": result.rhs_evaluations,
                   "dt_limiters": result.dt_limiters},
-        "config": config_dict(rc),
+        "config": config_dict(rc, out_dir),
     }
     if rc.initial["kind"] == "soliton":
         payload["shape_error"] = shape_error(u0, rc.initial["c"], result.final_state,
@@ -102,11 +102,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    members = load_sweep_config(args.config)
+    rows = sharpness_experiment(load_sweep_config(args.config), workers=args.workers)
     out_dir = Path(args.out)
-    rc = members[0][1]  # the members differ only in their initial data
-    rows = sharpness_experiment([(value, build_initial_field(m)) for value, m in members],
-                                rc.params, rc.solver, workers=args.workers)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_comparison_csv(rows, out_dir / "comparison.csv")
     print(f"wrote {len(rows)} rows to {out_dir / 'comparison.csv'}")
@@ -146,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--out", default=None, help="also write the JSON here")
     p_bound.set_defaults(func=_cmd_bound)
 
-    p_sweep = sub.add_parser("sweep", help="sharpness comparison over an initial-data family")
+    p_sweep = sub.add_parser("sweep", help="sharpness comparison over a family of runs")
     p_sweep.add_argument("--config", required=True, help="sweep config JSON")
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--workers", type=int, default=1)

@@ -1,22 +1,23 @@
 """Run and sweep configuration: strict JSON schemas with unknown-key rejection.
 
-A config must reproduce a run exactly, so parsing is deliberately rigid:
-every key is checked against a whitelist, types are enforced, referenced
-files must exist at parse time, and the resolved form (all defaults filled
-in) is what gets embedded into summary artifacts.
+A config must reproduce a run exactly, so parsing is deliberately rigid: every key is
+checked against a whitelist, types are enforced, referenced files must exist at parse
+time, and the resolved form (all defaults filled in) is what summary artifacts embed.
 
-A run config has `params`, `grid`, `solver` and `initial`, whose `kind` key
-selects its schema from a table. A sweep config is a run config in which
-exactly one number of `initial` is a list; each listed value makes one
-member, parsed as a run config. A config holds only what changes a run's
-numbers: the output directory is the command's `--out`, a run always writes
-its trace and its checkpoints exactly when `solver.checkpoint_interval` is
-set. The keys older configs and summaries carry for those are in `_RETIRED`.
+A run config has `params`, `grid`, `solver` and `initial`, whose `kind` key selects its
+schema from a table; a `file` path resolves against the config's directory, and a summary
+writes it relative to its own. A sweep config is a run config in which exactly one number
+of `params`, `grid`, `solver` or `initial` is a list; each listed value makes one member,
+the run config the sweep executor takes. A config holds only what changes a run's numbers:
+the output directory is the command's `--out`, a run always writes its trace and its
+checkpoints exactly when `solver.checkpoint_interval` is set. The keys older configs and
+summaries carry for those are in `_RETIRED`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -36,7 +37,7 @@ def _check_keys(d, path: str, required: tuple[str, ...],
                 optional: tuple[str, ...] = ()) -> None:
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: expected an object, got {type(d).__name__}")
-    # a retired key passes here, and _parse_sections checks its value
+    # a retired key passes here, and parse_run_config checks its value
     unknown = sorted(k for k in set(d) - set(required) - set(optional)
                      if f"{path}.{k}" not in _RETIRED)
     if unknown:
@@ -194,28 +195,31 @@ def _list_form(data):
 
 
 def parse_sweep_config(data, base_dir: Path) -> list[tuple[float, RunConfig]]:
-    """The members of a sweep: a run config in which exactly one number of `initial`
-    is a list. Each member is that config with one listed value in the list's place,
-    parsed by `parse_run_config`, paired with the value (comparison.csv's `alpha`)."""
+    """The members of a sweep: a run config in which exactly one number of `params`, `grid`,
+    `solver` or `initial` is a list. Each member is that config with one listed value, as
+    written, in the list's place, parsed by `parse_run_config` and paired with the value as
+    a float (comparison.csv's `alpha`)."""
     data = _list_form(data)
-    initial = data.get("initial") if isinstance(data, dict) else None
-    listed = ([key for key, value in initial.items() if isinstance(value, list)]
-              if isinstance(initial, dict) else [])
+    sections = {name: data[name] for name in ("params", "grid", "solver", "initial")
+                if isinstance(data, dict) and isinstance(data.get(name), dict)}
+    listed = [f"{name}.{key}" for name, section in sections.items()
+              for key, value in section.items() if isinstance(value, list)]
     if not listed:
         parse_run_config(data, base_dir)  # a config malformed elsewhere fails on its own error
     if len(listed) != 1:
-        raise ConfigError(f"initial: a sweep lists exactly one number, found lists at {listed}")
-    key = listed[0]
-    if not initial[key]:
-        raise ConfigError(f"initial.{key}: expected a non-empty list of numbers")
-    values = [_number({i: v}, i, f"initial.{key}") for i, v in enumerate(initial[key])]
+        raise ConfigError(f"config: a sweep lists exactly one number, found lists at {listed}")
+    name, key = listed[0].split(".", 1)
+    raw = sections[name][key]
+    if not raw:
+        raise ConfigError(f"{listed[0]}: expected a non-empty list of numbers")
+    alphas = [_number({i: v}, i, listed[0]) for i, v in enumerate(raw)]
     outputs = data.get("outputs", {})
-    for name in ("write_trace", "write_checkpoints"):
-        if isinstance(outputs, dict) and name in outputs:
-            raise ConfigError(f"outputs.{name}: got {json.dumps(outputs[name])}, but a sweep "
-                              "writes only comparison.csv; drop the key")
-    return [(value, parse_run_config({**data, "initial": {**initial, key: value}}, base_dir))
-            for value in values]
+    for switch in ("write_trace", "write_checkpoints"):
+        if isinstance(outputs, dict) and switch in outputs:
+            raise ConfigError(f"outputs.{switch}: got {json.dumps(outputs[switch])}, but a "
+                              "sweep writes only comparison.csv; drop the key")
+    return [(alpha, parse_run_config({**data, name: {**sections[name], key: value}}, base_dir))
+            for alpha, value in zip(alphas, raw)]
 
 
 def _load_json(path: Path):
@@ -232,13 +236,18 @@ def load_run_config(path) -> RunConfig:
     return parse_run_config(_load_json(path), path.parent)
 
 
-def config_dict(rc: RunConfig) -> dict:
-    """The fully resolved configuration, suitable for exact reproduction."""
+def config_dict(rc: RunConfig, base_dir: Path) -> dict:
+    """The fully resolved configuration, suitable for exact reproduction from `base_dir`:
+    a `file` kind's path is written relative to it, as `parse_run_config` resolves it, so
+    the dict does not depend on where the tree it describes sits."""
+    initial = dict(rc.initial)
+    if "path" in initial:
+        initial["path"] = os.path.relpath(initial["path"], Path(base_dir).resolve())
     return {
         "params": {"gamma": rc.params.gamma, "omega": rc.params.omega},
         "grid": {"L": rc.grid.half_width, "N": rc.grid.n_points},
         "solver": asdict(rc.solver),
-        "initial": dict(rc.initial),
+        "initial": initial,
     }
 
 

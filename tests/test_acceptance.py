@@ -36,10 +36,10 @@ from dispwave import (
     rhs_nonlocal,
     sharpness_experiment,
     simulate,
-    steep_bump,
     verify_traveling,
 )
 from dispwave.cli import main
+from dispwave.config import parse_sweep_config
 
 from conftest import band_limited_field
 
@@ -198,13 +198,15 @@ def test_acceptance_7_breaking_end_to_end(breaking_run, gamma_zero_twin):
     report(7, "breaking end-to-end")
 
 
-def test_acceptance_8_sharpness_trend():
-    g = Grid(6.0, 8192)
-    p = PdeParams(1.0, 0.0)
-    cfg = SolverConfig(t_end=2.0, sample_interval=0.002,
-                       blowup_m_threshold=12.0, dt_min=1e-10)
-    members = [(s, steep_bump(g, 1.0, s)) for s in (3.0, 4.5, 6.0)]
-    rows = sharpness_experiment(members, p, cfg)
+def test_acceptance_8_sharpness_trend(tmp_path):
+    members = parse_sweep_config({
+        "params": {"gamma": 1.0, "omega": 0.0},
+        "grid": {"L": 6.0, "N": 8192},
+        "solver": {"t_end": 2.0, "sample_interval": 0.002, "blowup_m_threshold": 12.0,
+                   "dt_min": 1e-10},
+        "initial": {"kind": "steep", "amplitude": 1.0, "steepness": [3.0, 4.5, 6.0]},
+    }, tmp_path)
+    rows = sharpness_experiment(members)
     assert all(not r.censored for r in rows)
     ratios = [r.ratio for r in rows]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))  # decreasing toward 1

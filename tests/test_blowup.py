@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from dispwave import (
     existence_time_lower_bound,
     extrapolate_blowup_time,
     gamma_regime,
-    gaussian_bump,
     riccati_bracket,
     sharpness_experiment,
     simulate,
@@ -28,6 +28,7 @@ from dispwave import (
     write_comparison_csv,
 )
 
+from dispwave.config import parse_sweep_config
 from dispwave.pde import slope_argmin
 
 from conftest import band_limited_field
@@ -308,15 +309,19 @@ def test_breaking_time_agrees_across_grids(gamma, omega, half_width):
                                           p).t_lower
 
 
+def sweep_members(initial, grid=(6.0, 256), gamma=1.0, **solver):
+    """The members `parse_sweep_config` makes of a sweep config with these sections."""
+    return parse_sweep_config({"params": {"gamma": gamma, "omega": 0.0},
+                               "grid": {"L": grid[0], "N": grid[1]},
+                               "solver": solver, "initial": initial}, Path.cwd())
+
+
 @pytest.fixture(scope="module")
 def small_family_rows():
-    g = Grid(6.0, 4096)
-    p = PdeParams(1.0, 0.0)
-    cfg = SolverConfig(t_end=1.5, sample_interval=0.004,
-                       blowup_m_threshold=11.0, dt_min=1e-10)
-    base = steep_bump(g, 1.0, 3.0)
-    members = [(a, Field(g, a * base.values)) for a in (0.35, 1.0)]
-    return sharpness_experiment(members, p, cfg)
+    members = sweep_members({"kind": "steep", "amplitude": [0.35, 1.0], "steepness": 3.0},
+                            grid=(6.0, 4096), t_end=1.5, sample_interval=0.004,
+                            blowup_m_threshold=11.0, dt_min=1e-10)
+    return sharpness_experiment(members)
 
 
 class TestSharpnessExperiment:
@@ -335,30 +340,27 @@ class TestSharpnessExperiment:
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError, match="no members"):
-            sharpness_experiment([], PdeParams(1.0, 0.0),
-                                 SolverConfig(t_end=1.0))
+            sharpness_experiment([])
 
-    def test_gamma_zero_rejected(self, grid_small):
-        u = steep_bump(grid_small, 1.0, 2.0)
+    def test_gamma_zero_rejected(self):
+        # any member at gamma = 0 rejects the sweep before a member runs
+        members = sweep_members({"kind": "steep", "amplitude": 1.0, "steepness": 2.0},
+                                gamma=[1.0, 0.0], t_end=1.0)
         with pytest.raises(ValueError, match="gamma != 0"):
-            sharpness_experiment([(1.0, u)], PdeParams(0.0, 0.0),
-                                 SolverConfig(t_end=1.0))
+            sharpness_experiment(members)
 
     def test_worker_pool_matches_sequential(self):
         # both members break, so every row field is finite and the rows must
         # agree bit for bit across the process boundary
-        g = Grid(6.0, 2048)
-        p = PdeParams(1.0, 0.0)
-        cfg = SolverConfig(t_end=1.2, sample_interval=0.01,
-                           blowup_m_threshold=9.0, dt_min=1e-10)
-        base = steep_bump(g, 1.0, 3.0)
-        members = [(a, Field(g, a * base.values)) for a in (0.9, 1.0)]
-        seq = sharpness_experiment(members, p, cfg, workers=1)
-        par = sharpness_experiment(members, p, cfg, workers=2)
+        members = sweep_members({"kind": "steep", "amplitude": [0.9, 1.0], "steepness": 3.0},
+                                grid=(6.0, 2048), t_end=1.2, sample_interval=0.01,
+                                blowup_m_threshold=9.0, dt_min=1e-10)
+        seq = sharpness_experiment(members, workers=1)
+        par = sharpness_experiment(members, workers=2)
         assert all(not r.censored for r in seq)
         assert seq == par
 
-    def test_pool_size_capped_at_family_size(self, monkeypatch, grid_small):
+    def test_pool_size_capped_at_family_size(self, monkeypatch):
         sizes = []
 
         class InlinePool:
@@ -380,35 +382,32 @@ class TestSharpnessExperiment:
 
         # the pool branch imports the executor when it runs
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        cfg = SolverConfig(t_end=0.02, sample_interval=0.01)
-        u = gaussian_bump(grid_small, 0.1, 2.0)
-        members = [(a, Field(grid_small, a * u.values)) for a in (1.0, 2.0, 3.0)]
+        members = sweep_members({"kind": "gaussian", "amplitude": [0.1, 0.2, 0.3], "width": 2.0},
+                                grid=(20.0, 256), t_end=0.02, sample_interval=0.01)
         for workers, expected in ((8, [3]), (3, [3]), (2, [2]), (1, [])):
             sizes.clear()
-            rows = sharpness_experiment(members, PdeParams(1.0, 0.0), cfg, workers=workers)
+            rows = sharpness_experiment(members, workers=workers)
             assert sizes == expected
             assert [r.family_id for r in rows] == [0, 1, 2]
         sizes.clear()
-        sharpness_experiment(members[:1], PdeParams(1.0, 0.0), cfg, workers=4)
+        sharpness_experiment(members[:1], workers=4)
         assert sizes == []
 
     @pytest.mark.parametrize("workers", [0, -2])
-    def test_nonpositive_workers_rejected(self, grid_small, workers):
-        u = gaussian_bump(grid_small, 0.1, 2.0)
+    def test_nonpositive_workers_rejected(self, workers):
+        members = sweep_members({"kind": "gaussian", "amplitude": [0.1], "width": 2.0},
+                                grid=(20.0, 256), t_end=1.0)
         with pytest.raises(ValueError, match="workers must be >= 1"):
-            sharpness_experiment([(1.0, u)], PdeParams(1.0, 0.0),
-                                 SolverConfig(t_end=1.0), workers=workers)
+            sharpness_experiment(members, workers=workers)
 
     def test_failing_member_becomes_error_row(self, tmp_path):
-        # the base reaches 1.4e-4 at the box edge, so alpha = 10 fails the boundary gate
-        g = Grid(6.0, 256)
-        cfg = SolverConfig(t_end=0.05, sample_interval=0.01, decay_tolerance=1e-3)
-        base = gaussian_bump(g, 1.0, 2.0)
-        members = [(a, Field(g, a * base.values)) for a in (1.0, 10.0, 2.0)]
+        # amplitude 1 reaches 1.4e-4 at the box edge, so amplitude 10 fails the boundary gate
+        members = sweep_members({"kind": "gaussian", "amplitude": [1.0, 10.0, 2.0], "width": 2.0},
+                                t_end=0.05, sample_interval=0.01, decay_tolerance=1e-3)
         tables = []
         for workers in (1, 2):
             with pytest.warns(RuntimeWarning, match=r"member 1 \(alpha = 10\) failed"):
-                rows = sharpness_experiment(members, PdeParams(1.0, 0.0), cfg, workers=workers)
+                rows = sharpness_experiment(members, workers=workers)
             assert [(r.family_id, r.gamma_case) for r in rows] == [
                 (0, "low"), (1, "error"), (2, "low")]
             assert math.isfinite(rows[0].t_lower) and math.isnan(rows[1].t_lower)
@@ -417,15 +416,15 @@ class TestSharpnessExperiment:
             tables.append((tmp_path / f"workers{workers}.csv").read_bytes())
         assert tables[0] == tables[1]
 
-    def test_ratio_below_the_bound_warns(self, monkeypatch, grid_small):
+    def test_ratio_below_the_bound_warns(self, monkeypatch):
         # a breaking time under 0.98 of the proved bound means a solver bug
         monkeypatch.setattr(dispwave.blowup, "run_member",
                             lambda *job: SweepRow(0, 1.0, ratio=0.5, censored=False))
-        u = gaussian_bump(grid_small, 0.1, 2.0)
+        members = sweep_members({"kind": "gaussian", "amplitude": [0.1], "width": 2.0},
+                                grid=(20.0, 256), t_end=1.0)
         with pytest.warns(RuntimeWarning, match="member 0: observed breaking time ratio "
                                                 "0.5000 undercuts the proved bound"):
-            rows = sharpness_experiment([(1.0, u)], PdeParams(1.0, 0.0),
-                                        SolverConfig(t_end=1.0), workers=1)
+            rows = sharpness_experiment(members, workers=1)
         assert [(r.ratio, r.censored) for r in rows] == [(0.5, False)]
 
     def test_error_row_is_the_default_row(self, tmp_path):

@@ -71,7 +71,7 @@ class TestRunConfigParsing:
         assert rc.solver.dt_init == 1e-2
         assert rc.initial == {"kind": "gaussian", "amplitude": 0.1, "width": 2.0,
                               "center": 0.0}
-        assert set(config_dict(rc)) == {"params", "grid", "solver", "initial"}
+        assert set(config_dict(rc, tmp_path)) == {"params", "grid", "solver", "initial"}
 
     @pytest.mark.parametrize("section,bad", [
         ("params", {"gamma": 1.0, "omega": 0.5, "mystery": 1}),
@@ -143,14 +143,14 @@ class TestRunConfigParsing:
 
     def test_summary_reruns_through_embedded_config(self, tmp_path):
         rc = load_run_config(write_config(tmp_path / "c.json"))
-        summary_like = {"stop_reason": "reached_t_end", "config": config_dict(rc)}
+        summary_like = {"stop_reason": "reached_t_end", "config": config_dict(rc, tmp_path)}
         rc2 = parse_run_config(summary_like, tmp_path)
-        assert config_dict(rc2) == config_dict(rc)
+        assert config_dict(rc2, tmp_path) == config_dict(rc, tmp_path)
 
     def test_config_dict_round_trips(self, tmp_path):
         rc = load_run_config(write_config(tmp_path / "c.json"))
-        again = parse_run_config(config_dict(rc), tmp_path)
-        assert config_dict(again) == config_dict(rc)
+        again = parse_run_config(config_dict(rc, tmp_path), tmp_path)
+        assert config_dict(again, tmp_path) == config_dict(rc, tmp_path)
 
     @pytest.mark.parametrize("interval,retired", RETIRED_AT_IMPLIED)
     def test_old_output_switches_accepted_at_the_implied_value(self, tmp_path, interval,
@@ -166,7 +166,8 @@ class TestRunConfigParsing:
         rc = parse_run_config(data, tmp_path)
         assert json.dumps(data) == before  # the caller's dict is left as it was
         assert rc == load_run_config(write_config(tmp_path / "plain.json", solver=solver))
-        assert config_dict(rc) == config_dict(load_run_config(tmp_path / "plain.json"))
+        plain = load_run_config(tmp_path / "plain.json")
+        assert config_dict(rc, tmp_path) == config_dict(plain, tmp_path)
 
     @pytest.mark.parametrize("interval,key,value,why", [
         (None, "outputs.write_checkpoints", True, _CHECKPOINTS.format("unset")),
@@ -317,25 +318,42 @@ STEEP_LISTED = {"kind": "steep", "amplitude": 1.0, "steepness": [3.0, 4.0]}
      "initial.center: expected a number, got '0'"),
     ({"family": {"kind": "steepness", "amplitude": 1.0, "steepnesses": [3.0, True]}},
      "initial.steepness.1: expected a number, got True"),
-    # exactly one number of initial is a list, and the list has members
+    # exactly one number of params, grid, solver or initial is a list, and it has members
     ({"initial": {"kind": "steep", "amplitude": 1.0, "steepness": 3.0}},
-     "initial: a sweep lists exactly one number, found lists at []"),
+     "config: a sweep lists exactly one number, found lists at []"),
     ({"initial": {**STEEP_LISTED, "amplitude": [1.0, 2.0]}},
-     "initial: a sweep lists exactly one number, found lists at ['amplitude', 'steepness']"),
+     "config: a sweep lists exactly one number, found lists at "
+     "['initial.amplitude', 'initial.steepness']"),
+    ({"params": {"gamma": [1.0, 2.0], "omega": 0.0}, "initial": STEEP_LISTED},
+     "config: a sweep lists exactly one number, found lists at "
+     "['params.gamma', 'initial.steepness']"),
     ({"initial": {**STEEP_LISTED, "steepness": []}},
      "initial.steepness: expected a non-empty list of numbers"),
     ({"initial": {**STEEP_LISTED, "kind": ["steep"], "steepness": 3.0}},
      "initial.kind.0: expected a number, got 'steep'"),
     ({"initial": {**STEEP_LISTED, "skew": 2}}, "initial: unknown key(s) ['skew']"),
+    ({"initial": {**STEEP_LISTED, "steepness": 3.0, "a.b": [1.0]}},
+     "initial: unknown key(s) ['a.b']"),
     ({"initial": {**STEEP_LISTED, "kind": "nope"}},
      "initial.kind: unknown kind 'nope', expected one of "
      "['file', 'gaussian', 'scaled_soliton', 'soliton', 'steep']"),
     # a malformed config with no list fails on its own error
     ({"initial": {"kind": "steep", "amplitude": 1.0, "steepness": 3.0}, "grid": 5},
      "grid: expected an object, got int"),
+    # a listed value sits in its member as written, which parses like any run config
+    ({"grid": {"L": 6.0, "N": [256, 300]}, "initial": {**STEEP_LISTED, "steepness": 3.0}},
+     "grid.N: must be a power of two from 16 to 65536, the largest grid the malloc pin "
+     "keeps fault-free, got 300"),
+    ({"grid": {"L": 6.0, "N": [256.0]}, "initial": {**STEEP_LISTED, "steepness": 3.0}},
+     "grid.N: expected an integer, got 256.0"),
+    # every member must have gamma != 0
+    ({"params": {"gamma": [1.0, 0.0], "omega": 0.0},
+      "initial": {**STEEP_LISTED, "steepness": 3.0}},
+     "sweep requires gamma != 0 (gamma = 0: all solutions are global)"),
 ], ids=["amplitude-family", "family-without-kind", "unknown-family", "family-center",
-        "family-bool", "no-list", "two-lists", "empty-list", "listed-kind", "member-key",
-        "member-kind", "no-list-bad-grid"])
+        "family-bool", "no-list", "two-lists", "two-sections", "empty-list", "listed-kind",
+        "member-key", "listed-unknown-dotted-key", "member-kind", "no-list-bad-grid",
+        "N-not-a-power-of-two", "N-not-an-integer", "gamma-zero-member"])
 def test_sweep_config_error_is_exit_2_naming_its_path(tmp_path, capsys, sections, message):
     cfg, out = write_sweep(tmp_path / "s.json", **sections), tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
@@ -399,6 +417,36 @@ class TestSimulateCommand:
             assert ((out1 / "checkpoints" / name).read_bytes()
                     == (out2 / "checkpoints" / name).read_bytes())
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+    def test_file_run_summary_is_the_same_in_every_tree(self, tmp_path, capsys):
+        # the data path is written relative to the summary, so two trees of the same
+        # layout write the same summary.json, and each reruns from its own
+        g = Grid(20.0, 256)
+        u0 = gaussian_bump(g, 0.2, 2.0)
+        trees = [tmp_path / "one", tmp_path / "two" / "deeper"]
+        for tree in trees:
+            (tree / "data").mkdir(parents=True)
+            write_csv(tree / "data" / "u.csv", ("x", "u"), zip(g.x, u0.values))
+            cfg = write_config(tree / "c.json", initial={"kind": "file", "path": "data/u.csv"})
+            assert main(["simulate", "--config", str(cfg), "--out", str(tree / "out")]) == 0
+            assert main(["simulate", "--config", str(tree / "out" / "summary.json"),
+                         "--out", str(tree / "rerun")]) == 0
+            for name in ("trace.csv", "summary.json"):
+                assert (tree / "out" / name).read_bytes() == (tree / "rerun" / name).read_bytes()
+        first, second = ((tree / "out" / "summary.json").read_bytes() for tree in trees)
+        assert first == second
+        assert json.loads(first)["config"]["initial"]["path"] == "../data/u.csv"
+        # a message names the data file by its absolute path
+        data = trees[1] / "data" / "u.csv"
+        data.write_text("x,u\n")
+        capsys.readouterr()
+        argv = ["simulate", "--config", str(trees[1] / "out" / "summary.json"),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {data.resolve()}: expected 256 rows")
+        data.unlink()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: initial.path: file not found: {data.resolve()}\n"
 
     def test_rerun_from_an_older_summary_reproduces_trace(self, tmp_path):
         # a summary written before outputs.directory, cfl_fraction and energy_drift_tol
@@ -739,6 +787,49 @@ class TestSweepCommand:
         rows = (out / "comparison.csv").read_text().splitlines()[1:]
         assert rows[0].split(",")[4] == "low"
         assert rows[1] == "1,10,nan,nan,error,nan,nan,nan,nan,nan,true,error,nan"
+
+    # the CI sweep's run: a steep bump that breaks at |m| = 4 on a coarse grid
+    STEEP_RUN = {
+        "params": {"gamma": 1.0, "omega": 0.0}, "grid": {"L": 6.0, "N": 256},
+        "solver": {"t_end": 1.2, "sample_interval": 0.01, "blowup_m_threshold": 4.0},
+        "initial": STEEP_DATA}
+
+    @pytest.mark.parametrize("section,key,values", [
+        ("params", "gamma", [1.0, 2.0]),
+        ("grid", "N", [256, 512]),
+        ("solver", "blowup_m_threshold", [3.0, 4.0, 5.0]),
+    ])
+    def test_listed_number_outside_initial(self, tmp_path, section, key, values):
+        # each member runs its own run config: its row is the row of the one-member
+        # sweep of that member, but for family_id
+        def sweep(name, listed):
+            config = {**self.STEEP_RUN, section: {**self.STEEP_RUN[section], key: listed}}
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+            assert main(["sweep", "--config", str(tmp_path / f"{name}.json"),
+                         "--out", str(tmp_path / name), "--workers", "2"]) == 0
+            return (tmp_path / name / "comparison.csv").read_text().splitlines()[1:]
+
+        rows = sweep("all", values)
+        assert [row.split(",")[1] for row in rows] == [fmt(float(v)) for v in values]
+        assert all(",error," not in row for row in rows)
+        for i, value in enumerate(values):
+            alone, = sweep(f"member{i}", [value])
+            assert rows[i] == f"{i},{alone.split(',', 1)[1]}"
+
+    def test_member_whose_data_fail_to_build_is_an_error_row(self, tmp_path):
+        initial = {"kind": "steep", "amplitude": 1.0, "steepness": [3.0, -1.0]}
+        cfg = write_sweep(tmp_path / "sweep.json", initial=initial)
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning) as caught:
+            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [str(w.message) for w in caught] == [
+            "member 1 (alpha = -1) failed: steepness must be positive, got -1.0"]
+        rows = (out / "comparison.csv").read_text().splitlines()[1:]
+        assert rows[0].split(",")[4] == "low"
+        assert rows[1] == "1,-1,nan,nan,error,nan,nan,nan,nan,nan,true,error,nan"
+        cfg = write_sweep(tmp_path / "sweep.json", initial={**initial, "steepness": [-1.0, -2.0]})
+        with pytest.warns(RuntimeWarning, match="steepness must be positive"):
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
     def test_every_member_failing_exits_one(self, tmp_path):
         cfg = self._gaussian_family(tmp_path / "sweep.json", [10.0, 20.0])
