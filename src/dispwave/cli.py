@@ -1,13 +1,13 @@
 """Command-line front end: simulate, soliton, bound, sweep.
 
-Exit codes, for every command: 0 for every finished run, breaking included,
-since wave breaking is science, not failure, and its verdict is recorded in
-the artifacts; 2 for a bad command line, bad input or an I/O error, mapped
-once in `main`; 1 only for `soliton`'s inadmissible speed or grid and for a
-sweep whose every member fails; only -h leaves by SystemExit. Nothing is
-written and no directory is made before a command's write step, so an
-unwritable --out is reported after the run. All artifacts are deterministic:
-the same config produces byte-identical files.
+Every command reads its run from `--config` (a run config, a summary.json, or for
+`sweep` a sweep config) and writes to `--out`, optional for `bound`. Exit codes: 0 for
+every finished run, breaking included, since wave breaking is science, not failure,
+and its verdict is recorded in the artifacts; 2 for a bad command line, bad input or
+an I/O error, mapped once in `main`; 1 only for a sweep whose every member fails;
+only -h leaves by SystemExit. Nothing is written and no directory is made before a
+command's write step, so an unwritable --out is reported after the run. All
+artifacts are deterministic: the same config produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,26 +16,18 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .blowup import assess, report_fields, sharpness_experiment, write_comparison_csv
-from .config import build_initial_field, config_dict, load_run_config, load_sweep_config
-from .fileio import fmt, json_text, write_csv, write_field_csvs, write_json
-from .pde import PdeParams
-from .solitary import (
-    SolitonParams,
-    build_profile,
-    first_integral_residual,
-    shape_error,
-    write_profile_csv,
+from .config import (
+    ConfigError,
+    build_initial_field,
+    config_dict,
+    load_run_config,
+    load_sweep_config,
+    soliton_profile,
 )
-from .spectral import Grid
+from .fileio import fmt, json_text, write_csv, write_field_csvs, write_json
+from .solitary import first_integral_residual, shape_error, write_profile_csv
 from .timestep import simulate
-
-
-def _fail(message: str, code: int = 2) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
 
 
 def _cmd_simulate(args) -> int:
@@ -77,16 +69,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_soliton(args) -> int:
-    params = SolitonParams(args.c, PdeParams(gamma=args.gamma, omega=args.omega))
-    try:
-        grid = Grid(args.L, args.N)
-        profile = build_profile(params, grid)
-    except ValueError as err:
-        return _fail(str(err), code=1)
+    rc = load_run_config(args.config)
+    if rc.initial["kind"] != "soliton":
+        raise ConfigError(f"initial.kind: expected 'soliton', got {rc.initial['kind']!r}")
+    profile = soliton_profile(rc)
     write_profile_csv(profile, args.out)
-    residual = float(np.max(np.abs(first_integral_residual(profile))))
-    print(f"a = {fmt(params.amplitude)}")
-    print(f"kappa = {fmt(params.decay_rate)}")
+    residual = float(abs(first_integral_residual(profile)).max())
+    print(f"a = {fmt(profile.params.amplitude)}")
+    print(f"kappa = {fmt(profile.params.decay_rate)}")
     print(f"first_integral_residual_max = {fmt(residual)}")
     print(f"wrote profile to {args.out}")
     return 0
@@ -129,12 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_sol = sub.add_parser("soliton", help="build a solitary-wave profile CSV")
-    p_sol.add_argument("--c", type=float, required=True, help="wave speed")
-    p_sol.add_argument("--omega", type=float, required=True)
-    p_sol.add_argument("--gamma", type=float, required=True)
-    p_sol.add_argument("--L", type=float, required=True, help="box half-width")
-    p_sol.add_argument("--N", type=int, required=True, help="grid points")
+    p_sol = sub.add_parser("soliton", help="write a soliton initial's profile CSV")
+    p_sol.add_argument("--config", required=True, help="run config JSON (or a summary.json)")
     p_sol.add_argument("--out", required=True, help="profile CSV path")
     p_sol.set_defaults(func=_cmd_soliton)
 
@@ -156,7 +142,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as err:
-        return _fail(str(err))
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

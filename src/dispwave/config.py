@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .initial import field_from_csv, gaussian_bump, steep_bump
 from .pde import PdeParams
-from .solitary import SolitonParams, build_profile
+from .solitary import SolitonParams, SolitonProfile, build_profile
 from .spectral import PINNED_N_MAX, Field, Grid
 from .timestep import CFL_FRACTION, ENERGY_DRIFT_TOL, SolverConfig
 
@@ -251,6 +251,12 @@ def config_dict(rc: RunConfig, base_dir: Path) -> dict:
     }
 
 
+def soliton_profile(rc: RunConfig) -> SolitonProfile:
+    """The profile of the initial's speed `c`, its tail gated at the run's decay tolerance."""
+    return build_profile(SolitonParams(rc.initial["c"], rc.params), rc.grid,
+                         tail_tol=max(rc.solver.decay_tolerance, 1e-10))
+
+
 def build_initial_field(rc: RunConfig) -> Field:
     """Materialize the configured initial data on the configured grid."""
     init = rc.initial
@@ -260,8 +266,7 @@ def build_initial_field(rc: RunConfig) -> Field:
     if kind == "steep":
         return steep_bump(rc.grid, init["amplitude"], init["steepness"], init["center"])
     if kind in ("soliton", "scaled_soliton"):
-        profile = build_profile(SolitonParams(init["c"], rc.params), rc.grid,
-                                tail_tol=max(rc.solver.decay_tolerance, 1e-10))
+        profile = soliton_profile(rc)
         if kind == "soliton":
             return profile.as_field()
         return Field(rc.grid, init["alpha"] * profile.values)

@@ -21,6 +21,7 @@ from dispwave.config import (
     parse_sweep_config,
 )
 from dispwave.fileio import fmt, jsonable, write_csv
+from dispwave.solitary import SolitonParams, build_profile, write_profile_csv
 from dispwave.timestep import simulate
 
 from conftest import fresh_interpreter_env
@@ -577,27 +578,59 @@ class TestSimulateCommand:
 
 
 class TestSolitonCommand:
+    """`dispwave soliton` exports the profile of a run config's `soliton` initial, built
+    as `build_initial_field` builds it."""
+
+    @staticmethod
+    def _soliton(tmp_path, **overrides):
+        return write_config(tmp_path / "c.json", **{**README_SOLITON, **overrides})
+
     def test_writes_profile_and_prints_laws(self, tmp_path, capsys):
-        out = tmp_path / "profile.csv"
-        code = main(["soliton", "--c", "2", "--omega", "0.5", "--gamma", "1",
-                     "--L", "30", "--N", "1024", "--out", str(out)])
-        assert code == 0
+        cfg, out = self._soliton(tmp_path), tmp_path / "profile.csv"
+        assert main(["soliton", "--config", str(cfg), "--out", str(out)]) == 0
         printed = capsys.readouterr().out
-        assert "a = 1" in printed
-        assert "kappa = 0.70710678118654757" in printed
-        assert out.exists()
+        assert "a = 1\n" in printed
+        assert "kappa = 0.70710678118654757\n" in printed
+        assert printed.endswith(f"wrote profile to {out}\n")
+        # the library's profile at build_profile's default tail gate, the config's 1e-8
+        expected = tmp_path / "expected.csv"
+        write_profile_csv(build_profile(SolitonParams(2.0, PdeParams(1.0, 0.5)),
+                                        Grid(30.0, 1024)), expected)
+        assert out.read_bytes() == expected.read_bytes()
+        phi = np.loadtxt(out, delimiter=",", skiprows=2)[:, 1]
+        np.testing.assert_array_equal(phi, build_initial_field(load_run_config(cfg)).values)
 
-    def test_inadmissible_speed_names_inequality(self, tmp_path, capsys):
-        code = main(["soliton", "--c", "1", "--omega", "1", "--gamma", "1",
-                     "--L", "30", "--N", "512", "--out", str(tmp_path / "p.csv")])
-        assert code == 1
-        assert "c > 2*omega violated" in capsys.readouterr().err
+    def test_summary_is_a_config(self, tmp_path, capsys):
+        cfg = self._soliton(tmp_path, solver={"t_end": 0.1, "decay_tolerance": 1e-8})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        from_config, from_summary = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["soliton", "--config", str(cfg), "--out", str(from_config)]) == 0
+        assert main(["soliton", "--config", str(tmp_path / "run" / "summary.json"),
+                     "--out", str(from_summary)]) == 0
+        assert from_summary.read_bytes() == from_config.read_bytes()
 
-    def test_peakon_limit_names_inequality(self, tmp_path, capsys):
-        code = main(["soliton", "--c", "2", "--omega", "0", "--gamma", "1",
-                     "--L", "30", "--N", "512", "--out", str(tmp_path / "p.csv")])
-        assert code == 1
-        assert "c*(gamma - 1) < 2*omega*gamma violated" in capsys.readouterr().err
+    @pytest.mark.parametrize("overrides,message", [
+        ({"params": {"gamma": 1.0, "omega": 1.0}, "initial": {"kind": "soliton", "c": 1.0}},
+         "error: c > 2*omega violated"),
+        ({"params": {"gamma": 1.0, "omega": 0.0}},
+         "error: c*(gamma - 1) < 2*omega*gamma violated"),
+        ({"initial": {"kind": "soliton", "c": -1}},
+         "error: speed must be positive and finite, got -1.0\n"),
+        # the run's decay gate, 1e-10 by default, where the box was wide enough for 1e-8
+        ({"solver": {"t_end": 5.0}}, "error: grid too narrow for the tail to decay below 1e-10"),
+        ({"grid": {"L": 30.0, "N": 1000}}, "error: grid.N: must be a power of two"),
+        ({"initial": {"kind": "steep", "amplitude": 1.0, "steepness": 3.0}},
+         "error: initial.kind: expected 'soliton', got 'steep'\n"),
+        ({"initial": {"kind": "scaled_soliton", "c": 2.0, "alpha": 0.5}},
+         "error: initial.kind: expected 'soliton', got 'scaled_soliton'\n"),
+    ], ids=["inadmissible-speed", "peakon-limit", "negative-speed", "decay-gate", "N-1000",
+            "steep", "scaled_soliton"])
+    def test_rejection_is_exit_2_and_leaves_no_out(self, tmp_path, capsys, overrides, message):
+        cfg, out = self._soliton(tmp_path, **overrides), tmp_path / "p.csv"
+        assert main(["soliton", "--config", str(cfg), "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert printed.err.startswith(message) and printed.err.count("\n") == 1
+        assert printed.out == "" and not out.exists()
 
 
 class TestBoundCommand:
@@ -931,20 +964,18 @@ class TestErrorBoundary:
         ([], "dispwave: the following arguments are required: command"),
         (["run", "--config", "{cfg}", "--out", "{out}"],
          "dispwave: argument command: invalid choice: 'run'"),
-    ], ids=["missing-flag", "unknown-flag", "bad-int", "no-command", "unknown-command"])
+        # the model flags soliton took before it read a run config (argparse reads `--c`
+        # as an abbreviation of --config)
+        (["soliton", "--c", "2", "--omega", "0.5", "--gamma", "1", "--L", "30", "--N", "1024",
+          "--out", "{out}"], "dispwave: unrecognized arguments: --omega 0.5 --gamma 1 --L 30"),
+    ], ids=["missing-flag", "unknown-flag", "bad-int", "no-command", "unknown-command",
+            "soliton-model-flags"])
     def test_bad_command_line_is_exit_2(self, tmp_path, capsys, argv, message):
         cfg, out = write_config(tmp_path / "c.json"), tmp_path / "out"
         assert main([a.format(cfg=cfg, out=out) for a in argv]) == 2
         printed = capsys.readouterr()
         assert printed.err.startswith(f"error: {message}") and printed.err.count("\n") == 1
         assert printed.out == "" and not out.exists()
-
-    def test_soliton_nonpositive_speed_is_exit_2(self, tmp_path, capsys):
-        out = tmp_path / "p.csv"
-        assert main(["soliton", "--c", "-1", "--omega", "0.5", "--gamma", "1",
-                     "--L", "30", "--N", "512", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: speed must be positive and finite, got -1.0\n"
-        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "sweep-under-file", "bound",
                                          "soliton"])
@@ -963,11 +994,12 @@ class TestErrorBoundary:
             argv = ["bound", "--config", str(write_config(tmp_path / "c.json")),
                     "--out", str(missing)]
         else:
-            argv = ["soliton", "--c", "2", "--omega", "0.5", "--gamma", "1",
-                    "--L", "30", "--N", "1024", "--out", str(missing)]
+            cfg = write_config(tmp_path / "c.json", **README_SOLITON)
+            argv = ["soliton", "--config", str(cfg), "--out", str(missing)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(a_file) in err or str(missing) in err  # the write's error, not a parser's
         assert a_file.read_text() == "" and not missing.parent.exists()
 
     def test_bound_out_is_stdout_plus_newline(self, tmp_path, capsys):
