@@ -101,7 +101,11 @@ def _cmd_sweep(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a bad command line as bad input, for `main` to map to exit 2."""
+    """Takes flags only as written in full (`--c` is no `--config`), and raises a bad
+    command line as bad input, for `main` to map to exit 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")

@@ -63,6 +63,25 @@ README_SOLITON = {
     "initial": {"kind": "soliton", "c": 2.0},
 }
 
+# checkpoints every 0.5 to t = 12, under an older config's outputs switch
+CHECKPOINTED = {
+    "params": {"gamma": 1.0, "omega": 0.5}, "grid": {"L": 20.0, "N": 256},
+    "solver": {"t_end": 12.0, "sample_interval": 0.05, "checkpoint_interval": 0.5},
+    "initial": {"kind": "gaussian", "amplitude": 0.2, "width": 2.0},
+    "outputs": {"write_checkpoints": True}}
+# a restart of CHECKPOINTED's t = 1.5 checkpoint through the `file` kind to the run's
+# t = 12; the checkpoint's edge value, 1.6e-7, is above the default decay_tolerance
+RESTART = {
+    "params": CHECKPOINTED["params"], "grid": CHECKPOINTED["grid"],
+    "solver": {"t_end": 10.5, "sample_interval": 0.05, "decay_tolerance": 1e-6}}
+
+
+def written_checkpoint(tmp_path):
+    """CHECKPOINTED's t = 1.5 checkpoint, as `dispwave simulate` writes it."""
+    cfg, out = write_config(tmp_path / "checkpointed.json", **CHECKPOINTED), tmp_path / "ckpt"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    return out / "checkpoints" / "checkpoint_0003.csv"
+
 
 class TestRunConfigParsing:
     def test_minimal_config_fills_defaults(self, tmp_path):
@@ -401,34 +420,40 @@ class TestSimulateCommand:
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
-    def test_rerun_from_summary_reproduces_trace(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json",
-                           solver={"t_end": 0.5, "sample_interval": 0.1,
-                                   "checkpoint_interval": 0.25},
-                           outputs={"write_checkpoints": True})
+    @pytest.mark.parametrize("overrides,checkpoints", [
+        ({"solver": {"t_end": 0.5, "sample_interval": 0.1, "checkpoint_interval": 0.25},
+          "outputs": {"write_checkpoints": True}}, 3),
+        (README_SOLITON, 0),
+    ], ids=["checkpointed", "readme-soliton"])
+    def test_rerun_from_summary_reproduces_trace(self, tmp_path, overrides, checkpoints):
+        cfg = write_config(tmp_path / "c.json", **overrides)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["simulate", "--config", str(cfg), "--out", str(out1)])
+        assert main(["simulate", "--config", str(cfg), "--out", str(out1)]) == 0
         assert main(["simulate", "--config", str(out1 / "summary.json"),
                      "--out", str(out2)]) == 0
-        assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
-        names = sorted(f.name for f in (out1 / "checkpoints").iterdir())
-        assert names == sorted(f.name for f in (out2 / "checkpoints").iterdir())
-        assert len(names) == 3
-        for name in names:
-            assert ((out1 / "checkpoints" / name).read_bytes()
-                    == (out2 / "checkpoints" / name).read_bytes())
-        assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+        files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
+        assert len(files) == 2 + checkpoints  # trace.csv and summary.json
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
-    def test_file_run_summary_is_the_same_in_every_tree(self, tmp_path, capsys):
+    @pytest.mark.parametrize("restart", [False, True], ids=["gaussian", "checkpoint-restart"])
+    def test_file_run_summary_is_the_same_in_every_tree(self, tmp_path, capsys, restart):
         # the data path is written relative to the summary, so two trees of the same
-        # layout write the same summary.json, and each reruns from its own
-        g = Grid(20.0, 256)
-        u0 = gaussian_bump(g, 0.2, 2.0)
+        # layout write the same summary.json, and each reruns from its own; the data are
+        # a gaussian's CSV, or a checkpoint that `simulate` wrote, restarted
+        if restart:
+            config, source = RESTART, written_checkpoint(tmp_path)
+        else:
+            g = Grid(20.0, 256)
+            config, source = {}, tmp_path / "gaussian.csv"
+            write_csv(source, ("x", "u"), zip(g.x, gaussian_bump(g, 0.2, 2.0).values))
         trees = [tmp_path / "one", tmp_path / "two" / "deeper"]
         for tree in trees:
             (tree / "data").mkdir(parents=True)
-            write_csv(tree / "data" / "u.csv", ("x", "u"), zip(g.x, u0.values))
-            cfg = write_config(tree / "c.json", initial={"kind": "file", "path": "data/u.csv"})
+            (tree / "data" / "u.csv").write_bytes(source.read_bytes())
+            cfg = write_config(tree / "c.json", **config,
+                               initial={"kind": "file", "path": "data/u.csv"})
             assert main(["simulate", "--config", str(cfg), "--out", str(tree / "out")]) == 0
             assert main(["simulate", "--config", str(tree / "out" / "summary.json"),
                          "--out", str(tree / "rerun")]) == 0
@@ -585,20 +610,32 @@ class TestSolitonCommand:
     def _soliton(tmp_path, **overrides):
         return write_config(tmp_path / "c.json", **{**README_SOLITON, **overrides})
 
-    def test_writes_profile_and_prints_laws(self, tmp_path, capsys):
-        cfg, out = self._soliton(tmp_path), tmp_path / "profile.csv"
+    @pytest.mark.parametrize("overrides", [
+        {},  # the README config
+        # the gamma < 0, gamma = 0 and gamma > 1 branches (the last at 0.95 of the
+        # gamma = 2 speed cap), each on its recommended grid
+        {"params": {"gamma": -1.0, "omega": 0.5}, "grid": {"L": 46.0, "N": 1024},
+         "initial": {"kind": "soliton", "c": 2.0}},
+        {"params": {"gamma": 0.0, "omega": 0.25}, "grid": {"L": 46.0, "N": 2048},
+         "initial": {"kind": "soliton", "c": 1.0}},
+        {"params": {"gamma": 2.0, "omega": 0.5}, "grid": {"L": 47.0, "N": 8192},
+         "initial": {"kind": "soliton", "c": 1.9}},
+    ], ids=["readme", "gamma-negative", "gamma-zero", "gamma-2-cap"])
+    def test_writes_profile_and_prints_laws(self, tmp_path, capsys, overrides):
+        cfg, out = self._soliton(tmp_path, **overrides), tmp_path / "profile.csv"
         assert main(["soliton", "--config", str(cfg), "--out", str(out)]) == 0
+        rc = load_run_config(cfg)
+        c = rc.initial["c"]
+        a = c - 2.0 * rc.params.omega
         printed = capsys.readouterr().out
-        assert "a = 1\n" in printed
-        assert "kappa = 0.70710678118654757\n" in printed
+        assert printed.startswith(f"a = {fmt(a)}\nkappa = {fmt(math.sqrt(a / c))}\n")
         assert printed.endswith(f"wrote profile to {out}\n")
         # the library's profile at build_profile's default tail gate, the config's 1e-8
         expected = tmp_path / "expected.csv"
-        write_profile_csv(build_profile(SolitonParams(2.0, PdeParams(1.0, 0.5)),
-                                        Grid(30.0, 1024)), expected)
+        write_profile_csv(build_profile(SolitonParams(c, rc.params), rc.grid), expected)
         assert out.read_bytes() == expected.read_bytes()
         phi = np.loadtxt(out, delimiter=",", skiprows=2)[:, 1]
-        np.testing.assert_array_equal(phi, build_initial_field(load_run_config(cfg)).values)
+        np.testing.assert_array_equal(phi, build_initial_field(rc).values)
 
     def test_summary_is_a_config(self, tmp_path, capsys):
         cfg = self._soliton(tmp_path, solver={"t_end": 0.1, "decay_tolerance": 1e-8})
@@ -651,21 +688,31 @@ class TestBoundCommand:
         assert "global" in payload["note"]
         assert "triggered" not in payload
 
-    def test_data_file_route_matches_library(self, tmp_path, capsys):
-        g = Grid(20.0, 256)
-        u0 = steep_bump(g, 1.0, 3.0)
-        data = tmp_path / "u.csv"
-        write_csv(data, ("x", "u"), zip(g.x, u0.values))
-        cfg = write_config(tmp_path / "c.json", params={"gamma": 1.0, "omega": 0.0},
-                           initial={"kind": "file", "path": "u.csv"})
+    @pytest.mark.parametrize("source", ["steep", "checkpoint"])
+    def test_data_file_route_matches_library(self, tmp_path, capsys, source):
+        # a steep bump's CSV, and a checkpoint that `simulate` wrote, restarted
+        if source == "steep":
+            g = Grid(20.0, 256)
+            params, u0 = PdeParams(1.0, 0.0), steep_bump(g, 1.0, 3.0)
+            write_csv(tmp_path / "u.csv", ("x", "u"), zip(g.x, u0.values))
+            cfg = write_config(tmp_path / "c.json", params={"gamma": 1.0, "omega": 0.0},
+                               initial={"kind": "file", "path": "u.csv"})
+        else:
+            rc = parse_run_config(CHECKPOINTED, tmp_path)
+            params = rc.params
+            t, u0 = simulate(build_initial_field(rc), params, rc.solver).checkpoints[3]
+            assert t == 1.5
+            cfg = write_config(tmp_path / "c.json", **RESTART, initial={
+                "kind": "file", "path": str(written_checkpoint(tmp_path))})
+            capsys.readouterr()
         assert main(["bound", "--config", str(cfg)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        expected = existence_bound(u0, PdeParams(1.0, 0.0))
+        expected = existence_bound(u0, params)
         assert payload["E0"] == pytest.approx(expected.e0, rel=1e-14)
         assert payload["m0"] == pytest.approx(expected.m0, rel=1e-14)
         assert payload["T_lower"] == pytest.approx(expected.t_lower, rel=1e-14)
         assert payload["K"] == pytest.approx(expected.bracket, rel=1e-14)
-        assert payload["triggered"] is True
+        assert payload["triggered"] is (source == "steep")
 
     @pytest.mark.parametrize("case", ["nonuniform", "odd_rows", "few_rows", "three_columns",
                                       "non_numeric", "header_only"])
@@ -831,8 +878,9 @@ class TestSweepCommand:
         ("params", "gamma", [1.0, 2.0]),
         ("grid", "N", [256, 512]),
         ("solver", "blowup_m_threshold", [3.0, 4.0, 5.0]),
+        ("initial", "amplitude", [1.0, 1.5]),
     ])
-    def test_listed_number_outside_initial(self, tmp_path, section, key, values):
+    def test_listed_number_in_any_section(self, tmp_path, section, key, values):
         # each member runs its own run config: its row is the row of the one-member
         # sweep of that member, but for family_id
         def sweep(name, listed):
@@ -964,17 +1012,24 @@ class TestErrorBoundary:
         ([], "dispwave: the following arguments are required: command"),
         (["run", "--config", "{cfg}", "--out", "{out}"],
          "dispwave: argument command: invalid choice: 'run'"),
-        # the model flags soliton took before it read a run config (argparse reads `--c`
-        # as an abbreviation of --config)
+        # the model flags soliton took before it read a run config
         (["soliton", "--c", "2", "--omega", "0.5", "--gamma", "1", "--L", "30", "--N", "1024",
-          "--out", "{out}"], "dispwave: unrecognized arguments: --omega 0.5 --gamma 1 --L 30"),
+          "--out", "{out}"], "dispwave soliton: the following arguments are required: --config"),
+        # a flag is taken only as written in full, never as a prefix of another
+        (["soliton", "--c", "2", "--out", "{out}"],
+         "dispwave soliton: the following arguments are required: --config"),
+        (["sweep", "--conf", "{cfg}", "--out", "{out}", "--work", "2"],
+         "dispwave sweep: the following arguments are required: --config"),
+        (["bound", "--config", "{cfg}", "--o", "{out}"],
+         "dispwave: unrecognized arguments: --o {out}"),
     ], ids=["missing-flag", "unknown-flag", "bad-int", "no-command", "unknown-command",
-            "soliton-model-flags"])
+            "soliton-model-flags", "soliton-c", "sweep-conf-work", "bound-o"])
     def test_bad_command_line_is_exit_2(self, tmp_path, capsys, argv, message):
         cfg, out = write_config(tmp_path / "c.json"), tmp_path / "out"
         assert main([a.format(cfg=cfg, out=out) for a in argv]) == 2
         printed = capsys.readouterr()
-        assert printed.err.startswith(f"error: {message}") and printed.err.count("\n") == 1
+        assert printed.err.startswith(f"error: {message.format(out=out)}")
+        assert printed.err.count("\n") == 1
         assert printed.out == "" and not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "sweep-under-file", "bound",
@@ -1002,8 +1057,10 @@ class TestErrorBoundary:
         assert str(a_file) in err or str(missing) in err  # the write's error, not a parser's
         assert a_file.read_text() == "" and not missing.parent.exists()
 
-    def test_bound_out_is_stdout_plus_newline(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.json", **BREAKING_CONFIG, initial=STEEP_DATA)
+    @pytest.mark.parametrize("overrides", [{**BREAKING_CONFIG, "initial": STEEP_DATA},
+                                           README_SOLITON], ids=["breaking", "readme-soliton"])
+    def test_bound_out_is_stdout_plus_newline(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path / "c.json", **overrides)
         out = tmp_path / "bound.json"
         assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.read_text() == capsys.readouterr().out
@@ -1063,12 +1120,7 @@ def test_triggered_run_ending_unbroken_is_underresolved_on_both_paths(
 # addresses, passes the in-process determinism tests and fails here.
 ACROSS_PROCESSES = {
     "soliton": README_SOLITON,
-    # checkpoints every 0.5 to t = 12, and an older config's outputs switch
-    "checkpointed": {
-        "params": {"gamma": 1.0, "omega": 0.5}, "grid": {"L": 20.0, "N": 256},
-        "solver": {"t_end": 12.0, "sample_interval": 0.05, "checkpoint_interval": 0.5},
-        "initial": {"kind": "gaussian", "amplitude": 0.2, "width": 2.0},
-        "outputs": {"write_checkpoints": True}},
+    "checkpointed": CHECKPOINTED,
     # acceptance 7's data at N = 16384, where glibc once faulted pocketfft's scratch in
     "steep_n16384": {
         "params": {"gamma": 1.0, "omega": 0.0}, "grid": {"L": 6.0, "N": 16384},

@@ -1,9 +1,8 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from dispwave import (
     AdmissibilityError,
@@ -149,12 +148,13 @@ class TestBuildProfile:
         spectral = differentiate(profile.as_field(), 1).values
         assert np.max(np.abs(spectral - profile.slope)) <= 1e-7
 
-    # epsabs = 1e-16 lies below quad's roundoff floor, which it reports with a warning
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("c,gamma,omega", BRANCHES + [(1.995, 2.0, 0.5)])  # + 0.9975 of the cap
     def test_profile_matches_quadrature_reference(self, c, gamma, omega):
         # theta(x) by root-finding on an adaptive quadrature of dx/dtheta, independent
-        # of the closed form; phi = a*sech^2(theta)
+        # of the closed form; phi = a*sech^2(theta). scipy is a test-only dependency:
+        # without it this cross-check skips
+        integrate = pytest.importorskip("scipy.integrate")
+        brentq = pytest.importorskip("scipy.optimize").brentq
         p = SolitonParams(c, PdeParams(gamma, omega))
         grid = recommended_grid(p)
         profile = build_profile(p, grid, tail_tol=1e-10)
@@ -164,7 +164,10 @@ class TestBuildProfile:
             return 2.0 * math.sqrt(c - gamma * a / math.cosh(t) ** 2) / math.sqrt(a)
 
         def x_of(theta):
-            return quad(dx_dtheta, 0.0, theta, epsabs=1e-16, epsrel=1e-14)[0]
+            # epsabs = 1e-16 lies below quad's roundoff floor, which it reports with a warning
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                return integrate.quad(dx_dtheta, 0.0, theta, epsabs=1e-16, epsrel=1e-14)[0]
 
         theta_end = math.acosh(1e7)  # phi = 1e-14*a
         x_end = x_of(theta_end)
