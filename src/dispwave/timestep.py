@@ -11,8 +11,14 @@ owns the band state: it projects u0 once onto u's rfft coefficients in the
 array. Step control, trace rows, checkpoints and the final state all read
 the first stage's arrays of the state; `pde.trace_row`, the one row builder,
 takes the slope argmin and max|u| that step control found, writes none of the
-arrays and adds 1 transform. The loop keeps no warning state: the run's
-warnings are derived from its samples and stop reason.
+arrays and adds 1 transform. Besides the kernel, a step reads u once, for
+max|u| (through a scratch array made once per run), and u_x once, for the
+slope minimum. That max|u| also finds overflow: the irfft of a non-finite
+state is non-finite, so it is NaN or inf exactly when the step before it
+overflowed, and the state that step started from is still in the loop's
+other buffer. The loop runs with numpy's overflow and invalid warnings off,
+set once per run, and keeps no warning state: the run's warnings are derived
+from its samples and stop reason.
 
 A run terminates for exactly one of four reasons:
 
@@ -197,7 +203,8 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
     u, ux = rhs.u, rhs.ux  # u_hat's grid values after each rhs(u_hat, rhs.k)
     u_hat = rhs.project(u0.values)  # the one-time projection onto the band
     rhs(u_hat, rhs.k)  # each state's k1, whose transforms its trace row reuses
-    new_hat = np.empty_like(u_hat)
+    new_hat = u_hat.copy()  # after a step, the state before it
+    abs_u = np.empty_like(u)  # abs is exact: max|u| is max(u.max(), -u.min()) bit for bit
     t = 0.0
     dt_limiters = dict.fromkeys(DT_LIMITERS, 0)
     samples: list[TraceRow] = []
@@ -206,52 +213,51 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
 
     tick = config.tick
     clocks = [d for d in (config.sample_interval, config.checkpoint_interval) if d is not None]
-    while True:
-        slope = slope_argmin(ux, params.gamma)
-        m = slope[1]
-        # max |u| taken without the temporary abs(u) would allocate
-        max_u = max(float(u.max()), -float(u.min()))
-        dt_ctrl, limiter = _controlled_dt(config, grid, params, max_u, m)
-        if not samples:
-            last_dt = dt_ctrl
-        if _on_clock(t, config.checkpoint_interval, tick):
-            checkpoints.append((t, Field(grid, u)))
+    # overflow/NaN in a step is a detected outcome, not a numerical bug
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            max_u = float(np.abs(u, out=abs_u).max())
+            if not math.isfinite(max_u):
+                # the step overflowed; the last finite state is the one it started from
+                stop_reason = "blowup_nonfinite"
+                final = Field(grid, rhs.values(new_hat))
+                break
+            slope = slope_argmin(ux, params.gamma)
+            m = slope[1]
+            dt_ctrl, limiter = _controlled_dt(config, grid, params, max_u, m)
+            if not samples:
+                last_dt = dt_ctrl
+            if _on_clock(t, config.checkpoint_interval, tick):
+                checkpoints.append((t, Field(grid, u)))
 
-        if m <= -config.blowup_m_threshold:
-            stop_reason = "blowup_slope"
-        elif t >= config.t_end - tick:
-            t = config.t_end
-            stop_reason = "reached_t_end"
-        elif dt_ctrl < config.dt_min:
-            stop_reason = "dt_underflow"
+            if m <= -config.blowup_m_threshold:
+                stop_reason = "blowup_slope"
+            elif t >= config.t_end - tick:
+                t = config.t_end
+                stop_reason = "reached_t_end"
+            elif dt_ctrl < config.dt_min:
+                stop_reason = "dt_underflow"
 
-        # the initial row, every due sample, and the final row
-        if _on_clock(t, config.sample_interval, tick) or (stop_reason and samples[-1].t < t):
-            samples.append(trace_row(t, last_dt, u, ux, rhs.squares, rhs.pair, u_hat, slope,
-                                     max_u, grid, params))
-        if stop_reason:
-            final = Field(grid, u)
-            break
+            # the initial row, every due sample, and the final row
+            if _on_clock(t, config.sample_interval, tick) or (stop_reason and samples[-1].t < t):
+                samples.append(trace_row(t, last_dt, u, ux, rhs.squares, rhs.pair, u_hat,
+                                         slope, max_u, grid, params))
+            if stop_reason:
+                final = Field(grid, u)
+                break
 
-        # the next event is the first multiple of an interval a tick past t; a step
-        # that would end within a tick of it lands on it exactly
-        t_event = min([config.t_end] + [(math.floor((t + tick) / d) + 1) * d for d in clocks])
-        landing = dt_ctrl >= t_event - t - tick
-        dt = t_event - t if landing else dt_ctrl
+            # the next event is the first multiple of an interval a tick past t; a step
+            # that would end within a tick of it lands on it exactly
+            t_event = min([config.t_end] + [(math.floor((t + tick) / d) + 1) * d for d in clocks])
+            landing = dt_ctrl >= t_event - t - tick
+            dt = t_event - t if landing else dt_ctrl
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            # overflow/NaN here is a detected outcome, not a numerical bug
             rhs.step(u_hat, dt, new_hat)
             rhs(new_hat, rhs.k)
-        dt_limiters["landing" if landing else limiter] += 1
-        t = t_event if landing else t + dt
-        if not np.isfinite(new_hat).all():
-            stop_reason = "blowup_nonfinite"
-            # the stages overwrote u, so the last finite state needs a transform
-            final = Field(grid, rhs.values(u_hat))
-            break
-        u_hat, new_hat = new_hat, u_hat
-        last_dt = dt
+            dt_limiters["landing" if landing else limiter] += 1
+            t = t_event if landing else t + dt
+            u_hat, new_hat = new_hat, u_hat
+            last_dt = dt
 
     return SimulationResult(samples=samples, checkpoints=checkpoints, stop_reason=stop_reason,
                             t_stop=t, final_state=final, dt_limiters=dt_limiters)

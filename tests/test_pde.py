@@ -108,6 +108,7 @@ class TestRhsNonlocal:
         p = PdeParams(1.3, 0.4)
         assert np.all(rhs_nonlocal(zero_field(grid_small), p).values == 0.0)
 
+    @pytest.mark.scipy
     def test_against_direct_convolution_oracle(self):
         # gamma = omega = 0 reduces the dynamics to u_t = -d/dx p*(3/2 u^2);
         # re-evaluate that with direct quadrature of the periodic Green's

@@ -148,6 +148,7 @@ class TestBuildProfile:
         spectral = differentiate(profile.as_field(), 1).values
         assert np.max(np.abs(spectral - profile.slope)) <= 1e-7
 
+    @pytest.mark.scipy
     @pytest.mark.parametrize("c,gamma,omega", BRANCHES + [(1.995, 2.0, 0.5)])  # + 0.9975 of the cap
     def test_profile_matches_quadrature_reference(self, c, gamma, omega):
         # theta(x) by root-finding on an adaptive quadrature of dx/dtheta, independent

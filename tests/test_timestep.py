@@ -322,6 +322,37 @@ class TestSimulate:
         assert transform_count["transforms"] - before == 4 * res.rhs_evaluations + 3
         assert np.max(np.abs(res.final_state.values - u0.values)) <= 1e-12 * 1e160
 
+    def test_overflow_after_finite_steps_keeps_the_last_one(self, grid_small, transform_count):
+        # gamma = omega = 0 puts no CFL or Riccati cap on dt = 0.5, far too long for
+        # max|u| = 100: RK4 grows u to 4e16 and then 2e250 in two finite steps, and
+        # u^2 overflows in the third
+        u0 = gaussian_bump(grid_small, 100.0, 1.0)
+        p = PdeParams(0.0, 0.0)
+        cfg = SolverConfig(t_end=10.0, dt_init=0.5, sample_interval=0.5)
+        before = transform_count["transforms"]
+        res = simulate(u0, p, cfg)
+        assert res.stop_reason == "blowup_nonfinite" and res.t_stop == 1.5
+        assert res.steps == 3 and [r.t for r in res.samples] == [0.0, 0.5, 1.0]
+        # besides the evaluations, u0's projection and the last finite state's grid
+        # values; at gamma = 0 a row takes no Riccati bracket
+        assert transform_count["transforms"] - before == 4 * res.rhs_evaluations + 2
+        last_finite = simulate(u0, p, dataclasses.replace(cfg, t_end=1.0))
+        assert last_finite.stop_reason == "reached_t_end" and last_finite.steps == 2
+        assert np.all(np.isfinite(res.final_state.values))
+        assert np.max(np.abs(res.final_state.values)) > 1e250
+        assert np.array_equal(res.final_state.values, last_finite.final_state.values)
+
+    @pytest.mark.parametrize("amplitude,stop", [(0.1, "reached_t_end"),
+                                                (100.0, "blowup_nonfinite")])
+    def test_leaves_numpy_error_state_as_found(self, grid_small, amplitude, stop):
+        # the caller's raise stays outside the run; inside it, overflow is an outcome
+        cfg = SolverConfig(t_end=2.0, dt_init=0.5, sample_interval=0.5)
+        with np.errstate(over="raise", invalid="raise"):
+            found = np.geterr()
+            res = simulate(gaussian_bump(grid_small, amplitude, 1.0), PdeParams(0.0, 0.0), cfg)
+            assert np.geterr() == found
+        assert res.stop_reason == stop
+
     def test_transform_budget(self, grid_small, transform_count):
         # dt_init is far below the CFL and Riccati caps, so a run to
         # t_end = steps * dt_init takes exactly that many steps
