@@ -1,14 +1,15 @@
 """Paired end-to-end benchmark of the working tree against a base commit.
 
     python3 bench_pairs.py --base HEAD~1 --out BENCH_35.json
-    python3 bench_pairs.py --base HEAD --pairs 10 --seconds 8 --workload soliton_cli
+    python3 bench_pairs.py --base HEAD --pairs 12 --seconds 8 --workload soliton_cli
 
 Run from the repository root. The base commit is copied with `git archive`
 into a temporary directory. For each workload, each pair runs
 `perfbench/run.py --workload W --seed S --seconds T --trace 0` once on the
 base copy and once on the working tree, and the side that runs first
 alternates from pair to pair, so drift of the host's speed falls on both
-sides alike. The JSON file written holds both SHAs, per-side medians and
+sides alike. A run lasts BENCHMARK.json's run_seconds unless --seconds is
+given. The JSON file written holds both SHAs, per-side medians and
 quartiles of every end-to-end metric with each pair's values, how many pairs
 the working tree won (a strictly lower value), failed repetitions per side,
 and the environment record perfbench wrote on each side.
@@ -84,7 +85,8 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD", help="the commit to compare against")
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--seconds", type=float,
+                        default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     args = parser.parse_args(argv)
