@@ -1,11 +1,11 @@
 """Paired end-to-end benchmark of the working tree against a base commit.
 
-    python3 bench_pairs.py --base HEAD~1 --out BENCH_35.json
+    python3 bench_pairs.py --base HEAD~1 --out pairs.json
     python3 bench_pairs.py --base HEAD --pairs 12 --seconds 8 --workload soliton_cli
 
 Run from the repository root. The base commit is copied with `git archive`
 into a temporary directory. For each workload, each pair runs
-`perfbench/run.py --workload W --seed S --seconds T --trace 0` once on the
+`perfbench/run.py --workload W --seed 0 --seconds T --trace 0` once on the
 base copy and once on the working tree, and the side that runs first
 alternates from pair to pair, so drift of the host's speed falls on both
 sides alike. A run lasts BENCHMARK.json's run_seconds unless --seconds is
@@ -36,15 +36,15 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """perfbench's result line and environment record for one run on tree."""
+def _run(tree: Path, workload: str, seconds: float) -> tuple[dict, dict]:
+    """perfbench's result line and environment record for one seed-0 run on tree."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"],
+                           "--seed", "0", "--seconds", repr(seconds), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{workload} on {tree} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    env = json.loads((tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0"
+    env = json.loads((tree / "perfbench" / "out" / f"{workload}-seed0-trace0"
                       / "env.json").read_text())
     return result, env
 
@@ -55,15 +55,17 @@ def _summary(values: list[float]) -> dict:
             "values": values}
 
 
-def compare(trees: dict[str, Path], workload: str, pairs: int, seed: int,
-            seconds: float, envs: dict) -> dict:
+def compare(trees: dict[str, Path], workload: str, pairs: int, seconds: float,
+            envs: dict) -> dict:
+    """One workload's pairs: the side run first, failed repetitions, and per metric
+    each side's summary and the working tree's wins; envs takes each side's record."""
     runs = {side: [] for side in trees}
     order = []
     for k in range(pairs):
         sides = ("base", "work") if k % 2 == 0 else ("work", "base")
         order.append(sides[0])
         for side in sides:
-            result, envs[side] = _run(trees[side], workload, seed, seconds)
+            result, envs[side] = _run(trees[side], workload, seconds)
             runs[side].append(result)
             print(f"{workload} pair {k + 1}/{pairs} {side}: wall_s "
                   f"{result['metrics']['wall_s']['value']:.4g}", file=sys.stderr)
@@ -87,7 +89,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float,
                         default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -98,7 +99,7 @@ def main(argv=None) -> int:
         "base": {"rev": args.base, "sha": base_sha},
         "work": {"sha": _git("rev-parse", "HEAD"),
                  "uncommitted": bool(_git("status", "--porcelain", "--", "src", "perfbench"))},
-        "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+        "seed": 0, "seconds": args.seconds, "pairs": args.pairs,
         "workloads": {},
     }
     envs: dict[str, dict] = {}
@@ -109,8 +110,8 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", str(scratch)], input=archive, check=True)
         trees = {"base": scratch, "work": ROOT}
         for workload in args.workload or WORKLOADS:
-            record["workloads"][workload] = compare(trees, workload, args.pairs, args.seed,
-                                                    args.seconds, envs)
+            record["workloads"][workload] = compare(trees, workload, args.pairs, args.seconds,
+                                                    envs)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     record["env"] = envs
