@@ -1,18 +1,17 @@
 """Paired end-to-end benchmark of the working tree against a base commit.
 
     python3 bench_pairs.py --base HEAD~1 --out pairs.json
-    python3 bench_pairs.py --base HEAD --pairs 12 --seconds 8 --workload soliton_cli
 
 Run from the repository root. The base commit is copied with `git archive`
-into a temporary directory. For each workload, each pair runs
-`perfbench/run.py --workload W --seed 0 --seconds T --trace 0` once on the
-base copy and once on the working tree, and the side that runs first
-alternates from pair to pair, so drift of the host's speed falls on both
-sides alike. A run lasts BENCHMARK.json's run_seconds unless --seconds is
-given. The JSON file written holds both SHAs, per-side medians and
-quartiles of every end-to-end metric with each pair's values, how many pairs
-the working tree won (a strictly lower value), failed repetitions per side,
-and the environment record perfbench wrote on each side.
+into a temporary directory. For each workload in BENCHMARK.json, each of 10
+pairs runs `perfbench/run.py --workload W --seed 0 --seconds T --trace 0`,
+T being BENCHMARK.json's run_seconds, once on the base copy and once on the
+working tree, and the side that runs first alternates from pair to pair, so
+drift of the host's speed falls on both sides alike. The JSON file written
+holds both SHAs, per-side medians and quartiles of every end-to-end metric
+in BENCHMARK.json with each pair's values, how many pairs the working tree
+won (strictly better, in the direction the metric's `better` names), failed
+repetitions per side, and the environment record perfbench wrote on each side.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent
-WORKLOADS = ("soliton_cli", "breaking_n16k", "sweep_n8192")
-METRICS = ("setup_s", "wall_s", "cpu_s", "peak_rss_mb")  # lower is better for each
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+PAIRS = 10  # the fewest pairs a gain claim is judged on
 
 
 def _git(*args: str) -> str:
@@ -55,27 +54,27 @@ def _summary(values: list[float]) -> dict:
             "values": values}
 
 
-def compare(trees: dict[str, Path], workload: str, pairs: int, seconds: float,
-            envs: dict) -> dict:
+def compare(trees: dict[str, Path], workload: str, envs: dict) -> dict:
     """One workload's pairs: the side run first, failed repetitions, and per metric
     each side's summary and the working tree's wins; envs takes each side's record."""
     runs = {side: [] for side in trees}
     order = []
-    for k in range(pairs):
+    for k in range(PAIRS):
         sides = ("base", "work") if k % 2 == 0 else ("work", "base")
         order.append(sides[0])
         for side in sides:
-            result, envs[side] = _run(trees[side], workload, seconds)
+            result, envs[side] = _run(trees[side], workload, SPEC["run_seconds"])
             runs[side].append(result)
-            print(f"{workload} pair {k + 1}/{pairs} {side}: wall_s "
+            print(f"{workload} pair {k + 1}/{PAIRS} {side}: wall_s "
                   f"{result['metrics']['wall_s']['value']:.4g}", file=sys.stderr)
     metrics = {}
-    for name in METRICS:
+    for metric in SPEC["end_to_end"]:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in trees}
         metrics[name] = {
-            "unit": runs["base"][0]["metrics"][name]["unit"],
+            "unit": metric["unit"], "better": metric["better"],
             **{side: _summary(v) for side, v in values.items()},
-            "work_wins": sum(w < b for b, w in zip(values["base"], values["work"])),
+            "work_wins": sum(sign * w < sign * b for b, w in zip(values["base"], values["work"])),
         }
     return {"first": order,
             "failed": {side: sum(r["failed"] for r in runs[side]) for side in trees},
@@ -86,20 +85,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="the commit to compare against")
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float,
-                        default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
 
     base_sha = _git("rev-parse", args.base)
     record = {
         "base": {"rev": args.base, "sha": base_sha},
         "work": {"sha": _git("rev-parse", "HEAD"),
                  "uncommitted": bool(_git("status", "--porcelain", "--", "src", "perfbench"))},
-        "seed": 0, "seconds": args.seconds, "pairs": args.pairs,
+        "seed": 0, "seconds": SPEC["run_seconds"], "pairs": PAIRS,
         "workloads": {},
     }
     envs: dict[str, dict] = {}
@@ -109,9 +102,8 @@ def main(argv=None) -> int:
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(scratch)], input=archive, check=True)
         trees = {"base": scratch, "work": ROOT}
-        for workload in args.workload or WORKLOADS:
-            record["workloads"][workload] = compare(trees, workload, args.pairs, args.seconds,
-                                                    envs)
+        for workload in (w["name"] for w in SPEC["workloads"]):
+            record["workloads"][workload] = compare(trees, workload, envs)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     record["env"] = envs
@@ -120,7 +112,7 @@ def main(argv=None) -> int:
         for name, m in found["metrics"].items():
             print(f"{workload:<14} {name:<12} base {m['base']['median']:.4g} "
                   f"(IQR {m['base']['iqr']:.2g})  work {m['work']['median']:.4g} "
-                  f"(IQR {m['work']['iqr']:.2g})  work won {m['work_wins']}/{args.pairs}")
+                  f"(IQR {m['work']['iqr']:.2g})  work won {m['work_wins']}/{PAIRS}")
     return 0
 
 

@@ -11,12 +11,12 @@ owns the band state: it projects u0 once onto u's rfft coefficients in the
 array. Step control, trace rows, checkpoints and the final state all read
 the first stage's arrays of the state; `pde.trace_row`, the one row builder,
 takes the slope argmin and max|u| that step control found, writes none of the
-arrays and adds 1 transform. Besides the kernel, a step reads u once, for
-max|u| (through a scratch array made once per run), and u_x once, for the
-slope minimum. That max|u| also finds overflow: the irfft of a non-finite
-state is non-finite, so it is NaN or inf exactly when the step before it
-overflowed, and the state that step started from is still in the loop's
-other buffer. The loop runs with numpy's overflow and invalid warnings off,
+arrays and adds 1 transform. Besides the kernel, a step reads u twice, for
+max|u| = max(u.max(), -u.min()), and u_x once, for the slope minimum. That
+max|u| also finds overflow: the irfft of a non-finite state is non-finite and
+both reductions carry NaN and inf, so it is NaN or inf exactly when the step
+before it overflowed, and the state that step started from is still in the
+loop's other buffer. The loop runs with numpy's overflow and invalid warnings off,
 set once per run, and keeps no warning state: the run's warnings are derived
 from its samples and stop reason.
 
@@ -202,9 +202,7 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
     rhs = SpectralRhs(grid, params)
     u, ux = rhs.u, rhs.ux  # u_hat's grid values after each rhs(u_hat, rhs.k)
     u_hat = rhs.project(u0.values)  # the one-time projection onto the band
-    rhs(u_hat, rhs.k)  # each state's k1, whose transforms its trace row reuses
     new_hat = u_hat.copy()  # after a step, the state before it
-    abs_u = np.empty_like(u)  # abs is exact: max|u| is max(u.max(), -u.min()) bit for bit
     t = 0.0
     dt_limiters = dict.fromkeys(DT_LIMITERS, 0)
     samples: list[TraceRow] = []
@@ -215,8 +213,9 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
     clocks = [d for d in (config.sample_interval, config.checkpoint_interval) if d is not None]
     # overflow/NaN in a step is a detected outcome, not a numerical bug
     with np.errstate(over="ignore", invalid="ignore"):
+        rhs(u_hat, rhs.k)  # each state's k1, whose transforms its trace row reuses
         while True:
-            max_u = float(np.abs(u, out=abs_u).max())
+            max_u = max(float(u.max()), -float(u.min()))
             if not math.isfinite(max_u):
                 # the step overflowed; the last finite state is the one it started from
                 stop_reason = "blowup_nonfinite"

@@ -1205,8 +1205,10 @@ def test_perfbench_inputs_parse(tmp_path, monkeypatch):
             assert np.array_equal(build_initial_field(rc).values, expected.values)
 
 
+@pytest.mark.scipy
 def test_import_loads_numpy_only():
-    # scipy is a test-only dependency: the package and its CLI must not import it
+    # scipy is a test-only dependency: the package and its CLI must not import it, also
+    # where it is installed and a guarded import would succeed (hence the marker)
     probe = ("import sys, dispwave, dispwave.cli; "
              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,

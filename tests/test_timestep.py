@@ -343,9 +343,11 @@ class TestSimulate:
         assert np.array_equal(res.final_state.values, last_finite.final_state.values)
 
     @pytest.mark.parametrize("amplitude,stop", [(0.1, "reached_t_end"),
-                                                (100.0, "blowup_nonfinite")])
+                                                (100.0, "blowup_nonfinite"),
+                                                (1e160, "blowup_nonfinite")])
     def test_leaves_numpy_error_state_as_found(self, grid_small, amplitude, stop):
-        # the caller's raise stays outside the run; inside it, overflow is an outcome
+        # the caller's raise stays outside the run; inside it, overflow is an outcome,
+        # in a later step (100) or already in u0's own k1 (1e160)
         cfg = SolverConfig(t_end=2.0, dt_init=0.5, sample_interval=0.5)
         with np.errstate(over="raise", invalid="raise"):
             found = np.geterr()
