@@ -4,9 +4,10 @@ A config must reproduce a run exactly, so parsing is deliberately rigid: every k
 checked against a whitelist, types are enforced, referenced files must exist at parse
 time, and the resolved form (all defaults filled in) is what summary artifacts embed.
 
-A run config has `params`, `grid`, `solver` and `initial`, whose `kind` key selects its
-schema from a table; a `file` path resolves against the config's directory, and a summary
-writes it relative to its own. A sweep config is a run config in which exactly one number
+A run config has `params`, `grid`, `solver` and `initial`. One table defines the initial
+kinds: per kind, its keys, required and optional (`center`, 0 when absent), and the builder
+of its field. A `file` path resolves against the config's directory, and a summary writes
+it relative to its own. A sweep config is a run config in which exactly one number
 of `params`, `grid`, `solver` or `initial` is a list; each listed value makes one member,
 the run config the sweep executor takes. A config holds only what changes a run's numbers:
 the output directory is the command's `--out`, a run always writes its trace and its
@@ -96,12 +97,16 @@ def _parse_solver(data: dict) -> SolverConfig:
         raise ConfigError(f"solver: {err}") from err
 
 
-_INITIAL_SCHEMAS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "gaussian": (("amplitude", "width"), ("center",)),
-    "steep": (("amplitude", "steepness"), ("center",)),
-    "soliton": (("c",), ()),
-    "scaled_soliton": (("c", "alpha"), ()),
-    "file": (("path",), ()),
+# per kind: its required keys, its optional keys (0.0 when absent) and its field's builder
+_INITIAL_KINDS = {
+    "gaussian": (("amplitude", "width"), ("center",), lambda rc: gaussian_bump(
+        rc.grid, rc.initial["amplitude"], rc.initial["width"], rc.initial["center"])),
+    "steep": (("amplitude", "steepness"), ("center",), lambda rc: steep_bump(
+        rc.grid, rc.initial["amplitude"], rc.initial["steepness"], rc.initial["center"])),
+    "soliton": (("c",), (), lambda rc: soliton_profile(rc).as_field()),
+    "scaled_soliton": (("c", "alpha"), (), lambda rc: Field(
+        rc.grid, rc.initial["alpha"] * soliton_profile(rc).values)),
+    "file": (("path",), (), lambda rc: field_from_csv(rc.grid, rc.initial["path"])),
 }
 
 
@@ -110,15 +115,15 @@ def _parse_initial(spec, base_dir: Path) -> dict:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("initial: expected an object with a 'kind' key")
     kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in _INITIAL_SCHEMAS:
+    if not isinstance(kind, str) or kind not in _INITIAL_KINDS:
         raise ConfigError(f"initial.kind: unknown kind {kind!r}, "
-                          f"expected one of {sorted(_INITIAL_SCHEMAS)}")
-    required, optional = _INITIAL_SCHEMAS[kind]
+                          f"expected one of {sorted(_INITIAL_KINDS)}")
+    required, optional, _ = _INITIAL_KINDS[kind]
     _check_keys(spec, "initial", ("kind",) + required, optional)
     resolved: dict = {"kind": kind}
     for key in required + optional:
         if key not in spec:
-            resolved[key] = 0.0  # "center" is the only optional key
+            resolved[key] = 0.0
         elif key == "path":
             raw = spec[key]
             if not isinstance(raw, str):
@@ -259,20 +264,7 @@ def soliton_profile(rc: RunConfig) -> SolitonProfile:
 
 def build_initial_field(rc: RunConfig) -> Field:
     """Materialize the configured initial data on the configured grid."""
-    init = rc.initial
-    kind = init["kind"]
-    if kind == "gaussian":
-        return gaussian_bump(rc.grid, init["amplitude"], init["width"], init["center"])
-    if kind == "steep":
-        return steep_bump(rc.grid, init["amplitude"], init["steepness"], init["center"])
-    if kind in ("soliton", "scaled_soliton"):
-        profile = soliton_profile(rc)
-        if kind == "soliton":
-            return profile.as_field()
-        return Field(rc.grid, init["alpha"] * profile.values)
-    if kind == "file":
-        return field_from_csv(rc.grid, init["path"])
-    raise ConfigError(f"initial.kind: unhandled kind {kind!r}")
+    return _INITIAL_KINDS[rc.initial["kind"]][2](rc)
 
 
 def load_sweep_config(path) -> list[tuple[float, RunConfig]]:

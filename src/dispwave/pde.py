@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, Grid, dealias, differentiate, irfft, rfft
+from .spectral import Field, Grid, dealias, differentiate, edge_abs, irfft, rfft
 
 
 @dataclass(frozen=True)
@@ -333,7 +333,7 @@ def trace_row(t: float, dt: float, u: np.ndarray, ux: np.ndarray, squares: np.nd
     return TraceRow(t=t, dt=dt, energy=_energy_sum(squares, grid), max_u=max_u,
                     hamiltonian=float(grid.spacing * np.sum(density)), m=m, xi=float(grid.x[i]),
                     tail=tail, m_rhs=riccati_rate(u_hat, squares_hat, u, i, m, grid, params),
-                    min_ux=min_ux, boundary=max(abs(float(u[0])), abs(float(u[-1]))))
+                    min_ux=min_ux, boundary=edge_abs(u))
 
 
 def slope_sample(u: Field, params: PdeParams, t: float = 0.0) -> TraceRow:

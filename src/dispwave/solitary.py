@@ -34,7 +34,7 @@ import numpy as np
 
 from .fileio import fmt, write_csv
 from .pde import PdeParams
-from .spectral import Field, Grid, differentiate, irfft
+from .spectral import Field, Grid, differentiate, edge_abs, irfft
 from .timestep import SimulationResult, SolverConfig, simulate
 
 _TAIL_FLOOR_FRACTION = 1e-14  # below this fraction of the peak the profile is exact zero
@@ -271,12 +271,11 @@ def verify_traveling(profile: SolitonProfile, t_end: float,
     grid = profile.grid
     u0 = profile.as_field()
     if config is None:
-        edge = max(abs(float(profile.values[0])), abs(float(profile.values[-1])))
         config = SolverConfig(
             t_end=t_end,
             sample_interval=max(t_end / 50.0, 1e-3),
             checkpoint_interval=t_end / 10.0,
-            decay_tolerance=max(1e-10, 4.0 * edge),
+            decay_tolerance=max(1e-10, 4.0 * edge_abs(profile.values)),
         )
     result: SimulationResult = simulate(u0, profile.params.params, config)
     if result.stop_reason != "reached_t_end":

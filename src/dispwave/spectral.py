@@ -82,6 +82,11 @@ def irfft(spectrum: np.ndarray, n: int | None = None, out: np.ndarray | None = N
     return _pocketfft.irfft(spectrum, 1.0 / n, out=out)
 
 
+def edge_abs(values: np.ndarray) -> float:
+    """The larger |v| at the box edge |x| = L: max(|v[0]|, |v[-1]|)."""
+    return max(abs(float(values[0])), abs(float(values[-1])))
+
+
 class NonFiniteFieldError(ValueError):
     """A field contains NaN or infinity where a finite value is required."""
 

@@ -16,9 +16,10 @@ max|u| = max(u.max(), -u.min()), and u_x once, for the slope minimum. That
 max|u| also finds overflow: the irfft of a non-finite state is non-finite and
 both reductions carry NaN and inf, so it is NaN or inf exactly when the step
 before it overflowed, and the state that step started from is still in the
-loop's other buffer. The loop runs with numpy's overflow and invalid warnings off,
-set once per run, and keeps no warning state: the run's warnings are derived
-from its samples and stop reason.
+loop's other buffer; before the first step it reads u0's projection, whose
+overflow is inadmissible data and raises. The loop runs with numpy's overflow
+and invalid warnings off, set once per run, and keeps no warning state: the
+run's warnings are derived from its samples and stop reason.
 
 A run terminates for exactly one of four reasons:
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pde import PdeParams, SpectralRhs, TraceRow, slope_argmin, trace_row
-from .spectral import Field, Grid
+from .spectral import Field, Grid, NonFiniteFieldError, edge_abs
 
 
 class BoundaryDecayError(ValueError):
@@ -191,18 +192,18 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
 
     Records summary rows every sample_interval (plus the initial and final
     instants) and full field snapshots every checkpoint_interval when set.
-    Blow-up is a result, not an error; only inadmissible initial data raises.
+    Blow-up is a result, not an error; only inadmissible initial data raise: data that
+    do not decay at |x| = L (`BoundaryDecayError`) or whose band projection overflows
+    (`NonFiniteFieldError`).
     """
     grid = u0.grid
-    boundary0 = max(abs(float(u0.values[0])), abs(float(u0.values[-1])))
+    boundary0 = edge_abs(u0.values)
     if boundary0 > config.decay_tolerance:
         raise BoundaryDecayError(f"initial data must decay below {config.decay_tolerance:g} "
                                  f"at |x| = L, found {boundary0:g}")
 
     rhs = SpectralRhs(grid, params)
     u, ux = rhs.u, rhs.ux  # u_hat's grid values after each rhs(u_hat, rhs.k)
-    u_hat = rhs.project(u0.values)  # the one-time projection onto the band
-    new_hat = u_hat.copy()  # after a step, the state before it
     t = 0.0
     dt_limiters = dict.fromkeys(DT_LIMITERS, 0)
     samples: list[TraceRow] = []
@@ -213,10 +214,16 @@ def simulate(u0: Field, params: PdeParams, config: SolverConfig) -> SimulationRe
     clocks = [d for d in (config.sample_interval, config.checkpoint_interval) if d is not None]
     # overflow/NaN in a step is a detected outcome, not a numerical bug
     with np.errstate(over="ignore", invalid="ignore"):
+        u_hat = rhs.project(u0.values)  # the one-time projection onto the band
+        new_hat = u_hat.copy()  # after a step, the state before it
         rhs(u_hat, rhs.k)  # each state's k1, whose transforms its trace row reuses
         while True:
             max_u = max(float(u.max()), -float(u.min()))
             if not math.isfinite(max_u):
+                if not samples:  # u0's own state: finite data whose mode sums overflow
+                    raise NonFiniteFieldError(
+                        "the initial data's band projection overflowed: its grid values are "
+                        f"not finite, at max|u0| = {float(np.abs(u0.values).max()):g}")
                 # the step overflowed; the last finite state is the one it started from
                 stop_reason = "blowup_nonfinite"
                 final = Field(grid, rhs.values(new_hat))

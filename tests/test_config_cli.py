@@ -245,6 +245,27 @@ class TestInitialData:
         with pytest.raises(ValueError, match="does not match"):
             field_from_csv(g, path)
 
+    @pytest.mark.parametrize("initial,preset", [
+        ({"kind": "gaussian", "amplitude": 0.3, "width": 2.0, "center": 1.5},
+         lambda g, p, csv: gaussian_bump(g, 0.3, 2.0, 1.5)),
+        ({"kind": "steep", "amplitude": 1.0, "steepness": 3.0, "center": -0.5},
+         lambda g, p, csv: steep_bump(g, 1.0, 3.0, -0.5)),
+        ({"kind": "soliton", "c": 2.0},
+         lambda g, p, csv: build_profile(SolitonParams(2.0, p), g, tail_tol=1e-8).as_field()),
+        ({"kind": "scaled_soliton", "c": 2.0, "alpha": 0.5},
+         lambda g, p, csv: Field(g, 0.5 * build_profile(SolitonParams(2.0, p), g,
+                                                        tail_tol=1e-8).values)),
+        ({"kind": "file", "path": "u.csv"}, lambda g, p, csv: field_from_csv(g, csv)),
+    ], ids=["gaussian", "steep", "soliton", "scaled_soliton", "file"])
+    def test_each_kind_is_its_preset(self, tmp_path, initial, preset):
+        # build_initial_field is the kind's preset on the config's numbers, bit for bit, on
+        # the README soliton's grid, params and tail gate (decay_tolerance 1e-8)
+        g, csv = Grid(30.0, 1024), tmp_path / "u.csv"
+        write_csv(csv, ("x", "u"), zip(g.x, steep_bump(g, 1.0, 3.0, 0.25).values))
+        rc = parse_run_config({**README_SOLITON, "initial": initial}, tmp_path)
+        expected = preset(rc.grid, rc.params, csv)
+        assert np.array_equal(build_initial_field(rc).values, expected.values)
+
     def test_soliton_initial_kinds(self, tmp_path):
         path = write_config(
             tmp_path / "c.json",
@@ -989,9 +1010,13 @@ class TestErrorBoundary:
         ({"params": {"gamma": 1.0, "omega": 0.0}, "grid": {"L": 6.0, "N": 256},
           "initial": {"kind": "steep", "amplitude": 1.0, "steepness": 0.1}},
          "initial data must decay below"),
+        ({"grid": {"L": 40.0, "N": 1024},
+          "initial": {"kind": "gaussian", "amplitude": 1e306, "width": 1.0}},
+         "the initial data's band projection overflowed: its grid values are not finite, "
+         "at max|u0| = 1e+306\n"),
     ], ids=["solver-not-object", "float-N", "negative-L", "negative-t_end", "file-path-int",
             "retired-cfl_fraction", "missing-config", "width-0", "steepness-0",
-            "soliton-inadmissible", "soliton-narrow-box", "decay-gate"])
+            "soliton-inadmissible", "soliton-narrow-box", "decay-gate", "projection-overflow"])
     def test_simulate_rejection_leaves_no_output(self, tmp_path, capsys, overrides, message):
         cfg = tmp_path / "c.json"
         if overrides is not None:

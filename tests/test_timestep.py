@@ -342,6 +342,23 @@ class TestSimulate:
         assert np.max(np.abs(res.final_state.values)) > 1e250
         assert np.array_equal(res.final_state.values, last_finite.final_state.values)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_projection_raises_before_any_step(self, transform_count):
+        # finite data whose mode sums pass the float range: at 1e306 the band's
+        # coefficients are finite and their grid values are not, at 1.5e308 the
+        # coefficients are not either; at 1e305 the run still breaks at t = 0
+        grid, p, cfg = Grid(40.0, 1024), PdeParams(1.0, 0.0), SolverConfig(t_end=1.0)
+        for amplitude in (1e306, 1.5e308):
+            before = transform_count["transforms"]
+            with pytest.raises(NonFiniteFieldError) as err:
+                simulate(gaussian_bump(grid, amplitude, 1.0), p, cfg)
+            assert str(err.value) == ("the initial data's band projection overflowed: its grid "
+                                      f"values are not finite, at max|u0| = {amplitude:g}")
+            # u0's projection and its k1, and no step
+            assert transform_count["transforms"] - before == 1 + 4
+        res = simulate(gaussian_bump(grid, 1e305, 1.0), p, cfg)
+        assert res.stop_reason == "blowup_slope" and res.t_stop == 0.0 and res.steps == 0
+
     @pytest.mark.parametrize("amplitude,stop", [(0.1, "reached_t_end"),
                                                 (100.0, "blowup_nonfinite"),
                                                 (1e160, "blowup_nonfinite")])
