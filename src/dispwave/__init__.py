@@ -27,7 +27,8 @@ from .blowup import (
     sharpness_experiment,
     write_comparison_csv,
 )
-from .initial import field_from_csv, gaussian_bump, steep_bump
+from .config import gaussian_bump, steep_bump
+from .fileio import field_from_csv
 from .pde import (
     PdeParams,
     TraceRow,

@@ -6,11 +6,14 @@ time, and the resolved form (all defaults filled in) is what summary artifacts e
 
 A run config has `params`, `grid`, `solver` and `initial`. One table defines the initial
 kinds: per kind, its keys, required and optional (`center`, 0 when absent), and the builder
-of its field. A `file` path resolves against the config's directory, and a summary writes
-it relative to its own. A sweep config is a run config in which exactly one number
-of `params`, `grid`, `solver` or `initial` is a list; each listed value makes one member,
-the run config the sweep executor takes. A config holds only what changes a run's numbers:
-the output directory is the command's `--out`, a run always writes its trace and its
+of its field. The `gaussian` and `steep` presets sit beside it: the analysis sees initial
+data only through the energy E(u0) and the slope minimum min gamma*u0', and the presets make
+both controllable. The `file` kind reads the checkpoint `x,u` CSV through `fileio`, which
+writes it; its path resolves against the config's directory, and a summary writes it
+relative to its own. A sweep config is a run config in which exactly one number of
+`params`, `grid`, `solver` or `initial` is a list; each listed value makes one member, the
+run config the sweep executor takes. A config holds only what changes a run's numbers: the
+output directory is the command's `--out`, a run always writes its trace and its
 checkpoints exactly when `solver.checkpoint_interval` is set. The keys older configs and
 summaries carry for those are in `_RETIRED`.
 """
@@ -23,7 +26,9 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .initial import field_from_csv, gaussian_bump, steep_bump
+import numpy as np
+
+from .fileio import field_from_csv
 from .pde import PdeParams
 from .solitary import SolitonParams, SolitonProfile, build_profile
 from .spectral import PINNED_N_MAX, Field, Grid
@@ -95,6 +100,25 @@ def _parse_solver(data: dict) -> SolverConfig:
         return SolverConfig(**kwargs)
     except ValueError as err:
         raise ConfigError(f"solver: {err}") from err
+
+
+def gaussian_bump(grid: Grid, amplitude: float, width: float, center: float = 0.0) -> Field:
+    """amplitude * exp(-((x - center)/width)^2)."""
+    if width <= 0:
+        raise ValueError(f"width must be positive, got {width}")
+    return Field(grid, amplitude * np.exp(-(((grid.x - center) / width) ** 2)))
+
+
+def steep_bump(grid: Grid, amplitude: float, steepness: float, center: float = 0.0) -> Field:
+    """amplitude * sech^2(steepness * (x - center)).
+
+    min u' = -(4/(3*sqrt(3))) * amplitude * steepness, so the breaking
+    criterion can be hit at will while the energy grows only linearly in
+    the steepness.
+    """
+    if steepness <= 0:
+        raise ValueError(f"steepness must be positive, got {steepness}")
+    return Field(grid, amplitude / np.cosh(steepness * (grid.x - center)) ** 2)
 
 
 # per kind: its required keys, its optional keys (0.0 when absent) and its field's builder

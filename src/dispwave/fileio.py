@@ -2,18 +2,22 @@
 
 Identical inputs must produce byte-identical files, so every float goes
 through the same fixed formatting and nothing time- or locale-dependent is
-ever written.
+ever written. The checkpoint `x,u` field CSV is written and read here:
+`write_field_csvs` writes it, and `field_from_csv` reads it back onto a grid.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .spectral import Field, Grid
 
 
 def fmt(x: float) -> str:
@@ -57,6 +61,25 @@ def write_field_csvs(x: np.ndarray, fields: Iterable[tuple[Path | str, np.ndarra
     template = "x,u\n" + ("%.17g,%%.17g\n" * len(x)) % tuple(x.tolist())
     for path, u in fields:
         Path(path).write_text(template % tuple(u.tolist()))
+
+
+def field_from_csv(grid: Grid, path) -> Field:
+    """Read a checkpoint-format CSV (columns x, u) on `grid` into a Field.
+
+    The x column must be the grid's uniform points.
+    """
+    try:
+        with warnings.catch_warnings():  # a table with no rows fails the shape check instead
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as err:  # a cell that is not a number
+        raise ValueError(f"{path}: {err}") from err
+    if rows.shape != (grid.n_points, 2):
+        raise ValueError(f"{path}: expected {grid.n_points} rows of x,u, got shape {rows.shape}")
+    if not np.allclose(rows[:, 0], grid.x, rtol=0.0, atol=1e-9 * grid.spacing):
+        raise ValueError(f"{path}: x column does not match the uniform grid with "
+                         f"L = {grid.half_width:g}, N = {grid.n_points}")
+    return Field(grid, rows[:, 1])
 
 
 def jsonable(obj):

@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import operator
 import re
 import subprocess
 import sys
@@ -1228,6 +1230,36 @@ def test_perfbench_inputs_parse(tmp_path, monkeypatch):
         for s, rc in members:
             expected = steep_bump(rc.grid, family["amplitude"], s, family["center"])
             assert np.array_equal(build_initial_field(rc).values, expected.values)
+
+
+# every dispwave name perfbench calls, or its tracer wraps or rebinds by name; a src/
+# change that moves one would otherwise first fail in perfbench/selftest.py. The tracer
+# also names config.build_family and timestep's slope_sample and energy, which are gone:
+# it lists them as missing spans and runs on
+PERFBENCH_NAMES = {
+    "cli": ("main",),
+    "config": ("load_run_config", "load_sweep_config", "parse_run_config",
+               "parse_sweep_config", "build_initial_field"),
+    "solitary": ("build_profile",),
+    "timestep": ("simulate", "rk4_step", "SimulationResult.slope_trace"),
+    "pde": ("rhs_nonlocal",),
+    "blowup": ("existence_bound", "blowup_condition", "extrapolate_blowup_time", "run_member"),
+    "fileio": ("write_csv", "write_json"),
+}
+
+
+def test_perfbench_names_resolve():
+    unresolved = []
+    for module_name, names in PERFBENCH_NAMES.items():
+        module = importlib.import_module(f"dispwave.{module_name}")
+        for name in names:
+            try:
+                target = operator.attrgetter(name)(module)
+            except AttributeError:
+                unresolved.append(f"{module_name}.{name}")
+                continue
+            assert callable(target) or isinstance(target, property), f"{module_name}.{name}"
+    assert unresolved == []
 
 
 @pytest.mark.scipy
