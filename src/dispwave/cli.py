@@ -1,13 +1,13 @@
 """Command-line front end: simulate, soliton, bound, sweep.
 
 Every command reads its run from `--config` (a run config, a summary.json, or for
-`sweep` a sweep config) and writes to `--out`, optional for `bound`. Exit codes: 0 for
-every finished run, breaking included, since wave breaking is science, not failure,
-and its verdict is recorded in the artifacts; 2 for a bad command line, bad input or
-an I/O error, mapped once in `main`; 1 only for a sweep whose every member fails;
-only -h leaves by SystemExit. Nothing is written and no directory is made before a
-command's write step, so an unwritable --out is reported after the run. All
-artifacts are deterministic: the same config produces byte-identical files.
+`sweep` a sweep config) and writes to `--out`; `bound` prints its JSON to stdout only.
+Exit codes: 0 for every finished run, breaking included, since wave breaking is science,
+not failure, and its verdict is recorded in the artifacts; 2 for a bad command line, bad
+input or an I/O error, mapped once in `main`; 1 only for a sweep whose every member
+fails; only -h leaves by SystemExit. Nothing is written and no directory is made before
+a command's write step, so an unwritable --out is reported after the run. All artifacts
+are deterministic: the same config produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -84,10 +84,7 @@ def _cmd_soliton(args) -> int:
 
 def _cmd_bound(args) -> int:
     rc = load_run_config(args.config)
-    payload = report_fields(assess(build_initial_field(rc), rc.params))
-    print(json_text(payload))
-    if args.out is not None:
-        write_json(args.out, payload)
+    print(json_text(report_fields(assess(build_initial_field(rc), rc.params))))
     return 0
 
 
@@ -130,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="breaking criterion and existence-time bound")
     p_bound.add_argument("--config", required=True, help="run config JSON (or a summary.json)")
-    p_bound.add_argument("--out", default=None, help="also write the JSON here")
     p_bound.set_defaults(func=_cmd_bound)
 
     p_sweep = sub.add_parser("sweep", help="sharpness comparison over a family of runs")

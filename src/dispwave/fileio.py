@@ -1,9 +1,9 @@
 """Deterministic text artifacts: 17-significant-digit CSV and JSON helpers.
 
-Identical inputs must produce byte-identical files, so every float goes
-through the same fixed formatting and nothing time- or locale-dependent is
-ever written. The checkpoint `x,u` field CSV is written and read here:
-`write_field_csvs` writes it, and `field_from_csv` reads it back onto a grid.
+Identical inputs must produce byte-identical files, so every cell that is not a
+`str` goes through `fmt` and nothing time- or locale-dependent is ever written.
+The checkpoint `x,u` field CSV is written and read here: `write_field_csvs` is its
+fast path, which formats the shared x column once, and `field_from_csv` reads it back.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,31 +26,15 @@ def fmt(x: float) -> str:
 
 def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence],
               preamble: str | None = None) -> None:
-    """Write rows under a header line (and an optional preamble line).
-
-    The first row fixes each column's format: `%s` where its cell is a
-    `str`, otherwise `%.17g`, which writes what `fmt` does. The whole table
-    is then formatted with one `%`. A row of another length raises
-    ValueError; a cell whose type differs from its column's raises TypeError.
-    """
-    rows = list(rows)
+    """Write rows under a header line (and an optional preamble line): a `str` cell
+    as is, any other through `fmt`. A row not as long as the header raises ValueError."""
     lines = [] if preamble is None else [preamble]
     lines.append(",".join(header))
-    text = "\n".join(lines) + "\n"
-    if rows:
-        first = rows[0]
-        width = len(first)
-        if any(len(row) != width for row in rows):
-            raise ValueError(f"every row must have the first row's {width} cells")
-        cells = tuple(chain.from_iterable(rows))
-        for i, cell in enumerate(first):
-            # a number in a str column would format as %s; a str in a number
-            # column already makes % raise
-            if isinstance(cell, str) and not all(isinstance(c, str) for c in cells[i::width]):
-                raise TypeError(f"column {i} mixes str and non-str cells")
-        row_template = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in first)
-        text += (row_template + "\n") * len(rows) % cells
-    Path(path).write_text(text)
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"every row must have the header's {len(header)} cells")
+        lines.append(",".join(c if isinstance(c, str) else fmt(c) for c in row))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_field_csvs(x: np.ndarray, fields: Iterable[tuple[Path | str, np.ndarray]]) -> None:

@@ -14,6 +14,7 @@ from dispwave import (
     SolverConfig,
     SweepRow,
     TraceRow,
+    assess,
     blowup_condition,
     breaking_threshold,
     energy,
@@ -21,6 +22,7 @@ from dispwave import (
     existence_time_lower_bound,
     extrapolate_blowup_time,
     gamma_regime,
+    report_fields,
     riccati_bracket,
     sharpness_experiment,
     simulate,
@@ -307,6 +309,23 @@ def test_breaking_time_agrees_across_grids(gamma, omega, half_width):
     assert abs(coarse.t_star - fine.t_star) <= coarse.spread + fine.spread
     assert fine.t_star >= existence_bound(steep_bump(Grid(half_width, 4096), 1.0, 3.0),
                                           p).t_lower
+
+
+def test_global_solution_losing_resolution_is_not_breaking():
+    # steep_bump(1, 0.45) at gamma = 1 has y0 > 0 everywhere (1 - 4 s^2 = 0.19), so it
+    # is global; at N = 4096 its tail passes 1e-7 at t = 4.96, and the estimator alone
+    # still returns a t* (8.18) before t_end: a verdict that trusts that t* on an
+    # underresolved run must not call this run breaking
+    u0, p = steep_bump(Grid(30.0, 4096), 1.0, 0.45), PdeParams(1.0, 0.0)
+    result = simulate(u0, p, SolverConfig(t_end=10.0, sample_interval=0.01,
+                                          blowup_m_threshold=30.0))
+    assert result.stop_reason == "reached_t_end"
+    assert extrapolate_blowup_time(result.samples).t_star < result.t_stop
+    report = assess(u0, p, result)
+    assert report.outcome == "underresolved" and report.breaking is None
+    assert not report.verdict.triggered
+    fields = report_fields(report)
+    assert fields["outcome"] == "underresolved" and fields["t_star"] is None
 
 
 def sweep_members(initial, grid=(6.0, 256), gamma=1.0, **solver):

@@ -22,7 +22,7 @@ from dispwave.config import (
     parse_run_config,
     parse_sweep_config,
 )
-from dispwave.fileio import fmt, jsonable, write_csv
+from dispwave.fileio import fmt, jsonable, write_csv, write_field_csvs
 from dispwave.solitary import SolitonParams, build_profile, write_profile_csv
 from dispwave.timestep import simulate
 
@@ -768,7 +768,7 @@ class TestBoundCommand:
             main(["bound", "-h"])
         assert exit_.value.code == 0
         printed = capsys.readouterr()
-        assert printed.out.startswith("usage: dispwave bound [-h] --config CONFIG [--out OUT]\n")
+        assert printed.out.startswith("usage: dispwave bound [-h] --config CONFIG\n")
         assert printed.err == ""
 
 
@@ -1032,8 +1032,8 @@ class TestErrorBoundary:
     @pytest.mark.parametrize("argv,message", [
         (["simulate", "--config", "{cfg}"],
          "dispwave simulate: the following arguments are required: --out"),
-        (["bound", "--config", "{cfg}", "--gamma", "1", "--out", "{out}"],
-         "dispwave: unrecognized arguments: --gamma 1"),
+        (["bound", "--config", "{cfg}", "--gamma", "1"],
+         "dispwave: unrecognized arguments: --gamma 1\n"),
         (["sweep", "--config", "{cfg}", "--out", "{out}", "--workers", "x"],
          "dispwave sweep: argument --workers: invalid int value: 'x'"),
         ([], "dispwave: the following arguments are required: command"),
@@ -1047,10 +1047,11 @@ class TestErrorBoundary:
          "dispwave soliton: the following arguments are required: --config"),
         (["sweep", "--conf", "{cfg}", "--out", "{out}", "--work", "2"],
          "dispwave sweep: the following arguments are required: --config"),
-        (["bound", "--config", "{cfg}", "--o", "{out}"],
-         "dispwave: unrecognized arguments: --o {out}"),
+        # bound prints its JSON only: the --out it once took fails loudly
+        (["bound", "--config", "{cfg}", "--out", "{out}"],
+         "dispwave: unrecognized arguments: --out {out}\n"),
     ], ids=["missing-flag", "unknown-flag", "bad-int", "no-command", "unknown-command",
-            "soliton-model-flags", "soliton-c", "sweep-conf-work", "bound-o"])
+            "soliton-model-flags", "soliton-c", "sweep-conf-work", "bound-out"])
     def test_bad_command_line_is_exit_2(self, tmp_path, capsys, argv, message):
         cfg, out = write_config(tmp_path / "c.json"), tmp_path / "out"
         assert main([a.format(cfg=cfg, out=out) for a in argv]) == 2
@@ -1059,8 +1060,7 @@ class TestErrorBoundary:
         assert printed.err.count("\n") == 1
         assert printed.out == "" and not out.exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep", "sweep-under-file", "bound",
-                                         "soliton"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "sweep-under-file", "soliton"])
     def test_io_error_is_exit_2(self, tmp_path, capsys, command):
         a_file = tmp_path / "a_file"
         a_file.write_text("")
@@ -1072,9 +1072,6 @@ class TestErrorBoundary:
             cfg = TestSweepCommand._gaussian_family(tmp_path / "sweep.json", [1.0])
             out = a_file if command == "sweep" else a_file / "out"
             argv = ["sweep", "--config", str(cfg), "--out", str(out)]
-        elif command == "bound":
-            argv = ["bound", "--config", str(write_config(tmp_path / "c.json")),
-                    "--out", str(missing)]
         else:
             cfg = write_config(tmp_path / "c.json", **README_SOLITON)
             argv = ["soliton", "--config", str(cfg), "--out", str(missing)]
@@ -1083,14 +1080,6 @@ class TestErrorBoundary:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(a_file) in err or str(missing) in err  # the write's error, not a parser's
         assert a_file.read_text() == "" and not missing.parent.exists()
-
-    @pytest.mark.parametrize("overrides", [{**BREAKING_CONFIG, "initial": STEEP_DATA},
-                                           README_SOLITON], ids=["breaking", "readme-soliton"])
-    def test_bound_out_is_stdout_plus_newline(self, tmp_path, capsys, overrides):
-        cfg = write_config(tmp_path / "c.json", **overrides)
-        out = tmp_path / "bound.json"
-        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
-        assert out.read_text() == capsys.readouterr().out
 
 
 def _simulate_and_sweep(tmp_path, common):
@@ -1285,7 +1274,7 @@ class TestNumericFormatting:
             assert float(fmt(x)) == x
 
     def test_write_csv_matches_per_cell_fmt(self, tmp_path):
-        # one % over the whole table writes what fmt per cell would
+        # a str cell as is, every other cell through fmt
         rows = [
             ("a", 0.1, -0.0, 3, np.float64(1.0 / 3.0), "true", np.int64(-7)),
             ("b,c", math.nan, math.inf, 2**60 + 1, np.float64(-math.inf), "false", True),
@@ -1303,11 +1292,31 @@ class TestNumericFormatting:
         write_csv(path, ("x", "u"), iter(()))
         assert path.read_text() == "x,u\n"
 
-    @pytest.mark.parametrize("rows,error", [
-        ([("a", 1.0), (2.0, 1.0)], TypeError),  # number in a str column
-        ([(1.0, 1.0), ("a", 1.0)], TypeError),  # str in a number column
-        ([(1.0, 2.0), (1.0,), (1.0, 2.0, 3.0)], ValueError),
-    ])
-    def test_write_csv_rejects_rows_unlike_the_first(self, tmp_path, rows, error):
-        with pytest.raises(error):
+    @pytest.mark.parametrize("rows,text", [
+        ([("a", 1.0), (2.0, 1.0)], "p,q\na,1\n2,1\n"),  # number in a str column
+        ([(1.0, 1.0), ("a", 1.0)], "p,q\n1,1\na,1\n"),  # str in a number column
+    ], ids=["number-in-str-column", "str-in-number-column"])
+    def test_write_csv_formats_each_cell_by_its_own_type(self, tmp_path, rows, text):
+        path = tmp_path / "t.csv"
+        write_csv(path, ("p", "q"), rows)
+        assert path.read_text() == text
+
+    @pytest.mark.parametrize("rows", [
+        [(1.0, 2.0), (1.0,), (1.0, 2.0, 3.0)],
+        [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0)],  # rows alike, but not as long as the header
+    ], ids=["rows-unlike-each-other", "rows-unlike-the-header"])
+    def test_write_csv_rejects_rows_unlike_the_header(self, tmp_path, rows):
+        with pytest.raises(ValueError, match="header's 2 cells"):
             write_csv(tmp_path / "t.csv", ("p", "q"), rows)
+
+    def test_write_field_csvs_matches_write_csv(self, tmp_path):
+        # the checkpoint fast path, on -0.0, subnormal, huge and integer-valued floats
+        rng = np.random.default_rng(0)
+        x = np.concatenate([[-0.0, 1e-310, 1e300, -3.0, 2.0], rng.standard_normal(11)])
+        us = [np.concatenate([[1e-310, -0.0, 4.0, 1e300, -1e300], rng.standard_normal(11)]),
+              np.concatenate([[0.0, -1e-310, -7.0, 0.5, 6.02e23], rng.uniform(-1, 1, 11)])]
+        write_field_csvs(x, [(tmp_path / f"fast_{i}.csv", u) for i, u in enumerate(us)])
+        for i, u in enumerate(us):
+            write_csv(tmp_path / f"plain_{i}.csv", ("x", "u"), zip(x, u))
+            assert ((tmp_path / f"fast_{i}.csv").read_bytes()
+                    == (tmp_path / f"plain_{i}.csv").read_bytes())
