@@ -14,8 +14,9 @@ relative to its own. A sweep config is a run config in which exactly one number 
 `params`, `grid`, `solver` or `initial` is a list; each listed value makes one member, the
 run config the sweep executor takes. A config holds only what changes a run's numbers: the
 output directory is the command's `--out`, a run always writes its trace and its
-checkpoints exactly when `solver.checkpoint_interval` is set. The keys older configs and
-summaries carry for those are in `_RETIRED`.
+checkpoints exactly when `solver.checkpoint_interval` is set. Two older keys still parse,
+since the benchmark's configs send them: a top-level `seed` at any value, and
+`outputs.write_checkpoints` at the bool the checkpoint interval implies.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .fileio import field_from_csv
 from .pde import PdeParams
 from .solitary import SolitonParams, SolitonProfile, build_profile
 from .spectral import PINNED_N_MAX, Field, Grid
-from .timestep import CFL_FRACTION, ENERGY_DRIFT_TOL, SolverConfig
+from .timestep import SolverConfig
 
 
 class ConfigError(ValueError):
@@ -43,9 +44,7 @@ def _check_keys(d, path: str, required: tuple[str, ...],
                 optional: tuple[str, ...] = ()) -> None:
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: expected an object, got {type(d).__name__}")
-    # a retired key passes here, and parse_run_config checks its value
-    unknown = sorted(k for k in set(d) - set(required) - set(optional)
-                     if f"{path}.{k}" not in _RETIRED)
+    unknown = sorted(set(d) - set(required) - set(optional))
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {unknown}")
     missing = sorted(set(required) - set(d))
@@ -161,24 +160,6 @@ def _parse_initial(spec, base_dir: Path) -> dict:
     return resolved
 
 
-_ANY, _CHECKPOINTED = object(), object()
-_SWITCHES = ("trace.csv is always written and checkpoints exactly when "
-             "solver.checkpoint_interval is set (here {})")
-# Keys that older configs and summaries carry, each with the one value a run implies
-# (_CHECKPOINTED: whether solver.checkpoint_interval is set) and why. Each must hold
-# that value, JSON type included, and is then ignored. `seed` and the directory never
-# changed a run's numbers, so they take _ANY value.
-_RETIRED = {
-    "config.seed": (_ANY, ""),
-    "outputs.directory": (_ANY, ""),
-    "outputs.write_trace": (True, _SWITCHES),
-    "outputs.write_checkpoints": (_CHECKPOINTED, _SWITCHES),
-    "solver.cfl_fraction": (CFL_FRACTION, f"the CFL fraction is fixed at {CFL_FRACTION:g}"),
-    "solver.energy_drift_tol": (ENERGY_DRIFT_TOL, "the energy-drift warning level is "
-                                f"fixed at {ENERGY_DRIFT_TOL:g}"),
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     params: PdeParams
@@ -191,32 +172,26 @@ def parse_run_config(data, base_dir: Path) -> RunConfig:
     if isinstance(data, dict) and "config" in data and "stop_reason" in data:
         # a summary artifact embeds its resolved config; allow re-running from it
         data = data["config"]
-    _check_keys(data, "config", ("params", "grid", "solver", "initial"), ("outputs",))
-    _check_keys(data.get("outputs", {}), "outputs", ())
+    # `seed` and `outputs.write_checkpoints` change no run; perfbench's configs send them
+    _check_keys(data, "config", ("params", "grid", "solver", "initial"), ("outputs", "seed"))
+    outputs = data.get("outputs", {})
+    _check_keys(outputs, "outputs", (), ("write_checkpoints",))
     rc = RunConfig(_parse_params(data["params"]), _parse_grid(data["grid"]),
                    _parse_solver(data["solver"]), _parse_initial(data["initial"], base_dir))
     checkpointed = rc.solver.checkpoint_interval is not None
-    for key, (implied, why) in _RETIRED.items():
-        section, name = key.split(".")
-        holder = data if section == "config" else data.get(section, {})
-        implied = checkpointed if implied is _CHECKPOINTED else implied
-        if name not in holder or implied is _ANY or (
-                type(holder[name]) is type(implied) and holder[name] == implied):
-            continue
-        raise ConfigError(f"{key}: got {json.dumps(holder[name])}, but "
-                          f"{why.format('set' if checkpointed else 'unset')}; drop the key")
+    if outputs.get("write_checkpoints", checkpointed) is not checkpointed:  # 0 is not false
+        got, here = json.dumps(outputs["write_checkpoints"]), "set" if checkpointed else "unset"
+        raise ConfigError(f"outputs.write_checkpoints: got {got}, but trace.csv is always "
+                          "written and checkpoints exactly when solver.checkpoint_interval "
+                          f"is set (here {here}); drop the key")
     return rc
 
 
 def _list_form(data):
     """An older sweep config's `steepness` family as its list form: a `steep` initial with
-    its steepness listed. The `amplitude` family, which scaled a base field, is retired."""
+    its steepness listed. Any other `family` is an unknown key."""
     family = data.get("family") if isinstance(data, dict) and "initial" not in data else None
-    kind = family.get("kind") if isinstance(family, dict) else None
-    if kind == "amplitude":
-        raise ConfigError("family: the amplitude family is retired; list the amplitude of a "
-                          "steep or gaussian initial, or the alpha of a scaled_soliton, instead")
-    if kind != "steepness":
+    if not isinstance(family, dict) or family.get("kind") != "steepness":
         return data
     rest = {key: value for key, value in data.items() if key != "family"}
     steep = {"steepness" if key == "steepnesses" else key: v for key, v in family.items()}
@@ -243,10 +218,10 @@ def parse_sweep_config(data, base_dir: Path) -> list[tuple[float, RunConfig]]:
         raise ConfigError(f"{listed[0]}: expected a non-empty list of numbers")
     alphas = [_number({i: v}, i, listed[0]) for i, v in enumerate(raw)]
     outputs = data.get("outputs", {})
-    for switch in ("write_trace", "write_checkpoints"):
-        if isinstance(outputs, dict) and switch in outputs:
-            raise ConfigError(f"outputs.{switch}: got {json.dumps(outputs[switch])}, but a "
-                              "sweep writes only comparison.csv; drop the key")
+    if isinstance(outputs, dict) and "write_checkpoints" in outputs:
+        got = json.dumps(outputs["write_checkpoints"])
+        raise ConfigError(f"outputs.write_checkpoints: got {got}, but a sweep writes only "
+                          "comparison.csv; drop the key")
     return [(alpha, parse_run_config({**data, name: {**sections[name], key: value}}, base_dir))
             for alpha, value in zip(alphas, raw)]
 

@@ -13,7 +13,6 @@ import pytest
 from dispwave import Field, Grid, PdeParams, energy, existence_bound, field_from_csv, gaussian_bump, steep_bump
 from dispwave.cli import main
 from dispwave.config import (
-    _RETIRED,
     ConfigError,
     build_initial_field,
     config_dict,
@@ -41,18 +40,14 @@ def write_config(path, **overrides):
     return path
 
 
-# each key of the retired table at the value a run with this checkpoint_interval implies
+# the two older keys the benchmark's configs still send, each at the value a run with
+# this checkpoint_interval implies
 RETIRED_AT_IMPLIED = [
-    (None, {"outputs.write_trace": True, "outputs.write_checkpoints": False,
-            "outputs.directory": None}),
     (None, {"outputs.write_checkpoints": False}),
     (0.25, {"outputs.write_checkpoints": True}),
-    (0.25, {"outputs.write_trace": True, "outputs.write_checkpoints": True,
-            "outputs.directory": "out"}),
-    # seed and the directory never changed a run's numbers: any value has no effect
-    (None, {"config.seed": 0, "outputs.directory": 3}),
-    (0.25, {"config.seed": "any", "solver.cfl_fraction": 0.3}),
-    (None, {"solver.cfl_fraction": 0.3, "solver.energy_drift_tol": 1e-5}),
+    # seed never changed a run's numbers: any value has no effect
+    (None, {"config.seed": 0}),
+    (0.25, {"config.seed": "any", "outputs.write_checkpoints": True}),
 ]
 _CHECKPOINTS = ("trace.csv is always written and checkpoints exactly when "
                 "solver.checkpoint_interval is set (here {})")
@@ -177,8 +172,7 @@ class TestRunConfigParsing:
     @pytest.mark.parametrize("interval,retired", RETIRED_AT_IMPLIED)
     def test_old_output_switches_accepted_at_the_implied_value(self, tmp_path, interval,
                                                                retired):
-        # older configs and summaries carry the retired keys; they parse to the same run
-        assert {key for _, keys in RETIRED_AT_IMPLIED for key in keys} == set(_RETIRED)
+        # older configs carry these keys; they parse to the same run
         solver = {"t_end": 0.5, "checkpoint_interval": interval}
         data = json.loads(write_config(tmp_path / "c.json", solver=solver).read_text())
         for key, value in retired.items():
@@ -194,17 +188,10 @@ class TestRunConfigParsing:
     @pytest.mark.parametrize("interval,key,value,why", [
         (None, "outputs.write_checkpoints", True, _CHECKPOINTS.format("unset")),
         (0.25, "outputs.write_checkpoints", False, _CHECKPOINTS.format("set")),
-        (None, "outputs.write_trace", False, _CHECKPOINTS.format("unset")),
-        (0.25, "outputs.write_trace", "yes", _CHECKPOINTS.format("set")),
-        # JSON types are strict: 0 is not false, nor 1 true
+        # JSON types are strict: 0 is not false, nor 1 or "yes" true
         (None, "outputs.write_checkpoints", 0, _CHECKPOINTS.format("unset")),
-        (0.25, "outputs.write_trace", 1, _CHECKPOINTS.format("set")),
-        (None, "solver.cfl_fraction", 1.5, "the CFL fraction is fixed at 0.3"),
-        (None, "solver.cfl_fraction", "0.3", "the CFL fraction is fixed at 0.3"),
-        (0.25, "solver.energy_drift_tol", 1e-16,
-         "the energy-drift warning level is fixed at 1e-05"),
-        (None, "solver.energy_drift_tol", None,
-         "the energy-drift warning level is fixed at 1e-05"),
+        (0.25, "outputs.write_checkpoints", 1, _CHECKPOINTS.format("set")),
+        (0.25, "outputs.write_checkpoints", "yes", _CHECKPOINTS.format("set")),
     ])
     def test_old_output_switch_at_another_value_rejected(self, tmp_path, interval, key,
                                                          value, why):
@@ -215,6 +202,18 @@ class TestRunConfigParsing:
         with pytest.raises(ConfigError) as err:
             load_run_config(path)
         assert str(err.value) == f"{key}: got {json.dumps(value)}, but {why}; drop the key"
+
+    @pytest.mark.parametrize("key,value", [
+        ("outputs.directory", "out"), ("outputs.write_trace", True),
+        ("solver.cfl_fraction", 0.3), ("solver.energy_drift_tol", 1e-05)])
+    def test_dropped_old_keys_are_unknown(self, tmp_path, key, value):
+        # older configs carried these at the values shown, which no run ever read
+        section, name = key.split(".")
+        sections = {section: {"t_end": 0.5} if section == "solver" else {}}
+        sections[section][name] = value
+        with pytest.raises(ConfigError) as err:
+            load_run_config(write_config(tmp_path / "c.json", **sections))
+        assert str(err.value) == f"{section}: unknown key(s) [{name!r}]"
 
 
 class TestInitialData:
@@ -320,7 +319,7 @@ class TestSweepConfig:
         assert peaks == pytest.approx([0.5, 1.0, 2.0])
 
     def test_listed_soliton_alpha_scales_the_profile(self, tmp_path):
-        # what the retired amplitude family made of a soliton base, bit for bit
+        # what the older amplitude family made of a soliton base, bit for bit
         base = build_initial_field(parse_run_config(README_SOLITON, tmp_path))
         listed = {"kind": "scaled_soliton", "c": 2.0, "alpha": [0.5, 1.5]}
         members = parse_sweep_config({**README_SOLITON, "initial": listed}, tmp_path)
@@ -333,28 +332,62 @@ class TestSweepConfig:
         with pytest.raises(ConfigError, match="non-empty"):
             load_sweep_config(path)
 
-    @pytest.mark.parametrize("switch", ["write_trace", "write_checkpoints"])
-    def test_output_switches_rejected(self, tmp_path, switch):
+    @pytest.mark.parametrize("switch,message", [
+        ("write_trace", "outputs: unknown key(s) ['write_trace']"),
+        ("write_checkpoints", "outputs.write_checkpoints: got true, but a sweep writes only "
+                              "comparison.csv; drop the key"),
+    ], ids=["write_trace", "write_checkpoints"])
+    def test_output_switches_rejected(self, tmp_path, switch, message):
         # a sweep writes only comparison.csv, so no value of a run's output switch fits
         initial = {"kind": "steep", "amplitude": 1.0, "steepness": [3.0]}
-        path = write_sweep(tmp_path / "s.json", initial=initial,
-                           outputs={"directory": "out", switch: True})
+        path = write_sweep(tmp_path / "s.json", initial=initial, outputs={switch: True})
         with pytest.raises(ConfigError) as err:
             load_sweep_config(path)
-        assert str(err.value) == (f"outputs.{switch}: got true, but a sweep writes only "
-                                  "comparison.csv; drop the key")
+        assert str(err.value) == message
+
+
+class TestReadmeConfigs:
+    """The README's three example configs, its ```json blocks, as printed there."""
+
+    @staticmethod
+    def _blocks():
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```json\n(.*?)^```$", text, re.MULTILINE | re.DOTALL)
+        assert len(blocks) == 3
+        return [json.loads(block) for block in blocks]
+
+    def test_run_config_is_the_readme_soliton(self, tmp_path):
+        run = self._blocks()[0]
+        assert run == README_SOLITON
+        assert parse_run_config(run, tmp_path).initial == {"kind": "soliton", "c": 2.0}
+
+    def test_file_config_parses_beside_its_field(self, tmp_path):
+        data = self._blocks()[1]
+        grid = Grid(data["grid"]["L"], data["grid"]["N"])
+        assert grid.n_points == 256
+        field = tmp_path / data["initial"]["path"]
+        field.parent.mkdir(parents=True)
+        u = gaussian_bump(grid, 0.2, 2.0)
+        write_csv(field, ("x", "u"), zip(grid.x, u.values))
+        rc = parse_run_config(data, tmp_path)
+        assert rc.initial == {"kind": "file", "path": str(field.resolve())}
+        assert np.array_equal(build_initial_field(rc).values, u.values)
+
+    def test_sweep_config_gives_three_steepness_members(self, tmp_path):
+        members = parse_sweep_config(self._blocks()[2], tmp_path)
+        assert [value for value, _ in members] == [3.0, 4.5, 6.0]
+        assert [rc.initial["steepness"] for _, rc in members] == [3.0, 4.5, 6.0]
 
 
 STEEP_LISTED = {"kind": "steep", "amplitude": 1.0, "steepness": [3.0, 4.0]}
 
 
 @pytest.mark.parametrize("sections,message", [
-    # the retired amplitude family names its list replacements
+    # a family other than the steepness one, the older amplitude family too, is no
+    # config key
     ({"family": {"kind": "amplitude", "alphas": [1.0, 2.0],
                  "base": {"kind": "steep", "amplitude": 1.0, "steepness": 3.0}}},
-     "family: the amplitude family is retired; list the amplitude of a steep or gaussian "
-     "initial, or the alpha of a scaled_soliton, instead"),
-    # a family other than the steepness one is no config key
+     "config: unknown key(s) ['family']"),
     ({"family": {"amplitude": 1.0, "steepnesses": [3.0]}}, "config: unknown key(s) ['family']"),
     ({"family": {"kind": "width", "amplitude": 1.0}}, "config: unknown key(s) ['family']"),
     ({"family": {"kind": "steepness", "amplitude": 1.0, "steepnesses": [3.0], "center": "0"}},
@@ -497,9 +530,10 @@ class TestSimulateCommand:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: initial.path: file not found: {data.resolve()}\n"
 
-    def test_rerun_from_an_older_summary_reproduces_trace(self, tmp_path):
+    def test_rerun_from_an_older_summary_reproduces_trace(self, tmp_path, capsys):
         # a summary written before outputs.directory, cfl_fraction and energy_drift_tol
-        # left the resolved config carries them at their only values
+        # left the resolved config carries them at their only values: it names the first,
+        # and with the three deleted it reruns the same
         cfg = write_config(tmp_path / "c.json",
                            solver={"t_end": 0.5, "sample_interval": 0.1,
                                    "checkpoint_interval": 0.25})
@@ -509,6 +543,13 @@ class TestSimulateCommand:
         summary["config"]["solver"].update(cfl_fraction=0.3, energy_drift_tol=1e-05)
         summary["config"]["outputs"] = {"directory": None}
         older = tmp_path / "older_summary.json"
+        older.write_text(json.dumps(summary))
+        assert main(["simulate", "--config", str(older), "--out", str(out2)]) == 2
+        assert capsys.readouterr().err == "error: outputs: unknown key(s) ['directory']\n"
+        assert not out2.exists()
+        for key in ("cfl_fraction", "energy_drift_tol"):
+            del summary["config"]["solver"][key]
+        del summary["config"]["outputs"]
         older.write_text(json.dumps(summary))
         assert main(["simulate", "--config", str(older), "--out", str(out2)]) == 0
         files = sorted(p.relative_to(out1) for p in out1.rglob("*.csv"))
@@ -595,10 +636,9 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_out_is_required(self, tmp_path, monkeypatch, capsys, command):
-        # a config's outputs.directory names no output either
         monkeypatch.chdir(tmp_path)
         if command == "simulate":
-            cfg = write_config(tmp_path / "c.json", outputs={"directory": "from_config"})
+            cfg = write_config(tmp_path / "c.json")
         else:
             cfg = TestSweepCommand._gaussian_family(tmp_path / "s.json", [1.0])
         assert main([command, "--config", str(cfg)]) == 2
@@ -606,15 +646,14 @@ class TestSimulateCommand:
             f"error: dispwave {command}: the following arguments are required: --out\n")
         assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
 
-    def test_config_directory_has_no_effect(self, tmp_path, monkeypatch):
+    def test_config_directory_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # the output directory is --out only: an older config's outputs.directory is an
+        # unknown key, and neither directory is made
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path / "c.json", outputs={"directory": "from_config"})
-        assert main(["simulate", "--config", str(cfg), "--out", "a"]) == 0
-        assert main(["simulate", "--config", str(write_config(tmp_path / "plain.json")),
-                     "--out", "b"]) == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "c.json", "plain.json"]
-        for name in ("trace.csv", "summary.json"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert main(["simulate", "--config", str(cfg), "--out", "a"]) == 2
+        assert capsys.readouterr().err == "error: outputs: unknown key(s) ['directory']\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_checkpoint_switch_without_interval_is_exit_2(self, tmp_path, capsys):
         # the switch asks for checkpoints that the run, with no interval, never records
@@ -999,7 +1038,8 @@ class TestErrorBoundary:
         ({"grid": {"L": -1.0, "N": 256}}, "grid: half_width must be positive"),
         ({"solver": {"t_end": -1.0}}, "solver: t_end must be positive"),
         ({"initial": {"kind": "file", "path": 3}}, "initial.path: expected a string"),
-        ({"solver": {"t_end": 0.5, "cfl_fraction": 0.5}}, "solver.cfl_fraction: got 0.5"),
+        ({"solver": {"t_end": 0.5, "cfl_fraction": 0.5}},
+         "solver: unknown key(s) ['cfl_fraction']"),
         (None, "cannot read config"),
         # the initial data fail only when built, after the config has parsed
         ({"initial": {"kind": "gaussian", "amplitude": 0.1, "width": 0.0}},
@@ -1205,7 +1245,9 @@ class TestArtifactsAcrossProcesses:
 
 def test_perfbench_inputs_parse(tmp_path, monkeypatch):
     # the benchmark hands these configs to dispwave; the sweep's is the older
-    # steepness family and soliton_cli's carries retired keys
+    # steepness family and soliton_cli's carries the older keys seed and
+    # outputs.write_checkpoints, which config.py keeps because perfbench sends them:
+    # retiring them is a change to the benchmark
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     from workloads import make_inputs
 

@@ -14,6 +14,7 @@ from dispwave import (
     energy,
     existence_bound,
     gaussian_bump,
+    helmholtz_inverse,
     hs_norm,
     rk4_step,
     simulate,
@@ -209,14 +210,35 @@ class TestSimulate:
         assert res.energy_drift <= 1e-9 and res.hamiltonian_drift >= 1e-5
 
     def test_uniform_boundedness_constant(self):
-        # periodic embedding bound: max u^2 <= E(0) * (1/2 + 1/(2 tanh L))
+        # the circle's sharp embedding bound, max u^2 <= E(0) * coth(L)/2; the run
+        # reaches about 0.319 * E(0)
         g = Grid(30.0, 1024)
         u0 = gaussian_bump(g, 0.1, 2.0)
         cfg = SolverConfig(t_end=5.0, sample_interval=0.25)
         res = simulate(u0, PdeParams(1.0, 0.5), cfg)
         e0 = res.samples[0].energy
-        bound = e0 * (0.5 + 0.5 / math.tanh(g.half_width))
+        bound = e0 * 0.5 / math.tanh(g.half_width)
         assert all(r.max_u**2 <= bound * (1.0 + 1e-10) for r in res.samples)
+
+    def test_sup_bound_of_the_box_exceeds_the_lines(self):
+        # u = G * (a narrow bump) nearly attains u^2 <= G(0) E, where G(0) = coth(L)/2 is
+        # the peak of the circle's H^1 reproducing kernel: at L = 1 it passes the line's
+        # constant 1/2 (0.6549 against coth(1)/2 = 0.6565)
+        g = Grid(1.0, 8192)
+        u = helmholtz_inverse(gaussian_bump(g, 1.0, 0.01))
+        ratio = float(np.max(u.values**2)) / energy(u)
+        assert 0.5 < ratio <= 0.5 / math.tanh(g.half_width)
+
+    def test_sign_transport_at_gamma_one(self):
+        # at gamma = 1, omega = 0 the sign of y = u - u_xx is carried along
+        # characteristics, so data with y0 >= 0 keep |u_x| <= u = G * y; this run stays
+        # resolved to t = 1 (tail below 1e-15) and the excess stays at roundoff, 1e-14
+        g = Grid(30.0, 2048)
+        u0 = helmholtz_inverse(gaussian_bump(g, 2.0, 1.0))
+        res = simulate(u0, PdeParams(1.0, 0.0), SolverConfig(t_end=1.0, checkpoint_interval=0.5))
+        assert [t for t, _ in res.checkpoints] == [0.0, 0.5, 1.0]
+        for _, u in res.checkpoints:
+            assert np.max(np.abs(u.derivative) - u.values) <= 1e-12
 
     @pytest.mark.parametrize("half_width, n, amplitude, decay_tolerance, t_end, warned_at", [
         (30.0, 1024, 0.1, 1e-10, 10.0, None),
