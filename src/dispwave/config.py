@@ -32,7 +32,7 @@ import numpy as np
 from .fileio import field_from_csv
 from .pde import PdeParams
 from .solitary import SolitonParams, SolitonProfile, build_profile
-from .spectral import PINNED_N_MAX, Field, Grid
+from .spectral import Field, Grid
 from .timestep import SolverConfig
 
 
@@ -77,12 +77,14 @@ def _parse_params(data: dict) -> PdeParams:
         raise ConfigError(f"params: {err}") from err
 
 
+_N_MAX = 65536  # configs are outside input: an unbounded N would end in a MemoryError
+
+
 def _parse_grid(data: dict) -> Grid:
     _check_keys(data, "grid", ("L", "N"))
     n = _integer(data, "N", "grid")
-    if n < 16 or n > PINNED_N_MAX or n & (n - 1) != 0:
-        raise ConfigError(f"grid.N: must be a power of two from 16 to {PINNED_N_MAX}, the "
-                          f"largest grid the malloc pin keeps fault-free, got {n}")
+    if n < 16 or n > _N_MAX or n & (n - 1) != 0:
+        raise ConfigError(f"grid.N: must be a power of two from 16 to {_N_MAX}, got {n}")
     half_width = _number(data, "L", "grid")
     try:
         return Grid(half_width=half_width, n_points=n)

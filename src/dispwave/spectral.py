@@ -16,52 +16,11 @@ kept alias-free with the standard 2/3 rule.
 
 from __future__ import annotations
 
-import ctypes
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft  # the package's one FFT import point
-
-# glibc's mallopt parameters (malloc.h) and the values pinned for them
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD = 4 << 20
-_TRIM_THRESHOLD = 4 << 20
-# the largest grid whose FFT scratch the pin keeps resident; configs refuse larger ones
-PINNED_N_MAX = 65536
-
-
-def _pin_malloc_thresholds(libc) -> bool:
-    """Keep pocketfft's per-call scratch on the heap; False where libc has no mallopt.
-
-    numpy mallocs scratch for every FFT call. Under glibc's defaults a block
-    of that size is either mmapped afresh or, once glibc has raised its
-    self-adjusting thresholds, trimmed back off the top of the heap; either
-    way it returns to the OS after the call and page-faults in again on the
-    next (about 96 faults per 2-row call at N = 16384). Pinning both
-    thresholds turns the adjustment off: blocks below 4 MiB come from the
-    heap, and its top is given back only once 4 MiB lie free there. That
-    keeps the scratch of the solver's 2-row calls resident up to N = 65536,
-    twice the largest grid `solitary.recommended_grid` returns. At N = 131072
-    the pin itself makes the faults: each call's freed scratch leaves more than
-    the fixed 4 MiB free at the heap's top, which is trimmed and faulted in
-    again (7,936 faults per RK4 step), where glibc's own sliding thresholds keep
-    it resident (0 faults). A larger trim threshold only moves that cliff (at
-    32 MiB, N = 262144 takes 16,400), so run configs refuse N > PINNED_N_MAX;
-    `Grid` itself takes any N.
-    """
-    mallopt = getattr(libc, "mallopt", None)
-    if mallopt is None:
-        return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
-            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
-
-
-if os.name == "posix":
-    _pin_malloc_thresholds(ctypes.CDLL(None))
 
 
 def rfft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

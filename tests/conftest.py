@@ -10,12 +10,12 @@ import dispwave
 from dispwave import Field, Grid, PdeParams, SolverConfig, simulate, steep_bump
 
 
-def fresh_interpreter_env(**extra: str) -> dict[str, str]:
-    """os.environ and extra, with this dispwave's src first on PYTHONPATH: the
-    environment of a new interpreter that imports the dispwave under test."""
+def fresh_interpreter_env() -> dict[str, str]:
+    """os.environ with this dispwave's src first on PYTHONPATH: the environment
+    of a new interpreter that imports the dispwave under test."""
     src = str(Path(dispwave.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return {**os.environ, "PYTHONPATH": path, **extra}
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def band_limited_field(grid: Grid, seed: int, amplitude: float = 0.5,

@@ -112,15 +112,19 @@ class TestRunConfigParsing:
         with pytest.raises(ConfigError, match="power of two"):
             load_run_config(path)
 
-    def test_grid_past_the_malloc_pins_limit_is_exit_2(self, tmp_path, capsys):
-        # above N = 65536 the pinned trim threshold faults every FFT call's scratch in
-        assert load_run_config(write_config(tmp_path / "c.json", grid={"L": 20.0, "N": 65536}))
-        path = write_config(tmp_path / "c.json", grid={"L": 20.0, "N": 131072})
+    @pytest.mark.parametrize("n", [16, 65536])
+    def test_grid_N_at_the_limits_parses(self, tmp_path, n):
+        path = write_config(tmp_path / "c.json", grid={"L": 20.0, "N": n})
+        assert load_run_config(path).grid.n_points == n
+
+    @pytest.mark.parametrize("n", [131072, 250, 8])
+    def test_grid_N_outside_the_limit_is_exit_2(self, tmp_path, capsys, n):
+        # configs are outside input: an unbounded N would end in a MemoryError traceback
+        path = write_config(tmp_path / "c.json", grid={"L": 20.0, "N": n})
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: grid.N: must be a power of two from 16 to 65536, the largest grid "
-            "the malloc pin keeps fault-free, got 131072\n")
+            f"error: grid.N: must be a power of two from 16 to 65536, got {n}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("section,value,message", [
@@ -418,8 +422,11 @@ STEEP_LISTED = {"kind": "steep", "amplitude": 1.0, "steepness": [3.0, 4.0]}
      "grid: expected an object, got int"),
     # a listed value sits in its member as written, which parses like any run config
     ({"grid": {"L": 6.0, "N": [256, 300]}, "initial": {**STEEP_LISTED, "steepness": 3.0}},
-     "grid.N: must be a power of two from 16 to 65536, the largest grid the malloc pin "
-     "keeps fault-free, got 300"),
+     "grid.N: must be a power of two from 16 to 65536, got 300"),
+    ({"grid": {"L": 6.0, "N": [256, 131072]}, "initial": {**STEEP_LISTED, "steepness": 3.0}},
+     "grid.N: must be a power of two from 16 to 65536, got 131072"),
+    ({"grid": {"L": 6.0, "N": [8, 256]}, "initial": {**STEEP_LISTED, "steepness": 3.0}},
+     "grid.N: must be a power of two from 16 to 65536, got 8"),
     ({"grid": {"L": 6.0, "N": [256.0]}, "initial": {**STEEP_LISTED, "steepness": 3.0}},
      "grid.N: expected an integer, got 256.0"),
     # every member must have gamma != 0
@@ -429,7 +436,8 @@ STEEP_LISTED = {"kind": "steep", "amplitude": 1.0, "steepness": [3.0, 4.0]}
 ], ids=["amplitude-family", "family-without-kind", "unknown-family", "family-center",
         "family-bool", "no-list", "two-lists", "two-sections", "empty-list", "listed-kind",
         "member-key", "listed-unknown-dotted-key", "member-kind", "no-list-bad-grid",
-        "N-not-a-power-of-two", "N-not-an-integer", "gamma-zero-member"])
+        "N-not-a-power-of-two", "N-above-the-limit", "N-below-the-limit", "N-not-an-integer",
+        "gamma-zero-member"])
 def test_sweep_config_error_is_exit_2_naming_its_path(tmp_path, capsys, sections, message):
     cfg, out = write_sweep(tmp_path / "s.json", **sections), tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
@@ -1177,7 +1185,7 @@ def test_triggered_run_ending_unbroken_is_underresolved_on_both_paths(
 ACROSS_PROCESSES = {
     "soliton": README_SOLITON,
     "checkpointed": CHECKPOINTED,
-    # acceptance 7's data at N = 16384, where glibc once faulted pocketfft's scratch in
+    # acceptance 7's data at N = 16384, the grid of the breaking_n16k benchmark
     "steep_n16384": {
         "params": {"gamma": 1.0, "omega": 0.0}, "grid": {"L": 6.0, "N": 16384},
         "solver": {"t_end": 0.02, "sample_interval": 0.004, "blowup_m_threshold": 20.0,

@@ -1,11 +1,10 @@
-import platform
-import subprocess
-import sys
-from types import SimpleNamespace
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dispwave
 from dispwave import (
     Field,
     Grid,
@@ -17,7 +16,7 @@ from dispwave import (
 )
 from dispwave.spectral import irfft, rfft
 
-from conftest import band_limited_field, band_mask, fresh_interpreter_env
+from conftest import band_limited_field, band_mask
 
 
 class TestGrid:
@@ -213,45 +212,6 @@ class TestHsNorm:
             hs_norm(f, -0.5)
 
 
-# per grid, one bare 2-row irfft/rfft pair on preallocated buffers, then the
-# minor faults of 50 more, in a fresh interpreter: the heap that earlier tests
-# leave behind can hide the faults, and so can a right-hand side's own
-# allocations, which keep the heap's top in use
-_FAULTS_SCRIPT = """
-import resource
-import numpy as np
-from dispwave.spectral import irfft, rfft
-for n in (16384, 65536):
-    values = np.random.default_rng(0).normal(size=(2, n))
-    spectrum = rfft(values)
-    irfft(spectrum, out=values)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(50):
-        irfft(spectrum, out=values)
-        rfft(values, out=spectrum)
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-# sweep_n8192's s = 3 member through `dispwave simulate` to t = 0.2 (500 steps), in a
-# fresh interpreter: the minor faults of the run and its step count
-_MEMBER_FAULTS_SCRIPT = """
-import json
-import resource
-from dispwave.cli import main
-with open("run.json", "w") as f:
-    json.dump({"params": {"gamma": 1.0, "omega": 0.0}, "grid": {"L": 6.0, "N": 8192},
-               "solver": {"t_end": 0.2, "sample_interval": 0.002, "blowup_m_threshold": 12.0,
-                          "dt_min": 1e-10},
-               "initial": {"kind": "steep", "amplitude": 1.0, "steepness": 3.0}}, f)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-main(["simulate", "--config", "run.json", "--out", "run"])
-faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-with open("run/summary.json") as f:
-    print(faults, json.load(f)["stats"]["steps"])
-"""
-
-
 class TestTransforms:
     """dispwave's rfft/irfft call pocketfft's gufuncs; numpy.fft's are the reference."""
 
@@ -292,43 +252,19 @@ class TestTransforms:
         assert np.array_equal(irfft(spectrum, n=1024), np.fft.irfft(spectrum, n=1024))
 
 
-def _fresh_interpreter(script: str, cwd=None, padding: int = 0) -> list[str]:
-    """The lines a script prints, run by a new interpreter that imports this dispwave,
-    with an environment `padding` characters larger."""
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         check=True, cwd=cwd, env=fresh_interpreter_env(PADDING="x" * padding))
-    return run.stdout.splitlines()
-
-
-_GLIBC_ONLY = pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's mallopt")
-
-
-class TestMallocPin:
-    @_GLIBC_ONLY
-    def test_transform_scratch_stays_resident(self):
-        # unpinned, glibc hands pocketfft's scratch back to the OS after each
-        # transform, and each 2-row call faults about 96 pages in again at
-        # N = 16384 (9,600 over the 50 pairs) and 480 at N = 65536 (48,000)
-        faults = [int(count) for count in _fresh_interpreter(_FAULTS_SCRIPT)]
-        assert len(faults) == 2 and max(faults) < 50
-
-    @_GLIBC_ONLY
-    @pytest.mark.parametrize("padding", [0, 1000, 2000])
-    def test_sweep_member_run_stays_resident(self, tmp_path, padding):
-        # the whole command, not only the bare transforms. Pinned, the run takes
-        # about 300 faults, most of them in setup (0.6 per step). Unpinned, it took
-        # 6,157 (12.3 per step), and 19,924 over the full run's 1,676 steps, but
-        # only in some heap layouts: 2 of 20 environment sizes gave one where it
-        # did not fault, so the run is made under three sizes
-        lines = _fresh_interpreter(_MEMBER_FAULTS_SCRIPT, tmp_path, padding)
-        faults, steps = map(int, lines[-1].split())  # the command's own line comes first
-        assert steps == 500 and faults < 3 * steps
-
-    def test_pin_reports_whether_libc_has_mallopt(self):
-        import ctypes
-
-        from dispwave.spectral import _pin_malloc_thresholds
-
-        assert _pin_malloc_thresholds(SimpleNamespace()) is False
-        if platform.libc_ver()[0] == "glibc":
-            assert _pin_malloc_thresholds(ctypes.CDLL(None))  # as on import; idempotent
+def test_no_module_tunes_the_process_allocator():
+    # importing a library must leave the allocator of the process that imports it
+    # alone: no dispwave module loads a C library or calls mallopt
+    package = Path(dispwave.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    for module in modules:
+        tree = ast.parse(module.read_text(), str(module))
+        imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module}
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert "ctypes" not in imported, module.name
+        assert "mallopt" not in names, module.name
