@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 from .blowup import assess, report_fields, sharpness_experiment, write_comparison_csv
@@ -26,6 +28,7 @@ from .config import (
     soliton_profile,
 )
 from .fileio import fmt, json_text, write_csv, write_field_csvs, write_json
+from .pde import TraceRow
 from .solitary import first_integral_residual, shape_error, write_profile_csv
 from .timestep import simulate
 
@@ -60,8 +63,8 @@ def _cmd_simulate(args) -> int:
                          ((out_dir / "checkpoints" / f"checkpoint_{i:04d}.csv", field.values)
                           for i, (_, field) in enumerate(result.checkpoints)))
         payload["checkpoint_times"] = [t for t, _ in result.checkpoints]
-    write_csv(out_dir / "trace.csv", ("t", "E", "m", "xi", "max_u", "dt"),
-              [(r.t, r.energy, r.m, r.xi, r.max_u, r.dt) for r in result.samples])
+    columns = [f.name for f in fields(TraceRow)]
+    write_csv(out_dir / "trace.csv", columns, map(attrgetter(*columns), result.samples))
     write_json(out_dir / "summary.json", payload)
     print(f"{result.stop_reason} at t = {fmt(result.t_stop)} ({payload['outcome']}); "
           f"artifacts in {out_dir}")

@@ -71,7 +71,7 @@ class TraceRow:
     min u_x, the step dt that reached it, the resolution measure `tail` (the
     largest |u_hat_j| with j >= min(0.9*band, band - 1) over the band's largest)
     and `boundary` = max(|u[0]|, |u[-1]|), the larger |u| at the box edge. `trace_row`
-    builds every row."""
+    builds every row; the fields, in order, are `trace.csv`'s columns."""
 
     t: float
     energy: float

@@ -32,10 +32,8 @@ def rfft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return transform(values, 1.0, out=out)
 
 
-def irfft(spectrum: np.ndarray, n: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def irfft(spectrum: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """numpy.fft.irfft over the last axis, into out if given: n points from n // 2 + 1 modes."""
-    if n is None:
-        n = 2 * (spectrum.shape[-1] - 1)
     if out is None:
         out = np.empty(spectrum.shape[:-1] + (n,))
     return _pocketfft.irfft(spectrum, 1.0 / n, out=out)

@@ -57,9 +57,9 @@ class SolverConfig:
 
     dt_init doubles as the step-size ceiling: the CFL and Riccati bounds
     only ever shrink it. decay_tolerance gates the initial data at |x| = L.
-    t_end is finite. A step that would end within one `tick` of t_end or of
-    a sample or checkpoint time, an exact multiple k*interval, lands on it;
-    intervals at or below tick stall the clock.
+    t_end and both intervals are finite. A step that would end within one
+    `tick` of t_end or of a sample or checkpoint time, an exact multiple
+    k*interval, lands on it; intervals at or below tick stall the clock.
     """
 
     t_end: float
@@ -82,8 +82,10 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("sample_interval", "checkpoint_interval"):
             value = getattr(self, name)
-            if not ((value is None and name == "checkpoint_interval") or value > self.tick):
-                raise ValueError(f"{name} must exceed the clock's tick {self.tick:g}, got {value}")
+            if not ((value is None and name == "checkpoint_interval")
+                    or self.tick < value < math.inf):
+                raise ValueError(f"{name} must be finite and exceed the clock's tick "
+                                 f"{self.tick:g}, got {value}")
 
     @property
     def tick(self) -> float:

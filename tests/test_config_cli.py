@@ -1,3 +1,4 @@
+import csv
 import importlib
 import json
 import math
@@ -10,7 +11,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dispwave import Field, Grid, PdeParams, energy, existence_bound, field_from_csv, gaussian_bump, steep_bump
+from dispwave import (
+    Field,
+    Grid,
+    PdeParams,
+    SimulationResult,
+    TraceRow,
+    assess,
+    energy,
+    existence_bound,
+    field_from_csv,
+    gaussian_bump,
+    report_fields,
+    steep_bump,
+)
 from dispwave.cli import main
 from dispwave.config import (
     ConfigError,
@@ -461,8 +475,9 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         trace = (out / "trace.csv").read_text().splitlines()
-        assert trace[0] == "t,E,m,xi,max_u,dt"
-        assert all(row.split(",")[1] == "0" for row in trace[1:])
+        # one column per TraceRow field, in field order, under the field's name
+        assert trace[0] == "t,energy,hamiltonian,m,xi,m_rhs,max_u,min_ux,dt,tail,boundary"
+        assert all(row.split(",")[1:3] == ["0", "0"] for row in trace[1:])
         summary = json.loads((out / "summary.json").read_text())
         assert summary["stop_reason"] == "reached_t_end"
         assert summary["T_lower"] == "infinite"
@@ -1177,6 +1192,39 @@ def test_triggered_run_ending_unbroken_is_underresolved_on_both_paths(
     assert summary["outcome"] == fields["outcome"] == "underresolved"
     assert summary["tail_max"] > 1e-7 and fields["tail_max"] == fmt(summary["tail_max"])
     assert fields["censored"] == "true"
+
+
+@pytest.mark.parametrize("config,outcome", [
+    ({**BREAKING_CONFIG, "initial": STEEP_DATA}, "broke"),
+    (README_SOLITON, "resolved"),
+    ({"params": {"gamma": 2.0, "omega": 0.5}, "grid": {"L": 8.0, "N": 2048},
+      "solver": {"t_end": 3.0, "blowup_m_threshold": 30.0, "dt_min": 1e-10},
+      "initial": STEEP_DATA}, "underresolved"),
+], ids=["breaking", "readme-soliton", "gamma2-omega0.5"])
+def test_artifacts_recompute_the_summary(tmp_path, config, outcome):
+    # trace.csv holds every TraceRow field, so its rows, with summary.json's stop and
+    # step counts, rebuild the run's result: the report and the drifts, warnings and
+    # counters computed from it are summary.json's, bit for bit
+    cfg, out = write_config(tmp_path / "c.json", **config), tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    with open(out / "trace.csv", newline="") as f:
+        samples = [TraceRow(**{k: float(v) for k, v in row.items()}) for row in csv.DictReader(f)]
+    rc = load_run_config(cfg)
+    u0 = build_initial_field(rc)
+    rebuilt = SimulationResult(samples, [], summary["stop_reason"], summary["t_stop"], u0,
+                               summary["stats"]["dt_limiters"])
+    report = jsonable(report_fields(assess(u0, rc.params, rebuilt)))
+    assert report == {key: summary[key] for key in report}
+    assert summary["outcome"] == outcome
+    if outcome == "broke":
+        assert summary["t_star"] == 0.8357579491186484
+    derived = ("energy_drift", "hamiltonian_drift", "boundary_max", "warnings")
+    assert {key: getattr(rebuilt, key) for key in derived} == {key: summary[key] for key in derived}
+    assert (samples[0].energy, samples[-1].energy) == (summary["energy_initial"],
+                                                       summary["energy_final"])
+    assert (rebuilt.steps, rebuilt.rhs_evaluations) == (summary["stats"]["steps"],
+                                                        summary["stats"]["rhs_evaluations"])
 
 
 # acceptance 9 across processes: each config's runs from two separate interpreters.

@@ -44,11 +44,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="t_end must be positive and finite"):
             SolverConfig(t_end=math.inf)
 
-    @pytest.mark.parametrize("t_end,interval", [(0.1, 1e-16), (0.1, 1e-14), (100.0, 1e-12)])
+    @pytest.mark.parametrize("t_end,interval", [(0.1, 1e-16), (0.1, 1e-14), (100.0, 1e-12),
+                                                (0.1, math.inf)])
     @pytest.mark.parametrize("name", ["sample_interval", "checkpoint_interval"])
     def test_rejects_intervals_the_event_clock_cannot_resolve(self, name, t_end, interval):
         # an interval at or below the clock's tick 1e-14*max(1, t_end) puts the
-        # next event at most two ticks past t, so t_end would be 1e14 steps away
+        # next event at most two ticks past t, so t_end would be 1e14 steps away;
+        # an infinite one has no multiple the clock can land on, not even t = 0
         with pytest.raises(ValueError, match=name):
             SolverConfig(t_end=t_end, **{name: interval})
         SolverConfig(t_end=t_end, **{name: 1.01 * max(1.0, t_end) * 1e-14})
