@@ -13,7 +13,6 @@ from .blowup import (
     BreakingTime,
     ExistenceBound,
     RunReport,
-    SweepRow,
     assess,
     blowup_condition,
     breaking_threshold,

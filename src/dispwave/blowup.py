@@ -22,10 +22,11 @@ collects the bounded terms through the conserved energy:
   identically and extends continuously to m0 >= 0. gamma = 0 (or zero data)
   means no breaking at all: T = +inf.
 
-The sharpness experiment tabulates t*/T over a steepening family: the theory
-keeps it >= 1, and it approaches 1 as the data steepen. t* is the median over
-the last resolved collapsing samples of the Riccati blow-up time with the
-forcing m' + m^2/2 frozen (-K/2 gives T); `assess` reports it and the outcome.
+The sharpness experiment tabulates t*/T over a family of runs that differ in any
+one listed number: the theory keeps it >= 1, and it approaches 1 as the data
+steepen. t* is the median over the last resolved collapsing samples of the
+Riccati blow-up time with the forcing m' + m^2/2 frozen (-K/2 gives T); `assess`
+reports it and the outcome.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import nullcontext, suppress
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass
 from functools import partial
 from typing import Sequence
 
@@ -215,7 +216,9 @@ def assess(u0: Field, params: PdeParams, result: SimulationResult | None = None)
 def report_fields(report: RunReport) -> dict:
     """The report's one artifact layout, flat under comparison.csv's names: the bound,
     then breaking_threshold, triggered and witness_x0 (None when untriggered) or, at
-    gamma = 0, GLOBAL_NOTE as note, then t_star, t_star_spread, outcome and tail_max."""
+    gamma = 0, GLOBAL_NOTE as note, then t_star, t_star_spread, ratio (t_star/T_lower),
+    censored (whether the run gave no t*), outcome and tail_max; run-only values are None
+    without a run, and the three t* values also without a t*."""
     out = {ARTIFACT_NAMES.get(name, name): value for name, value in asdict(report.bound).items()}
     if (verdict := report.verdict) is None:
         out["note"] = GLOBAL_NOTE
@@ -223,50 +226,29 @@ def report_fields(report: RunReport) -> dict:
         out.update(breaking_threshold=verdict.threshold, triggered=verdict.triggered,
                    witness_x0=verdict.witness_x0)
     t_star, spread = astuple(report.breaking) if report.breaking else (None, None)
-    return {**out, "t_star": t_star, "t_star_spread": spread, "outcome": report.outcome,
-            "tail_max": report.tail_max}
+    return {**out, "t_star": t_star, "t_star_spread": spread,
+            "ratio": None if t_star is None else t_star / report.bound.t_lower,
+            "censored": None if report.outcome is None else t_star is None,
+            "outcome": report.outcome, "tail_max": report.tail_max}
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One sharpness-table member: comparison.csv's columns in order, `assess`'s outcome and
-    tail_max last. At their defaults, the fields after alpha make a raising member's error row."""
-
-    family_id: int
-    alpha: float
-    e0: float = math.nan
-    m0: float = math.nan
-    gamma_case: str = "error"
-    bracket: float = math.nan
-    t_lower: float = math.nan
-    t_star: float = math.nan
-    t_star_spread: float = math.nan
-    ratio: float = math.nan
-    censored: bool = True
-    outcome: str = "error"
-    tail_max: float = math.nan
-
-
-def run_member(family_id: int, alpha: float, rc: RunConfig) -> SweepRow:
-    """Build and simulate one member's run config and compare its breaking time to the bound."""
+def run_member(family_id: int, alpha: float, rc: RunConfig) -> dict:
+    """Build and simulate one member's run config: its comparison.csv row, family_id and
+    alpha, then `report_fields` of its report."""
     u0 = build_initial_field(rc)
     report = assess(u0, rc.params, simulate(u0, rc.params, rc.solver))
-    row = SweepRow(family_id, alpha, **asdict(report.bound), outcome=report.outcome,
-                   tail_max=report.tail_max)
-    if (breaking := report.breaking) is not None:
-        row = replace(row, t_star=breaking.t_star, t_star_spread=breaking.spread,
-                      ratio=breaking.t_star / report.bound.t_lower, censored=False)
-    return row
+    return {"family_id": family_id, "alpha": alpha, **report_fields(report)}
 
 
 def sharpness_experiment(members: Sequence[tuple[float, RunConfig]],
-                         workers: int = 1) -> list[SweepRow]:
+                         workers: int = 1) -> list[dict]:
     """Run every member's run config and tabulate observed vs guaranteed times.
 
     Members that reach t_end without breaking, or break with no sample that gives a t*,
     are censored rows, not failures; `assess` gives each row its outcome. A member that
-    raises, in building its initial data too, becomes an error row and the others still
-    run. Each failure, and each ratio below 0.98, is reported with a RuntimeWarning. Rows
+    raises, in building its initial data too, becomes an error row, gamma_case and outcome
+    "error" and censored, and the others still run; every other row is `run_member`'s. Each
+    failure, and each ratio below 0.98, is reported with a RuntimeWarning. Rows
     are merged in member order regardless of worker count. workers > 1 runs the members
     in a process pool of at most one process per member.
     """
@@ -293,18 +275,21 @@ def sharpness_experiment(members: Sequence[tuple[float, RunConfig]],
             except Exception as err:  # per-member failure: record and continue
                 warnings.warn(f"member {i} (alpha = {alpha:g}) failed: {err}",
                               RuntimeWarning, stacklevel=2)
-                row = SweepRow(i, alpha)
-            # censored and error rows have ratio = nan, which never compares below
-            if row.ratio < 0.98:
-                warnings.warn(f"member {i}: observed breaking time ratio {row.ratio:.4f} "
+                row = {"family_id": i, "alpha": alpha, "gamma_case": "error",
+                       "censored": True, "outcome": "error"}
+            # censored and error rows have no ratio
+            if (ratio := row.get("ratio")) is not None and ratio < 0.98:
+                warnings.warn(f"member {i}: observed breaking time ratio {ratio:.4f} "
                               "undercuts the proved bound; solver bug suspected",
                               RuntimeWarning, stacklevel=2)
             rows.append(row)
     return rows
 
 
-def write_comparison_csv(rows: Sequence[SweepRow], path) -> None:
-    """One line per row under SweepRow's field names, renamed by ARTIFACT_NAMES."""
-    header = [ARTIFACT_NAMES.get(f.name, f.name) for f in fields(SweepRow)]
-    table = [[str(v).lower() if isinstance(v, bool) else v for v in astuple(r)] for r in rows]
-    write_csv(path, header, table)
+def write_comparison_csv(rows: Sequence[dict], path) -> None:
+    """One line per row under the keys of the longest row (a member that ran, unless all
+    failed): a missing or None cell as nan, a bool as true or false."""
+    def cell(value):
+        return "nan" if value is None else str(value).lower() if isinstance(value, bool) else value
+    header = list(max(rows, key=len))
+    write_csv(path, header, [[cell(row.get(key)) for key in header] for row in rows])

@@ -97,7 +97,7 @@ def _cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_comparison_csv(rows, out_dir / "comparison.csv")
     print(f"wrote {len(rows)} rows to {out_dir / 'comparison.csv'}")
-    return 1 if all(row.gamma_case == "error" for row in rows) else 0
+    return 1 if all(row["outcome"] == "error" for row in rows) else 0
 
 
 class _Parser(argparse.ArgumentParser):

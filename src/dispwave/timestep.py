@@ -45,8 +45,9 @@ class BoundaryDecayError(ValueError):
     """Initial data does not decay below tolerance at the box boundary."""
 
 
-# the CFL bound's share of h/(|gamma|*max|u| + 2*omega), and the energy drift
-# above which a run that reached t_end warns
+# the CFL bound's share of h/(|gamma|*max|u| + 2*omega) and of the nonlocal term's
+# time scale 1/(|3 - gamma|*max|u|/2 + omega), and the energy drift above which a
+# run that reached t_end warns
 CFL_FRACTION = 0.3
 ENERGY_DRIFT_TOL = 1e-5
 
@@ -172,11 +173,15 @@ DT_LIMITERS = ("ceiling", "cfl", "riccati", "landing")
 
 def _controlled_dt(config: SolverConfig, grid: Grid, params: PdeParams,
                    max_u: float, m: float) -> tuple[float, str]:
-    """Step bound, the ceiling cut by CFL on the transport speed and the Riccati
-    1/|m| cap, and which of the three set it (the first of them on a tie)."""
+    """Step bound, the ceiling cut by CFL on the transport speed and on the nonlocal
+    term's rate (|ik/(1 + k^2)| <= 1/2 bounds it, grid-free, by |3 - gamma|*max|u|/2 +
+    omega), then by the Riccati 1/|m| cap, and which of the three set it (the first of
+    them on a tie)."""
     speed = abs(params.gamma) * max_u + 2.0 * params.omega
+    rate = 0.5 * abs(3.0 - params.gamma) * max_u + params.omega
     dt, limiter = config.dt_init, "ceiling"
-    cfl = CFL_FRACTION * grid.spacing / max(speed, 1e-12)
+    cfl = min(CFL_FRACTION * grid.spacing / max(speed, 1e-12),
+              CFL_FRACTION / max(rate, 1e-12))
     if cfl < dt:
         dt, limiter = cfl, "cfl"
     if m < 0.0 and 0.5 / abs(m) < dt:

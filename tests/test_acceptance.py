@@ -207,8 +207,8 @@ def test_acceptance_8_sharpness_trend(tmp_path):
         "initial": {"kind": "steep", "amplitude": 1.0, "steepness": [3.0, 4.5, 6.0]},
     }, tmp_path)
     rows = sharpness_experiment(members)
-    assert all(not r.censored for r in rows)
-    ratios = [r.ratio for r in rows]
+    assert all(not r["censored"] for r in rows)
+    ratios = [r["ratio"] for r in rows]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))  # decreasing toward 1
     assert all(r >= 0.98 for r in ratios)
     report(8, "sharpness trend")

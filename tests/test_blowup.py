@@ -12,7 +12,6 @@ from dispwave import (
     Grid,
     PdeParams,
     SolverConfig,
-    SweepRow,
     TraceRow,
     assess,
     blowup_condition,
@@ -326,6 +325,7 @@ def test_global_solution_losing_resolution_is_not_breaking():
     assert not report.verdict.triggered
     fields = report_fields(report)
     assert fields["outcome"] == "underresolved" and fields["t_star"] is None
+    assert fields["censored"] is True and fields["ratio"] is None
 
 
 def sweep_members(initial, grid=(6.0, 256), gamma=1.0, **solver):
@@ -347,15 +347,14 @@ class TestSharpnessExperiment:
     def test_censoring_and_bound(self, small_family_rows):
         # alpha = 0.35 is triggered but its t_end = 1.5 is below its T_lower (2.07)
         gentle, steep = small_family_rows
-        assert gentle.censored and math.isnan(gentle.t_star)
-        assert gentle.outcome == "resolved" and gentle.tail_max <= 1e-7
-        assert not steep.censored and steep.outcome == "broke"
-        assert steep.ratio >= 0.98
-        assert steep.t_star >= steep.t_lower * 0.98
+        assert gentle["censored"] and gentle["t_star"] is None and gentle["ratio"] is None
+        assert gentle["outcome"] == "resolved" and gentle["tail_max"] <= 1e-7
+        assert steep["censored"] is False and steep["outcome"] == "broke"
+        assert steep["ratio"] == steep["t_star"] / steep["T_lower"] >= 0.98
 
     def test_rows_keep_member_order(self, small_family_rows):
-        assert [r.family_id for r in small_family_rows] == [0, 1]
-        assert [r.alpha for r in small_family_rows] == [0.35, 1.0]
+        assert [r["family_id"] for r in small_family_rows] == [0, 1]
+        assert [r["alpha"] for r in small_family_rows] == [0.35, 1.0]
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError, match="no members"):
@@ -376,7 +375,7 @@ class TestSharpnessExperiment:
                                 blowup_m_threshold=9.0, dt_min=1e-10)
         seq = sharpness_experiment(members, workers=1)
         par = sharpness_experiment(members, workers=2)
-        assert all(not r.censored for r in seq)
+        assert all(not r["censored"] for r in seq)
         assert seq == par
 
     def test_pool_size_capped_at_family_size(self, monkeypatch):
@@ -407,7 +406,7 @@ class TestSharpnessExperiment:
             sizes.clear()
             rows = sharpness_experiment(members, workers=workers)
             assert sizes == expected
-            assert [r.family_id for r in rows] == [0, 1, 2]
+            assert [r["family_id"] for r in rows] == [0, 1, 2]
         sizes.clear()
         sharpness_experiment(members[:1], workers=4)
         assert sizes == []
@@ -427,40 +426,47 @@ class TestSharpnessExperiment:
         for workers in (1, 2):
             with pytest.warns(RuntimeWarning, match=r"member 1 \(alpha = 10\) failed"):
                 rows = sharpness_experiment(members, workers=workers)
-            assert [(r.family_id, r.gamma_case) for r in rows] == [
+            assert [(r["family_id"], r["gamma_case"]) for r in rows] == [
                 (0, "low"), (1, "error"), (2, "low")]
-            assert math.isfinite(rows[0].t_lower) and math.isnan(rows[1].t_lower)
-            # nan fields break row equality, so the two runs are compared as written tables
+            assert math.isfinite(rows[0]["T_lower"])
+            assert rows[1] == {"family_id": 1, "alpha": 10.0, "gamma_case": "error",
+                               "censored": True, "outcome": "error"}
             write_comparison_csv(rows, tmp_path / f"workers{workers}.csv")
-            tables.append((tmp_path / f"workers{workers}.csv").read_bytes())
+            tables.append((rows, (tmp_path / f"workers{workers}.csv").read_bytes()))
         assert tables[0] == tables[1]
 
     def test_ratio_below_the_bound_warns(self, monkeypatch):
         # a breaking time under 0.98 of the proved bound means a solver bug
-        monkeypatch.setattr(dispwave.blowup, "run_member",
-                            lambda *job: SweepRow(0, 1.0, ratio=0.5, censored=False))
+        row = {"family_id": 0, "alpha": 1.0, "ratio": 0.5, "censored": False}
+        monkeypatch.setattr(dispwave.blowup, "run_member", lambda *job: row)
         members = sweep_members({"kind": "gaussian", "amplitude": [0.1], "width": 2.0},
                                 grid=(20.0, 256), t_end=1.0)
         with pytest.warns(RuntimeWarning, match="member 0: observed breaking time ratio "
                                                 "0.5000 undercuts the proved bound"):
             rows = sharpness_experiment(members, workers=1)
-        assert [(r.ratio, r.censored) for r in rows] == [(0.5, False)]
+        assert rows == [row]
 
-    def test_error_row_is_the_default_row(self, tmp_path):
-        # a member that raised is SweepRow(i, alpha): every field after alpha at its default
+    def test_error_row_cells_are_nan_under_a_run_header(self, small_family_rows, tmp_path):
+        # the header is the longest row's; an error row's missing cells are nan, and a
+        # table of error rows alone has their five columns
+        error = {"family_id": 1, "alpha": 0.5, "gamma_case": "error", "censored": True,
+                 "outcome": "error"}
         path = tmp_path / "comparison.csv"
-        write_comparison_csv([SweepRow(1, 0.5)], path)
-        assert path.read_text().splitlines() == [
-            "family_id,alpha,E0,m0,gamma_case,K,T_lower,t_star,t_star_spread,ratio,censored,"
-            "outcome,tail_max",
-            "1,0.5,nan,nan,error,nan,nan,nan,nan,nan,true,error,nan"]
+        write_comparison_csv([error, small_family_rows[0]], path)
+        header, line = path.read_text().splitlines()[:2]
+        assert header.split(",") == list(small_family_rows[0])
+        assert line == "1,0.5,nan,nan,error" + ",nan" * 8 + ",true,error,nan"
+        write_comparison_csv([error], path)
+        assert path.read_text().splitlines() == ["family_id,alpha,gamma_case,censored,outcome",
+                                                 "1,0.5,error,true,error"]
 
     def test_comparison_csv_layout(self, small_family_rows, tmp_path):
         path = tmp_path / "comparison.csv"
         write_comparison_csv(small_family_rows, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == ("family_id,alpha,E0,m0,gamma_case,K,T_lower,t_star,t_star_spread,"
-                            "ratio,censored,outcome,tail_max")
+        assert lines[0] == ("family_id,alpha,E0,m0,gamma_case,K,T_lower,breaking_threshold,"
+                            "triggered,witness_x0,t_star,t_star_spread,ratio,censored,outcome,"
+                            "tail_max")
         assert len(lines) == 3
         assert lines[1].startswith("0,0.34999999999999998,") and ",true,resolved," in lines[1]
         assert lines[2].startswith("1,1,") and ",false,broke," in lines[2]

@@ -855,7 +855,7 @@ class TestOneReportLayout:
         assert main(["bound", "--config", str(cfg)]) == 0
         bound = json.loads(capsys.readouterr().out)
         summary = json.loads((out / "summary.json").read_text())
-        run_only = ("t_star", "t_star_spread", "outcome", "tail_max")
+        run_only = ("t_star", "t_star_spread", "ratio", "censored", "outcome", "tail_max")
         assert all(bound[key] is None for key in run_only)
         for key, value in bound.items():
             if key not in run_only:
@@ -866,17 +866,24 @@ class TestOneReportLayout:
         cfg = write_config(tmp_path / "c.json", **BREAKING_CONFIG, initial=STEEP_DATA)
         bound, summary = self._bound_and_summary(tmp_path, capsys, cfg)
         assert bound["triggered"] is True and "witness_x0" in bound
-        assert summary["t_star"] is not None
+        assert summary["t_star"] is not None and summary["censored"] is False
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps({**BREAKING_CONFIG, "family": {
             "kind": "steepness", "amplitude": 1.0, "steepnesses": [3.0]}}))
         assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "s")]) == 0
         header, row = (tmp_path / "s" / "comparison.csv").read_text().splitlines()
-        cells = dict(zip(header.split(","), row.split(",")))
-        for key in ("E0", "m0", "gamma_case", "K", "T_lower", "t_star", "t_star_spread",
-                    "outcome", "tail_max"):
-            value = summary[key]
-            assert cells[key] == (value if isinstance(value, str) else fmt(value)), key
+        # the sweep's row is family_id, alpha and then the summary's report, cell for cell
+        rc = load_run_config(cfg)
+        layout = list(report_fields(assess(build_initial_field(rc), rc.params)))
+        assert header.split(",") == ["family_id", "alpha", *layout]
+
+        def cell(value):
+            if value is None:
+                return "nan"
+            if isinstance(value, bool):
+                return str(value).lower()
+            return value if isinstance(value, str) else fmt(value)
+        assert row.split(",") == ["0", "3", *(cell(summary[key]) for key in layout)]
 
     def test_untriggered_soliton(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", **README_SOLITON)
@@ -951,7 +958,7 @@ class TestSweepCommand:
                          "--workers", "2"]) == 0
         rows = (out / "comparison.csv").read_text().splitlines()[1:]
         assert rows[0].split(",")[4] == "low"
-        assert rows[1] == "1,10,nan,nan,error,nan,nan,nan,nan,nan,true,error,nan"
+        assert rows[1] == "1,10,nan,nan,error" + ",nan" * 8 + ",true,error,nan"
 
     # the CI sweep's run: a steep bump that breaks at |m| = 4 on a coarse grid
     STEEP_RUN = {
@@ -992,7 +999,7 @@ class TestSweepCommand:
             "member 1 (alpha = -1) failed: steepness must be positive, got -1.0"]
         rows = (out / "comparison.csv").read_text().splitlines()[1:]
         assert rows[0].split(",")[4] == "low"
-        assert rows[1] == "1,-1,nan,nan,error,nan,nan,nan,nan,nan,true,error,nan"
+        assert rows[1] == "1,-1,nan,nan,error" + ",nan" * 8 + ",true,error,nan"
         cfg = write_sweep(tmp_path / "sweep.json", initial={**initial, "steepness": [-1.0, -2.0]})
         with pytest.warns(RuntimeWarning, match="steepness must be positive"):
             assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
@@ -1001,6 +1008,10 @@ class TestSweepCommand:
         cfg = self._gaussian_family(tmp_path / "sweep.json", [10.0, 20.0])
         with pytest.warns(RuntimeWarning, match="failed"):
             assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        # with no member that ran, the table has the error rows' five columns
+        assert (tmp_path / "o" / "comparison.csv").read_text().splitlines() == [
+            "family_id,alpha,gamma_case,censored,outcome",
+            "0,10,error,true,error", "1,20,error,true,error"]
 
     def test_empty_family_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
@@ -1167,6 +1178,7 @@ def test_unresolved_breaking_run_is_censored_on_both_paths(tmp_path):
         "solver": {"t_end": 1.2, "sample_interval": 0.01, "blowup_m_threshold": 3.0}})
     assert summary["stop_reason"] == "blowup_slope"
     assert summary["t_star"] is None and summary["t_star_spread"] is None
+    assert summary["ratio"] is None and summary["censored"] is True
     assert fields["gamma_case"] == "low" and fields["T_lower"] != "nan"
     assert (fields["t_star"], fields["t_star_spread"], fields["ratio"]) == ("nan",) * 3
     assert fields["censored"] == "true"
@@ -1347,6 +1359,27 @@ def test_perfbench_names_resolve():
                 continue
             assert callable(target) or isinstance(target, property), f"{module_name}.{name}"
     assert unresolved == []
+
+
+# the artifact fields perfbench's gates read, from soliton_cli's summary.json and
+# sweep_n8192's comparison.csv; a src/ change that renames one would otherwise first
+# fail as a refused benchmark run
+PERFBENCH_FIELDS = {"summary.json": ("stop_reason", "shape_error", "warnings"),
+                    "comparison.csv": ("family_id", "gamma_case", "censored", "ratio")}
+
+
+def test_perfbench_fields_are_written(two_process_runs):
+    run = two_process_runs[0]
+    summary = json.loads((run / "soliton" / "summary.json").read_text())
+    assert set(PERFBENCH_FIELDS["summary.json"]) <= set(summary)
+    assert summary["stop_reason"] == "reached_t_end" and isinstance(summary["warnings"], list)
+    with open(run / "sweep" / "comparison.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert set(PERFBENCH_FIELDS["comparison.csv"]) <= set(rows[0])
+    # the gate takes a member as uncensored only by the cell "false", and reads its ratio
+    assert [(r["family_id"], r["t_star"] != "nan", r["censored"]) for r in rows] == [
+        ("0", True, "false"), ("1", False, "true")]
+    assert float(rows[0]["ratio"]) == float(rows[0]["t_star"]) / float(rows[0]["T_lower"])
 
 
 @pytest.mark.scipy

@@ -11,6 +11,8 @@ from dispwave import (
     NonFiniteFieldError,
     PdeParams,
     SolverConfig,
+    TraceRow,
+    assess,
     energy,
     existence_bound,
     gaussian_bump,
@@ -20,7 +22,7 @@ from dispwave import (
     simulate,
     steep_bump,
 )
-from dispwave import pde
+from dispwave import pde, timestep
 from dispwave.config import build_initial_field, parse_run_config
 from dispwave.pde import SpectralRhs
 from dispwave.timestep import CFL_FRACTION, DT_LIMITERS, ENERGY_DRIFT_TOL, _controlled_dt
@@ -318,6 +320,15 @@ class TestSimulate:
         res = simulate(u0, PdeParams(1.0, 0.0), cfg)
         assert res.stop_reason == "dt_underflow" and res.t_stop == 0.0
 
+    def test_gamma_zero_large_amplitude_is_global(self, grid_small):
+        # every solution is global at gamma = 0; with no transport, only the nonlocal
+        # term's rate 3*max|u|/2 caps dt, and without that cap dt = 0.01 overflows
+        # this run by t = 0.03, which read as breaking
+        u0, p = gaussian_bump(grid_small, 1000.0, 2.0), PdeParams(0.0, 0.0)
+        res = simulate(u0, p, SolverConfig(t_end=2.0))
+        assert res.stop_reason == "reached_t_end" and res.dt_limiters["cfl"] > 0
+        assert assess(u0, p, res).outcome != "broke"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_becomes_nonfinite_verdict(self, grid_small):
         # amplitude large enough that u^2 overflows, small enough at |x| = L;
@@ -346,10 +357,13 @@ class TestSimulate:
         assert transform_count["transforms"] - before == 4 * res.rhs_evaluations + 3
         assert np.max(np.abs(res.final_state.values - u0.values)) <= 1e-12 * 1e160
 
-    def test_overflow_after_finite_steps_keeps_the_last_one(self, grid_small, transform_count):
-        # gamma = omega = 0 puts no CFL or Riccati cap on dt = 0.5, far too long for
+    def test_overflow_after_finite_steps_keeps_the_last_one(self, grid_small, transform_count,
+                                                            monkeypatch):
+        # this checks the overflow bookkeeping, not step control: with the CFL bound
+        # lifted, gamma = omega = 0 puts no cap on dt = 0.5, far too long for
         # max|u| = 100: RK4 grows u to 4e16 and then 2e250 in two finite steps, and
         # u^2 overflows in the third
+        monkeypatch.setattr(timestep, "CFL_FRACTION", math.inf)
         u0 = gaussian_bump(grid_small, 100.0, 1.0)
         p = PdeParams(0.0, 0.0)
         cfg = SolverConfig(t_end=10.0, dt_init=0.5, sample_interval=0.5)
@@ -386,9 +400,11 @@ class TestSimulate:
     @pytest.mark.parametrize("amplitude,stop", [(0.1, "reached_t_end"),
                                                 (100.0, "blowup_nonfinite"),
                                                 (1e160, "blowup_nonfinite")])
-    def test_leaves_numpy_error_state_as_found(self, grid_small, amplitude, stop):
+    def test_leaves_numpy_error_state_as_found(self, grid_small, amplitude, stop, monkeypatch):
         # the caller's raise stays outside the run; inside it, overflow is an outcome,
-        # in a later step (100) or already in u0's own k1 (1e160)
+        # in a later step (100) or already in u0's own k1 (1e160). This checks the error
+        # state, not step control: the CFL bound is lifted so that dt = 0.5 overflows
+        monkeypatch.setattr(timestep, "CFL_FRACTION", math.inf)
         cfg = SolverConfig(t_end=2.0, dt_init=0.5, sample_interval=0.5)
         with np.errstate(over="raise", invalid="raise"):
             found = np.geterr()
@@ -489,10 +505,42 @@ def test_dt_limiter_is_the_smallest_bound():
     cfl_at = 0.3 * g.spacing  # the CFL bound at max|u| = 1
     assert _controlled_dt(cfg, g, p, 1.0, 0.0) == (0.01, "ceiling")
     assert _controlled_dt(cfg, g, p, 10.0, -1.0) == (cfl_at / 10.0, "cfl")
+    # no transport at gamma = omega = 0, but the nonlocal term's rate 3*max|u|/2 caps dt
+    # under the same limiter, and omega adds to that rate
+    assert _controlled_dt(cfg, g, PdeParams(0.0, 0.0), 100.0, 0.0) == (0.3 / 150.0, "cfl")
+    assert _controlled_dt(cfg, g, PdeParams(0.0, 0.5), 100.0, 0.0) == (0.3 / 150.5, "cfl")
     assert _controlled_dt(cfg, g, p, 1.0, -100.0) == (0.005, "riccati")
     # a tie goes to the first bound in DT_LIMITERS' order
     tied = SolverConfig(t_end=1.0, dt_init=cfl_at)
     assert _controlled_dt(tied, g, p, 1.0, -0.5 / cfl_at) == (cfl_at, "ceiling")
+
+
+# each TraceRow field of lambda*u(x, lambda*t), which solves the equation at lambda*omega,
+# over the same field of u: at lambda = 2 every operation of a run scales exactly
+TWIN_FACTORS = {"t": 0.5, "dt": 0.5, "m_rhs": 4.0, "energy": 4.0, "hamiltonian": 8.0,
+                "m": 2.0, "max_u": 2.0, "min_ux": 2.0, "boundary": 2.0, "tail": 1.0, "xi": 1.0}
+
+
+@pytest.mark.parametrize("gamma,omega", [(1.0, 0.5), (2.0, 0.5), (0.5, 0.25), (-1.0, 0.5),
+                                         (3.5, 0.5)])
+def test_amplitude_scaling_twin_is_bit_exact(gamma, omega):
+    # every step-control constant is scale-free, so the twin 2*u0 at 2*omega, with
+    # threshold, times and dt bounds scaled, repeats the run exactly: a mismatch is a bug
+    # or a constant that is not homogeneous, never a reason for a tolerance
+    assert set(TWIN_FACTORS) == {f.name for f in dataclasses.fields(TraceRow)}
+    u0 = steep_bump(Grid(6.0, 2048), 1.0, 3.0)
+    res = simulate(u0, PdeParams(gamma, omega),
+                   SolverConfig(t_end=2.0, sample_interval=0.004, blowup_m_threshold=11.0,
+                                dt_min=1e-10))
+    twin = simulate(Field(u0.grid, 2.0 * u0.values), PdeParams(gamma, 2.0 * omega),
+                    SolverConfig(t_end=1.0, dt_init=5e-3, sample_interval=0.002,
+                                 blowup_m_threshold=22.0, dt_min=5e-11))
+    assert (twin.stop_reason, twin.dt_limiters) == (res.stop_reason, res.dt_limiters)
+    assert len(twin.samples) == len(res.samples)
+    for row, twin_row in zip(res.samples, twin.samples):
+        for name, factor in TWIN_FACTORS.items():
+            assert getattr(twin_row, name) == factor * getattr(row, name), (row.t, name)
+    assert np.array_equal(twin.final_state.values, 2.0 * res.final_state.values)
 
 
 class TestTimeStepRobustness:
